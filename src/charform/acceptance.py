@@ -12,8 +12,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .algebra import (Filter, concat, homomorphism_search, in_sh,
-                      is_isomorphic, is_si, product, principal_filter,
+from .algebra import (Filter, concat, concat_embedding, homomorphism_search,
+                      in_sh, is_isomorphic, is_si, product, principal_filter,
                       quotient, _bits)
 from .catalog import all_algebras, si_algebras, standard_corpus
 from .formula import (EngineLimits, conj, evaluate, is_valid, parse, pretty,
@@ -21,10 +21,10 @@ from .formula import (EngineLimits, conj, evaluate, is_valid, parse, pretty,
 from .jankov import jankov_formula
 from .modal import (box_from_meet_of_arrows, heyting_carcass, modal_validity,
                     gmt_translate, span)
-from .presentation import (Presentation, VarietyHandle, build_corpus,
-                           check_defines, concat_defining_formula,
-                           diagram_presentation, zprime_conjuncts,
-                           zprime_presentation)
+from .presentation import (Presentation, VarietyHandle, _atom, _coatom,
+                           build_corpus, check_defines,
+                           concat_defining_formula, diagram_presentation,
+                           zprime_conjuncts, zprime_presentation)
 from .rn import boolean, chain, rn_algebra, trunc_zstar
 from .jankov import term_for_element
 
@@ -79,11 +79,7 @@ def crit2(seed):
     for a in parts:
         for b in parts:
             ab = concat(a, b)
-            # the concat layout keeps b's non-bottom elements at the tail
-            brest = [x for x in range(b.size) if x != b.bottom]
-            bmap = {b.bottom: a.top}
-            for r, x in enumerate(brest):
-                bmap[x] = a.size + r
+            bmap = concat_embedding(a, b)
             for x in range(b.size):
                 nab = principal_filter(b, x)
                 members = 0
@@ -225,8 +221,8 @@ def crit7(seed):
                       {v + 2: e for v, e in pb0.valuation.items()})
     coat_term = term_for_element(pa.target,
                                  sorted(pa.valuation.items()),
-                                 _coatom_of(pa.target))
-    atom_term = var(2 + _atom_of(tb))
+                                 _coatom(pa.target))
+    atom_term = var(2 + _atom(tb))
     combined = concat_defining_formula(pa, pb, coat_term, atom_term)
     generator = concat(product(rn_algebra(k), rn_algebra(2)), rn_algebra(7))
     ok, _ = is_isomorphic(combined.target, generator)
@@ -237,16 +233,6 @@ def crit7(seed):
     if v.refuted:
         return False, f"ladder concat presentation refuted: {v}"
     return True, "3-chain and trunc(ladder x2 + Z7, 10) both verified"
-
-
-def _coatom_of(a):
-    return [x for x in range(a.size) if x != a.top
-            and a.up[x] == (1 << x) | (1 << a.top)][0]
-
-
-def _atom_of(a):
-    return [x for x in range(a.size) if x != a.bottom
-            and a.down[x] == (1 << x) | (1 << a.bottom)][0]
 
 
 def sample_lemma_formulas(seed, count=500, max_attempts=40000):

@@ -2,12 +2,19 @@
 
 Elements are integers 0..size-1.  The order and all element subsets are
 bitmasks, so kernel operations reduce to table lookups and mask arithmetic.
-Algebras are immutable after construction; every constructor validates the
-residuation law, so a constructed object is a Heyting algebra by fiat.
+Algebras are immutable after construction.  The constructor checks the
+lattice, residuation and distributive laws up to 96 elements; above that
+size, and in `relabel_algebra`, the check is skipped and the tables are
+trusted.
+
+`close_map` and the term search in `jankov` work on any algebra that lists
+its operations as a `signature`; interior algebras (`modal`) give theirs
+too, so both kinds share one closure and one term search.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -93,6 +100,30 @@ class Poset:
         return sorted(sets)
 
 
+# Operation signatures.  An algebra's `signature` is (binary, unary) in term
+# order and < or < imp < neg < box.  A binary entry is (kind, row, col):
+# row(alg, x, ys) gives op(x, y) for each y in ys, and col, None for a
+# commutative op, gives op(y, x).  A unary entry is (kind, op) with
+# op(alg, x) the value at x.
+
+
+def _meet_row(a, x, ys):
+    return map(a.meet[x].__getitem__, ys)
+
+
+def _join_row(a, x, ys):
+    return map(a.join[x].__getitem__, ys)
+
+
+def _imp_row(a, x, ys):
+    return map(a.imp[x].__getitem__, ys)
+
+
+def _imp_col(a, x, ys):
+    imp = a.imp
+    return [imp[y][x] for y in ys]
+
+
 class HeytingAlgebra:
     """Finite Heyting algebra with explicit meet/join/imp tables.
 
@@ -102,6 +133,10 @@ class HeytingAlgebra:
 
     __slots__ = ("size", "up", "down", "meet", "join", "imp", "neg",
                  "bottom", "top", "labels")
+
+    signature = ((("and", _meet_row, None), ("or", _join_row, None),
+                  ("imp", _imp_row, _imp_col)),
+                 (("neg", lambda a, x: a.neg[x]),))
 
     def __init__(self, up, meet, join, imp, bottom, top, labels=None,
                  validate=True):
@@ -308,11 +343,24 @@ def product(a, b):
                           validate=n <= _FULL_VALIDATE_MAX)
 
 
+def concat_embedding(a, b):
+    """Index in concat(a, b) of each element of b, as a tuple.
+
+    b's bottom is glued to a's top, and the other elements of b follow a's
+    elements in index order; a's elements keep their indices.  When a is
+    trivial, concat(a, b) is b itself.
+    """
+    if a.size == 1:
+        return tuple(range(b.size))
+    # x - (x > b.bottom) counts the elements of b below index x, bottom aside
+    return tuple(a.top if x == b.bottom else a.size + x - (x > b.bottom)
+                 for x in range(b.size))
+
+
 def concat(a, b):
     """Concatenation: stack b on a, gluing a's top to b's bottom.
 
-    Carrier layout: a's elements keep their indices; the elements of b other
-    than its bottom follow in index order.  The glue element is a.top.
+    The carrier layout is the one `concat_embedding` describes.
     """
     if b.size == 1:
         return a
@@ -320,9 +368,7 @@ def concat(a, b):
         return b
     na = a.size
     brest = [x for x in range(b.size) if x != b.bottom]
-    bmap = {b.bottom: a.top}
-    for r, x in enumerate(brest):
-        bmap[x] = na + r
+    bmap = concat_embedding(a, b)
     n = na + len(brest)
     bpart_mask = sum(1 << bmap[x] for x in brest)
 
@@ -511,22 +557,48 @@ def induced_subalgebra(a, carrier):
     return elems, sub
 
 
+def close_map(images, frontier, source, target, limit=None):
+    """Close a partial map source -> target under the operations.
+
+    `images` maps source elements to target elements and is extended in
+    place; `frontier` lists its keys not yet combined with the others (all
+    of them, for a fresh map).  Both algebras are of one kind and combine
+    through its `signature`.  Returns the closed map, or None as soon as
+    some element would get two images; a returned map commutes with every
+    operation on its domain.  With a limit, a map that outgrows it is
+    returned at once, unclosed, for a caller that would discard it.
+    """
+    binary, unary = source.signature
+    get = images.get
+    while frontier:
+        items = list(images)
+        fitems = list(images.values())
+        new = []
+        for x in frontier:
+            fx = images[x]
+            pairs = [[(op(source, x), op(target, fx)) for _, op in unary]]
+            for _, row, col in binary:
+                pairs.append(zip(row(source, x, items), row(target, fx, fitems)))
+                if col is not None:
+                    pairs.append(zip(col(source, x, items),
+                                     col(target, fx, fitems)))
+            for z, w in itertools.chain.from_iterable(pairs):
+                got = get(z)
+                if got is None:
+                    images[z] = w
+                    new.append(z)
+                elif got != w:
+                    return None
+            if limit is not None and len(images) > limit:
+                return images
+        frontier = new
+    return images
+
+
 def subalgebra_closure(a, gens):
     """Least subset containing gens, bottom and top, closed under the ops."""
-    closed = {a.bottom, a.top} | set(gens)
-    frontier = list(closed)
-    while frontier:
-        new = []
-        items = list(closed)
-        for x in frontier:
-            for y in items:
-                for t in (a.meet, a.join, a.imp):
-                    for z in (t[x][y], t[y][x]):
-                        if z not in closed:
-                            closed.add(z)
-                            new.append(z)
-        frontier = new
-    return frozenset(closed)
+    images = {x: x for x in (a.bottom, a.top, *gens)}
+    return frozenset(close_map(images, list(images), a, a))
 
 
 def generated_subalgebra(a, gens):
@@ -768,9 +840,19 @@ def is_isomorphic(a, b):
 
 
 def canonical_key(a):
-    """Relabelling-invariant key, usable for dedup and deterministic order."""
+    """Relabelling-invariant key of an order, usable for dedup and
+    deterministic order.
+
+    Reads only `a.size` and the up-set masks `a.up`, so it keys posets and
+    algebras alike; an algebra's key is the key of its order.
+    """
     n = a.size
-    colour = _refine_profile(a.up, a.down, n)
+    up = a.up
+    down = [0] * n
+    for i in range(n):
+        for j in _bits(up[i]):
+            down[j] |= 1 << i
+    colour = _refine_profile(up, down, n)
     best = None
     order = sorted(range(n), key=lambda x: (colour[x], x))
     groups = {}
@@ -784,9 +866,9 @@ def canonical_key(a):
         rows = []
         for i in range(n):
             mask = 0
-            x = inv[i]
+            ux = up[inv[i]]
             for j in range(n):
-                if a.leq(x, inv[j]):
+                if (ux >> inv[j]) & 1:
                     mask |= 1 << j
             rows.append(mask)
         return tuple(rows)

@@ -11,57 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (Poset, canonical_key, concat, product, upset_algebra,
-                      _bits, _refine_profile)
+                      _bits)
 from .rn import boolean, chain, rn_algebra
-
-
-def _poset_key(poset):
-    """Relabelling-invariant key for a poset (refinement + minimal code)."""
-    n = poset.size
-    up = poset.up
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
-    colour = _refine_profile(up, down, n)
-    groups = {}
-    for x in sorted(range(n), key=lambda x: (colour[x], x)):
-        groups.setdefault(colour[x], []).append(x)
-    slots = []
-    for c in sorted(groups):
-        slots.extend([groups[c]] * len(groups[c]))
-    perm = [-1] * n
-    inv = [-1] * n
-    best = None
-
-    def encode():
-        rows = []
-        for i in range(n):
-            mask = 0
-            for j in range(n):
-                if poset.leq(inv[i], inv[j]):
-                    mask |= 1 << j
-            rows.append(mask)
-        return tuple(rows)
-
-    def backtrack(k):
-        nonlocal best
-        if k == n:
-            code = encode()
-            if best is None or code < best:
-                best = code
-            return
-        for x in slots[k]:
-            if perm[x] == -1:
-                perm[x] = k
-                inv[k] = x
-                backtrack(k + 1)
-                perm[x] = -1
-
-    if n == 0:
-        return (0,)
-    backtrack(0)
-    return (n,) + best
 
 
 def _extend_posets(posets, max_upsets):
@@ -83,7 +34,7 @@ def _extend_posets(posets, max_upsets):
             q = Poset(up, _checked=True)
             if len(q.upset_masks()) > max_upsets:
                 continue
-            key = _poset_key(q)
+            key = canonical_key(q)
             if key not in out:
                 out[key] = q
     return list(out.values())

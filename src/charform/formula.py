@@ -630,14 +630,6 @@ def _prop_search(carrier, f, vars_):
     return False, dict(zip(vars_, best))
 
 
-def _prop_refutable(carrier, f):
-    """Decision-only variant: stops at the first satisfiable task."""
-    for cvars, constraints in _refuting_tasks(f, carrier):
-        if _CSP(carrier, cvars, constraints).satisfiable():
-            return True
-    return False
-
-
 def enumerate_top_valuations(carrier, f, vars_=None):
     """All valuations making f equal top, in lexicographic order.
 

@@ -58,52 +58,49 @@ def jankov_formula(algebra):
     return imp(d, var(opremum(algebra)))
 
 
-def terms_for_all(algebra, gens):
+def terms_for_all(algebra, gens, want=None):
     """Minimal-depth defining term for every generated element.
 
-    gens is a sequence of (variable index, element) pairs.  Breadth-first
-    over the value closure; ties are broken by connective order
-    and < or < imp < neg, then by operand discovery order.
+    gens is a sequence of (variable index, element) pairs; algebra is a
+    Heyting or an interior algebra, searched through its `signature`.
+    Breadth-first over the value closure; ties are broken by connective
+    order and < or < imp < neg < box, then by operand discovery order.  With
+    want given, the search stops after the depth at which want is reached.
     """
     known = {}
-    order = []
     for v, e in gens:
-        if e not in known:
-            known[e] = var(v)
-            order.append(e)
-    depth = {e: 0 for e in known}
-    tables = (("and", algebra.meet), ("or", algebra.join), ("imp", algebra.imp))
-    d = 0
-    while True:
-        d += 1
+        known.setdefault(e, var(v))
+    order = list(known)
+    binary, unary = algebra.signature
+    start = 0  # order[start:] are the elements of the greatest depth
+    while want not in known:
         items = list(order)
+        last = items[start:]
         new = []
-        for kind, tab in tables:
-            for x in items:
-                for y in items:
-                    if max(depth[x], depth[y]) != d - 1:
-                        continue
-                    z = tab[x][y]
+        # a new term has an operand of the greatest depth
+        for kind, row, _ in binary:
+            for i, x in enumerate(items):
+                ys = items if i >= start else last
+                for y, z in zip(ys, row(algebra, x, ys)):
                     if z not in known:
                         known[z] = Formula(kind, (known[x], known[y]))
-                        depth[z] = d
                         new.append(z)
-        for x in items:
-            if depth[x] != d - 1:
-                continue
-            z = algebra.neg[x]
-            if z not in known:
-                known[z] = neg(known[x])
-                depth[z] = d
-                new.append(z)
+        for kind, op in unary:
+            for x in last:
+                z = op(algebra, x)
+                if z not in known:
+                    known[z] = Formula(kind, (known[x],))
+                    new.append(z)
         if not new:
-            return known
+            break
+        start = len(order)
         order.extend(new)
+    return known
 
 
 def term_for_element(algebra, gens, target):
     """A minimal-depth term over the generator variables reaching target."""
-    known = terms_for_all(algebra, gens)
+    known = terms_for_all(algebra, gens, want=target)
     if target not in known:
         raise NotGenerated(f"element {target} is not generated")
     return known[target]

@@ -12,14 +12,33 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import HeytingAlgebra, SizeLimit, is_si, opremum, _bits
-from .formula import (Formula, _CSP, _push_eqtop, _flatten_and,
-                      _refuting_tasks, and_, box, conj, iff, imp, neg, or_,
-                      var, variables)
+from .algebra import (HeytingAlgebra, SizeLimit, is_si, opremum,
+                      subalgebra_closure, _bits)
+from .formula import (Formula, _CSP, _refuting_tasks, and_, box, conj, iff,
+                      imp, neg, or_, var, variables)
+from .jankov import NotSI, term_for_element
 
 
 class NotS4(ValueError):
     pass
+
+
+def _and_row(b, x, ys):
+    return [x & y for y in ys]
+
+
+def _or_row(b, x, ys):
+    return [x | y for y in ys]
+
+
+def _imp_row(b, x, ys):
+    nx = x ^ b.full
+    return [nx | y for y in ys]
+
+
+def _imp_col(b, x, ys):
+    full = b.full
+    return [(y ^ full) | x for y in ys]
 
 
 class InteriorAlgebra:
@@ -30,6 +49,14 @@ class InteriorAlgebra:
     """
 
     __slots__ = ("atoms", "size", "full", "box", "opens", "atom_labels")
+
+    bottom = 0
+    # the Boolean operations are set-theoretic on atoms; the signature
+    # format is the one Heyting algebras use (see algebra.py)
+    signature = ((("and", _and_row, None), ("or", _or_row, None),
+                  ("imp", _imp_row, _imp_col)),
+                 (("neg", lambda b, x: x ^ b.full),
+                  ("box", lambda b, x: b.box[x])))
 
     def __init__(self, atoms, box_table, atom_labels=None, validate=True):
         self.atoms = atoms
@@ -57,21 +84,12 @@ class InteriorAlgebra:
                 if b[x & y] != b[x] & b[y]:
                     raise NotS4(f"box not multiplicative at {x},{y}")
 
-    # Boolean structure is set-theoretic on atoms
+    @property
+    def top(self):
+        return self.full
+
     def leq(self, x, y):
         return x & ~y == 0
-
-    def meet(self, x, y):
-        return x & y
-
-    def join(self, x, y):
-        return x | y
-
-    def imp(self, x, y):
-        return (~x & self.full) | y
-
-    def neg(self, x):
-        return x ^ self.full
 
     def atom_floor(self, a):
         """Least open containing atom index a."""
@@ -237,18 +255,6 @@ class ModalCarrier:
             self._floors[c] = got
         return got
 
-    def apply(self, kind, a, b=None):
-        full = self.inner.full
-        if kind == "and":
-            return a & b
-        if kind == "or":
-            return a | b
-        if kind == "imp":
-            return (~a & full) | b
-        if kind == "neg":
-            return a ^ full
-        return self.inner.box[a]
-
     def eval_node(self, f, assignment):
         return evaluate_modal(f, self.inner, assignment)
 
@@ -342,17 +348,6 @@ def modal_refutable(b, f):
         if _CSP(carrier, cvars, constraints).satisfiable():
             return True
     return False
-
-
-def modal_top_tuples(b, f, vars_):
-    """All tuples with value top, lexicographically, via the CSP engine."""
-    carrier = ModalCarrier(b)
-    constraints = []
-    for conjunct in _flatten_and(f):
-        constraints.extend(_push_eqtop(conjunct, carrier))
-    found = []
-    _CSP(carrier, vars_, constraints).solve(collect=found)
-    return sorted(tuple(sol[v] for v in vars_) for sol in found)
 
 
 # -- modal subdirect irreducibility and Sub-Hom ----------------------------------
@@ -453,28 +448,8 @@ class ModalPresentation:
         if evaluate_modal(self.formula, self.target, self.valuation) != self.target.full:
             raise ValueError("modal presentation formula is not top")
         gens = set(self.valuation.values())
-        if len(modal_closure(self.target, gens)) != self.target.size:
+        if len(subalgebra_closure(self.target, gens)) != self.target.size:
             raise ValueError("valuation image does not generate the target")
-
-
-def modal_closure(b, gens):
-    closed = {0, b.full} | set(gens)
-    frontier = list(closed)
-    while frontier:
-        new = []
-        items = list(closed)
-        for x in frontier:
-            for z in (b.box[x], x ^ b.full):
-                if z not in closed:
-                    closed.add(z)
-                    new.append(z)
-            for y in items:
-                for z in (x & y, x | y):
-                    if z not in closed:
-                        closed.add(z)
-                        new.append(z)
-        frontier = new
-    return closed
 
 
 def modal_diagram_formula(b):
@@ -516,56 +491,9 @@ def gmt_presentation(p, span_pair=None):
     return ModalPresentation(formula, s, valuation, name=f"gmt({p.name})")
 
 
-def modal_term_for_element(b, gens, target):
-    """Minimal-depth modal term over generator variables reaching target.
-
-    Tie order: and < or < imp < neg < box, then operand discovery order.
-    """
-    known = {}
-    order = []
-    for v, e in gens:
-        if e not in known:
-            known[e] = var(v)
-            order.append(e)
-    depth = {e: 0 for e in known}
-    full = b.full
-    d = 0
-    while target not in known:
-        d += 1
-        items = list(order)
-        new = []
-        for kind, fn in (("and", lambda x, y: x & y),
-                         ("or", lambda x, y: x | y),
-                         ("imp", lambda x, y: (~x & full) | y)):
-            for x in items:
-                for y in items:
-                    if max(depth[x], depth[y]) != d - 1:
-                        continue
-                    z = fn(x, y)
-                    if z not in known:
-                        known[z] = Formula(kind, (known[x], known[y]))
-                        depth[z] = d
-                        new.append(z)
-        for kind, fn in (("neg", lambda x: x ^ full), ("box", lambda x: b.box[x])):
-            for x in items:
-                if depth[x] != d - 1:
-                    continue
-                z = fn(x)
-                if z not in known:
-                    known[z] = Formula(kind, (known[x],))
-                    depth[z] = d
-                    new.append(z)
-        if not new:
-            from .jankov import NotGenerated
-            raise NotGenerated(f"element {target} is not generated")
-        order.extend(new)
-    return known[target]
-
-
 def modal_characteristic_formula(p, connective="box-imp"):
     """chi = box(A) -> B (default) or A -> B, with B naming the opremum of
     the carcass; the connective is a configuration point."""
-    from .jankov import NotSI
     b = p.target
     carc = heyting_carcass(b)
     if not is_si(carc):
@@ -573,7 +501,7 @@ def modal_characteristic_formula(p, connective="box-imp"):
     # carcass elements are the opens in ascending mask order
     op_open = sorted(b.opens)[opremum(carc)]
     gens = sorted(p.valuation.items())
-    bterm = modal_term_for_element(b, gens, op_open)
+    bterm = term_for_element(b, gens, op_open)
     if connective == "box-imp":
         return imp(box(p.formula), bterm)
     if connective == "imp":
@@ -581,45 +509,10 @@ def modal_characteristic_formula(p, connective="box-imp"):
     raise ValueError(f"unknown connective {connective!r}")
 
 
-def extends_to_modal_homomorphism(source, target, pairs):
-    """Closure-with-conflict test for generator images (interior algebras)."""
-    images = {0: 0, source.full: target.full}
-    for x, y in pairs:
-        if images.get(x, y) != y:
-            return False
-        images[x] = y
-    frontier = list(images)
-    while frontier:
-        new = []
-        items = list(images)
-        for x in frontier:
-            cand = [(source.box[x], target.box[images[x]]),
-                    (x ^ source.full, images[x] ^ target.full)]
-            for y in items:
-                cand.append((x & y, images[x] & images[y]))
-                cand.append((x | y, images[x] | images[y]))
-            for z, w in cand:
-                got = images.get(z)
-                if got is None:
-                    images[z] = w
-                    new.append(z)
-                elif got != w:
-                    return False
-        frontier = new
-    return len(images) == source.size
-
-
 def check_defines_modal(p, corpus):
     """Extension criterion for a modal presentation over interior algebras."""
-    from .presentation import Verdict
-    vars_ = sorted(p.valuation)
-    gens = [p.valuation[v] for v in vars_]
-    bound = max((b.size for b in corpus), default=0)
-    for b in corpus:
-        for tup in modal_top_tuples(b, p.formula, vars_):
-            if not extends_to_modal_homomorphism(p.target, b, list(zip(gens, tup))):
-                return Verdict("refuted", bound, None, tup)
-    return Verdict("verified-up-to-bound", bound)
+    from .presentation import _check_extensions
+    return _check_extensions(p, corpus, ModalCarrier)
 
 
 # -- the interior operator the long way ------------------------------------------

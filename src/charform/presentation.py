@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 
-from .algebra import (HeytingAlgebra, canonical_key, enumerate_filters,
-                      induced_subalgebra, is_si, principal_filter, quotient,
-                      subalgebra_closure, _bits)
+from .algebra import (HeytingAlgebra, canonical_key, close_map, concat,
+                      concat_embedding, enumerate_filters, induced_subalgebra,
+                      is_si, principal_filter, quotient, subalgebra_closure,
+                      _bits)
 from .formula import (Formula, HeytingCarrier, and_, conj, evaluate,
                       enumerate_top_valuations, iff, imp, is_valid, parse,
                       pretty, variables)
@@ -123,30 +124,28 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
 
 def _bounded_subalgebras(a, bound):
     """All op-closed carriers of size <= bound, each as a frozenset."""
-    base = subalgebra_closure(a, set())
+    base = subalgebra_closure(a, ())
     if len(base) > bound:
         return []
     done = set()
-    out = []
-    frontier = [frozenset(base)]
+    frontier = [base]
     while frontier:
         nxt = []
         for carrier in frontier:
             if carrier in done:
                 continue
             done.add(carrier)
-            if len(carrier) <= bound:
-                out.append(carrier)
-            else:
-                continue
             for x in range(a.size):
                 if x in carrier:
                     continue
-                bigger = subalgebra_closure(a, carrier | {x})
-                if len(bigger) <= bound and frozenset(bigger) not in done:
-                    nxt.append(frozenset(bigger))
+                # the carrier is closed already: only x is new
+                images = dict(zip(carrier, carrier))
+                images[x] = x
+                bigger = frozenset(close_map(images, [x], a, a, limit=bound))
+                if len(bigger) <= bound and bigger not in done:
+                    nxt.append(bigger)
         frontier = nxt
-    return sorted(out, key=lambda c: (len(c), sorted(c)))
+    return sorted(done, key=lambda c: (len(c), sorted(c)))
 
 
 # -- the extension criterion -------------------------------------------------
@@ -174,35 +173,18 @@ class Verdict:
 def extends_to_homomorphism(source, target, pairs):
     """Does generator(i) -> image(i) extend to a homomorphism?
 
-    pairs is a sequence of (source element, target element).  Closure over
-    the operations with conflict detection; total because the sources
-    generate.
+    pairs is a sequence of (source element, target element); source and
+    target are both Heyting algebras or both interior algebras.  Closure
+    over the operations with conflict detection; the map must come out
+    total, so the sources must generate.
     """
-    images = {source.bottom: target.bottom, source.top: target.top}
-    for x, y in pairs:
-        if images.get(x, y) != y:
+    images = {}
+    for x, y in ((source.bottom, target.bottom), (source.top, target.top),
+                 *pairs):
+        if images.setdefault(x, y) != y:
             return False
-        images[x] = y
-    frontier = list(images)
-    while frontier:
-        new = []
-        items = list(images)
-        for x in frontier:
-            for y in items:
-                for ts, tt in ((source.meet, target.meet),
-                               (source.join, target.join),
-                               (source.imp, target.imp)):
-                    for (p, q) in ((x, y), (y, x)):
-                        z = ts[p][q]
-                        w = tt[images[p]][images[q]]
-                        got = images.get(z)
-                        if got is None:
-                            images[z] = w
-                            new.append(z)
-                        elif got != w:
-                            return False
-        frontier = new
-    return len(images) == source.size
+    images = close_map(images, list(images), source, target)
+    return images is not None and len(images) == source.size
 
 
 def check_defines(presentation, corpus=None, size_bound=None):
@@ -216,12 +198,18 @@ def check_defines(presentation, corpus=None, size_bound=None):
         if presentation.variety is None:
             raise ValueError("no corpus and no variety handle")
         corpus = build_corpus(presentation.variety, size_bound)
+    return _check_extensions(presentation, corpus, HeytingCarrier)
+
+
+def _check_extensions(presentation, corpus, carrier):
+    """The loop of check_defines; carrier adapts a corpus algebra to the
+    engine that enumerates its top valuations."""
     vars_ = sorted(presentation.valuation)
     gens = [presentation.valuation[v] for v in vars_]
     bound = max((b.size for b in corpus), default=0)
     for b in corpus:
-        carrier = HeytingCarrier(b)
-        for tup in enumerate_top_valuations(carrier, presentation.formula, vars_):
+        for tup in enumerate_top_valuations(carrier(b), presentation.formula,
+                                            vars_):
             if not extends_to_homomorphism(presentation.target, b,
                                            list(zip(gens, tup))):
                 return Verdict("refuted", bound, b, tup)
@@ -260,6 +248,9 @@ def concat_defining_formula(pa, pb, a_term, b_term, variety=None):
         raise VariableClash(f"shared variables {sorted(vars_a & vars_b)}")
     ta, tb = pa.target, pb.target
     coat, at = _coatom(ta), _atom(tb)
+    if coat == ta.bottom:
+        raise BadAnchor("A' is trivial: the coatom of the first target is "
+                        "its bottom")
     if evaluate(a_term, ta, pa.valuation) != coat:
         raise BadAnchor("a_term does not evaluate to the coatom")
     if evaluate(b_term, tb, pb.valuation) != at:
@@ -269,14 +260,9 @@ def concat_defining_formula(pa, pb, a_term, b_term, variety=None):
     aprime, asurj = quotient(ta, principal_filter(ta, coat))
     bcarrier = [x for x in range(tb.size) if tb.leq(at, x)]
     belems, bprime = induced_subalgebra(tb, bcarrier)
-    from .algebra import concat
     target = concat(aprime, bprime)
-    # indices: a-part keeps aprime's indices, b-part follows in order
     bpos = {x: i for i, x in enumerate(belems)}
-    brest = [x for x in range(bprime.size) if x != bprime.bottom]
-    bmap = {bprime.bottom: aprime.top}
-    for r, x in enumerate(brest):
-        bmap[x] = aprime.size + r
+    bmap = concat_embedding(aprime, bprime)
     # merge along the two natural embeddings: A'+Z2 maps its top to the new
     # top, Z2+B' maps its bottom to the new bottom
     valuation = {}

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charform.algebra import (Filter, NotALattice, NotResiduated, Poset,
                               SizeLimit, algebra_from_json, algebra_to_json,
-                              canonical_key, concat, dense_elements,
+                              canonical_key, concat, concat_embedding,
+                              dense_elements,
                               enumerate_filters, generated_subalgebra,
                               homomorphism_search, in_sh, is_isomorphic,
                               is_si, make_algebra, opremum, principal_filter,
@@ -147,10 +150,7 @@ def test_concat_quotient_isomorphism(all6):
     for a in algs:
         for b in algs:
             ab = concat(a, b)
-            brest = [x for x in range(b.size) if x != b.bottom]
-            bmap = {b.bottom: a.top}
-            for r, x in enumerate(brest):
-                bmap[x] = a.size + r
+            bmap = concat_embedding(a, b)
             for f in enumerate_filters(b):
                 members = 0
                 for e in _bits(f.members):
@@ -176,6 +176,25 @@ def test_generated_subalgebra_closure_operator(all6):
             for g2 in range(min(a.size, 3)):
                 c2 = subalgebra_closure(a, {g1, g2})
                 assert c1 <= c2                                     # monotone
+
+
+def _naive_closure(a, gens):
+    """Slow oracle: all-pairs fixpoint under meet, join, imp and neg."""
+    closed = {a.bottom, a.top, *gens}
+    while True:
+        more = {t[x][y] for t in (a.meet, a.join, a.imp)
+                for x in closed for y in closed}
+        more |= {a.neg[x] for x in closed}
+        if more <= closed:
+            return closed
+        closed |= more
+
+
+def test_subalgebra_closure_matches_naive_fixpoint(all6):
+    for a in all6:
+        for k in range(3):
+            for gens in itertools.combinations(range(a.size), k):
+                assert subalgebra_closure(a, gens) == _naive_closure(a, gens)
 
 
 def test_homomorphism_search_examples():

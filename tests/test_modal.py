@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from charform.algebra import is_isomorphic, is_si
+from charform.algebra import is_isomorphic, is_si, subalgebra_closure
 from charform.formula import is_valid, parse, pretty, random_formula
 from charform.jankov import NotSI
 from charform.modal import (InteriorAlgebra, ModalPresentation, NotS4,
@@ -211,6 +212,37 @@ def test_translf_shadow():
     hv = check_defines(hp, [c for c in corpus_h if is_si(c)])
     mv = check_defines_modal(mp, corpus_m)
     assert hv.refuted and mv.refuted
+
+
+def _naive_modal_closure(b, gens):
+    """Slow oracle: all-pairs fixpoint under &, |, ->, ~ and box."""
+    full = b.full
+    closed = {0, full, *gens}
+    while True:
+        more = {op(x, y) for op in (lambda x, y: x & y, lambda x, y: x | y,
+                                    lambda x, y: (x ^ full) | y)
+                for x in closed for y in closed}
+        more |= {x ^ full for x in closed} | {b.box[x] for x in closed}
+        if more <= closed:
+            return closed
+        closed |= more
+
+
+def test_modal_closure_matches_naive_fixpoint(all6):
+    for a in all6:
+        s, embed = span(a)
+        # the image of a, then every set of one or two elements
+        assert subalgebra_closure(s, embed) == _naive_modal_closure(s, embed)
+        for k in (1, 2):
+            for gens in itertools.combinations(range(s.size), k):
+                assert subalgebra_closure(s, gens) == _naive_modal_closure(s, gens)
+
+
+def test_modal_trivial_source_has_no_extension():
+    trivial = InteriorAlgebra(0, [0])
+    p = ModalPresentation(parse("p1"), trivial, {0: 0})
+    v = check_defines_modal(p, [span(rn_algebra(2))[0]])
+    assert str(v) == "REFUTED(tuple=(1,))"
 
 
 def test_modal_presentation_validation():

@@ -1,14 +1,18 @@
+import itertools
+
 import pytest
 
 from charform.algebra import (concat, generated_subalgebra, homomorphism_search,
                               induced_subalgebra, is_isomorphic, is_si,
-                              product, quotient, principal_filter)
+                              make_algebra, product, quotient,
+                              principal_filter, subalgebra_closure)
 from charform.catalog import si_algebras
 from charform.formula import conj, evaluate, imp, is_valid, parse, \
     substitute, var
 from charform.jankov import characteristic_formula
 from charform.presentation import (BadAnchor, Presentation, VariableClash,
-                                   VarietyHandle, build_corpus, check_defines,
+                                   VarietyHandle, _bounded_subalgebras,
+                                   build_corpus, check_defines,
                                    concat_defining_formula,
                                    diagram_presentation,
                                    extends_to_homomorphism,
@@ -16,7 +20,7 @@ from charform.presentation import (BadAnchor, Presentation, VariableClash,
                                    presentation_from_json,
                                    presentation_to_json, zprime_conjuncts,
                                    zprime_presentation)
-from charform.rn import rn_algebra, trunc_zstar
+from charform.rn import chain, rn_algebra, trunc_zstar
 
 
 def test_presentation_invariants():
@@ -63,6 +67,49 @@ def test_extends_to_homomorphism():
     g = c3.element_by_label("g")
     assert extends_to_homomorphism(c3, rn_algebra(2), [(g, 1)])
     assert not extends_to_homomorphism(c3, rn_algebra(2), [(g, 0)])
+
+
+def test_extends_to_homomorphism_matches_search(all6):
+    # the slow oracle: backtracking search for a homomorphism through the
+    # generator images; with generating sources at most one exists
+    cases = 0
+    for s in all6:
+        gensets = [g for k in (1, 2) for g in itertools.combinations(range(s.size), k)
+                   if len(subalgebra_closure(s, g)) == s.size]
+        for t in all6:
+            for g in gensets:
+                for tup in itertools.product(range(t.size), repeat=len(g)):
+                    pairs = list(zip(g, tup))
+                    found = homomorphism_search(s, t, partial=dict(pairs),
+                                                first_only=True)
+                    assert extends_to_homomorphism(s, t, pairs) == bool(found)
+                    cases += 1
+    assert cases == 9862
+
+
+def test_trivial_source_has_no_extension():
+    # bottom and top of the one-element algebra coincide, so no map into a
+    # nontrivial algebra preserves both
+    p = Presentation(parse("p1"), make_algebra([[1]]), {0: 0})
+    assert str(check_defines(p, [rn_algebra(2)])) == "REFUTED(tuple=(1,))"
+
+
+def _naive_bounded_subalgebras(a, bound):
+    """Slow oracle: every subset of size <= bound that is a subalgebra."""
+    out = []
+    for mask in range(1 << a.size):
+        c = frozenset(x for x in range(a.size) if (mask >> x) & 1)
+        if (len(c) <= bound and {a.bottom, a.top} <= c
+                and all(t[x][y] in c for t in (a.meet, a.join, a.imp)
+                        for x in c for y in c)):
+            out.append(c)
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
+
+
+def test_bounded_subalgebras_match_naive(all8):
+    for a in all8:
+        for bound in (2, 4, 6):
+            assert _bounded_subalgebras(a, bound) == _naive_bounded_subalgebras(a, bound)
 
 
 def test_check_defines_diagram_presentations(si6):
@@ -162,6 +209,11 @@ def test_concat_defining_formula_errors():
                        {v + 3: e for v, e in pb.valuation.items()})
     with pytest.raises(BadAnchor):
         concat_defining_formula(pa, pb2, var(0), var(4))
+    # the coatom of C2 is its bottom, so A' would be trivial
+    c2 = diagram_presentation(chain(2))
+    with pytest.raises(BadAnchor):
+        concat_defining_formula(c2, pb2, var(c2.target.bottom),
+                                var(3 + c3.element_by_label("g")))
 
 
 def test_presentation_json_round_trip():
