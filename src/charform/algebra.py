@@ -18,6 +18,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class AlgebraError(Exception):
     """Base class for structural errors raised by constructors."""
@@ -132,7 +134,7 @@ class HeytingAlgebra:
     """
 
     __slots__ = ("size", "up", "down", "meet", "join", "imp", "neg",
-                 "bottom", "top", "labels")
+                 "bottom", "top", "labels", "_batch_ops")
 
     signature = ((("and", _meet_row, None), ("or", _join_row, None),
                   ("imp", _imp_row, _imp_col)),
@@ -155,6 +157,7 @@ class HeytingAlgebra:
         self.top = top
         self.neg = tuple(self.imp[a][bottom] for a in range(self.size))
         self.labels = tuple(labels) if labels is not None else None
+        self._batch_ops = None
         if validate and self.size <= _FULL_VALIDATE_MAX:
             self._validate(full)
 
@@ -207,6 +210,23 @@ class HeytingAlgebra:
 
     def iff_val(self, a, b):
         return self.meet[self.imp[a][b]][self.imp[b][a]]
+
+    def batch_ops(self):
+        """The operations over numpy arrays of element indices, for
+        `formula.run_program`: binary ones gather from a flat table at
+        x*size+y, neg gathers from its row.  Built on first use."""
+        if self._batch_ops is None:
+            s = self.size
+
+            def flat(table):
+                t = np.asarray(table, dtype=np.int32).reshape(-1)
+                return lambda x, y: t[x * s + y]
+
+            neg = np.asarray(self.neg, dtype=np.int32)
+            self._batch_ops = {"top": self.top, "bot": self.bottom,
+                               "and": flat(self.meet), "or": flat(self.join),
+                               "imp": flat(self.imp), "neg": neg.__getitem__}
+        return self._batch_ops
 
     def covers(self):
         """Cover pairs (i, j) with j covering i, lexicographic."""

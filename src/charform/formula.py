@@ -1,11 +1,25 @@
 """Propositional and modal formulas: parsing, printing, evaluation, and
 validity search.
 
-Validity has two engines: a vectorized product enumeration over all
-valuations, and a constraint-propagation engine that splits the goal into
-subformula value constraints (mandatory above 6 variables).  Both are
-exhaustive; counter-valuations are always the lexicographically least one,
-so the engines agree witness-for-witness.
+`compile_formula` turns a formula into a straight-line `Program`: one slot
+per distinct subterm (hash-consed on the operation and the child slots, so
+shared subterms are evaluated once and no deep formula is ever hashed),
+with the variables, whether a box occurs and whether every variable
+occurrence is boxed.  `run_program` runs such a program over numpy columns
+of valuations, with the operations an algebra gives in its `batch_ops`
+(table gathers in a Heyting algebra, bitwise operations and one box gather
+in an interior algebra), and frees each slot after its last use.
+`first_refutation` scans every valuation over a domain in one batch and
+returns the lexicographically least refuting one; the naive engine here
+and `modal.modal_validity` are built on it.  `evaluate`,
+`modal.evaluate_modal` and `HeytingCarrier.eval_node` remain as scalar
+evaluators of single valuations.
+
+Validity has two engines: the batch enumeration over all valuations, and a
+constraint-propagation engine that splits the goal into subformula value
+constraints (mandatory above 6 variables).  Both are exhaustive;
+counter-valuations are always the lexicographically least one, so the
+engines agree witness-for-witness.
 """
 
 from __future__ import annotations
@@ -100,16 +114,6 @@ def variables(f):
         else:
             stack.extend(a for a in g.args if isinstance(a, Formula))
     return tuple(sorted(out))
-
-
-def is_assertoric(f):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.kind == "box":
-            return False
-        stack.extend(a for a in g.args if isinstance(a, Formula))
-    return True
 
 
 def substitute(f, mapping):
@@ -300,6 +304,116 @@ def evaluate(f, algebra, valuation):
     return algebra.imp[a][b]
 
 
+# -- compiled programs ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Program:
+    """Straight-line program of a formula.
+
+    code[i] is (op, a, b): ("var", index, None), ("top"|"bot", None, None),
+    (unary op, slot, None) or (binary op, slot, slot), every slot an earlier
+    instruction; the last instruction is the formula.  frees[i] lists the
+    slots that instruction i reads last.
+    """
+
+    code: tuple
+    frees: tuple
+    vars: tuple
+    has_box: bool
+    boxed_only: bool  # every variable occurrence is the child of a box
+
+
+def compile_formula(f):
+    """Compile f to a Program with one slot per distinct subterm.
+
+    Both passes are iterative, so formulas of any depth compile: the first
+    lists the nodes root first, right subtree before left, so that its
+    reverse is the left-to-right post-order; the second emits that order
+    with a stack of child slots, keying each slot by (op, child slots).
+    """
+    order, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        order.append(g)
+        if g.kind != "var":
+            todo.extend(g.args)
+    code, slot_of, slots = [], {}, []
+    for g in reversed(order):
+        kind, n = g.kind, len(g.args)
+        if kind == "var":
+            key = (kind, g.args[0], None)
+        elif n == 2:
+            b = slots.pop()
+            key = (kind, slots.pop(), b)
+        else:
+            key = (kind, slots.pop() if n else None, None)
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(code)
+            code.append(key)
+        slots.append(slot)
+    vars_, last, has_box = [], {}, False
+    boxed_only = code[-1][0] != "var"
+    for i, (op, a, b) in enumerate(code):
+        if op == "var":
+            vars_.append(a)
+            continue
+        has_box = has_box or op == "box"
+        for j in (a, b):
+            if j is not None:
+                last[j] = i
+                if op != "box" and code[j][0] == "var":
+                    boxed_only = False
+    frees = [()] * len(code)
+    for j, i in last.items():
+        frees[i] += (j,)
+    return Program(tuple(code), tuple(frees), tuple(sorted(vars_)), has_box,
+                   boxed_only)
+
+
+def run_program(prog, ops, cols):
+    """Value of the program with the variables bound to the columns in cols.
+
+    ops maps "top" and "bot" to elements and every other op to a function
+    over numpy arrays (see `batch_ops` of the algebra classes).  Values are
+    arrays, or scalars for subterms without variables.
+    """
+    vals = [None] * len(prog.code)
+    for i, (op, a, b) in enumerate(prog.code):
+        if op == "var":
+            if a not in cols:
+                raise UnboundVariable(a)
+            vals[i] = cols[a]
+        elif a is None:
+            vals[i] = ops[op]
+        elif b is None:
+            vals[i] = ops[op](vals[a])
+        else:
+            vals[i] = ops[op](vals[a], vals[b])
+        for j in prog.frees[i]:
+            vals[j] = None
+    return vals[-1]
+
+
+def first_refutation(prog, ops, domain, top):
+    """Lexicographically least valuation of prog.vars over domain whose value
+    is not top, as {variable: element}, or None when there is none.
+
+    All len(domain)**k valuations are one batch: row r of column pos holds
+    the pos-th base-len(domain) digit of r, so the rows are in lexicographic
+    order and the first refuting row is the least refuting valuation.
+    """
+    m, k = len(domain), len(prog.vars)
+    weights = m ** np.arange(k - 1, -1, -1)
+    digits = np.arange(m ** k) // weights[:, None] % m
+    cols = np.asarray(domain, dtype=np.int32)[digits]
+    bad = run_program(prog, ops, dict(zip(prog.vars, cols))) != top
+    if not np.any(bad):
+        return None
+    return dict(zip(prog.vars, cols[:, np.argmax(bad)].tolist()))
+
+
 # -- carriers ----------------------------------------------------------------
 
 
@@ -332,15 +446,6 @@ class HeytingCarrier:
             return alg.neg[a]
         raise NotAssertoric(kind)
 
-    def np_tables(self):
-        alg = self.algebra
-        n = alg.size
-        flat = lambda t: np.asarray([t[i][j] for i in range(n) for j in range(n)],
-                                    dtype=np.int32)
-        return {"and": flat(alg.meet), "or": flat(alg.join),
-                "imp": flat(alg.imp),
-                "neg": np.asarray(alg.neg, dtype=np.int32)}
-
     def eval_node(self, f, assignment):
         k = f.kind
         if k == "var":
@@ -371,43 +476,15 @@ DEFAULT_LIMITS = EngineLimits()
 # -- naive engine -------------------------------------------------------------
 
 
-def _naive_search(carrier, f, vars_, budget):
-    """Vectorized enumeration of all valuations; returns (valid, witness)."""
-    s = carrier.size
-    k = len(vars_)
-    total = s ** k
+def _naive_search(algebra, prog, budget):
+    """Batch enumeration of all valuations; returns (valid, witness)."""
+    k = len(prog.vars)
+    total = algebra.size ** k
     if total * max(1, k) > budget:
         raise SizeLimit(f"naive search needs {total} valuations")
-    tabs = carrier.np_tables()
-    idx = np.arange(total, dtype=np.int64)
-    cols = {}
-    for pos, v in enumerate(vars_):
-        cols[v] = ((idx // (s ** (k - 1 - pos))) % s).astype(np.int32)
-
-    def ev(g):
-        kind = g.kind
-        if kind == "var":
-            return cols[g.args[0]]
-        if kind == "top":
-            return np.full(total, carrier.top, dtype=np.int32)
-        if kind == "bot":
-            return np.full(total, carrier.algebra.bottom, dtype=np.int32)
-        if kind == "neg":
-            return tabs["neg"][ev(g.args[0])]
-        if kind == "box":
-            raise NotAssertoric("box")
-        a = ev(g.args[0])
-        b = ev(g.args[1])
-        return tabs[kind][a * s + b]
-
-    vals = ev(f)
-    bad = vals != carrier.top
-    if not bad.any():
-        return True, None
-    first = int(np.argmax(bad))
-    witness = {v: int((first // (s ** (k - 1 - pos))) % s)
-               for pos, v in enumerate(vars_)}
-    return False, witness
+    witness = first_refutation(prog, algebra.batch_ops(), range(algebra.size),
+                               algebra.top)
+    return witness is None, witness
 
 
 # -- propagation engine -------------------------------------------------------
@@ -673,13 +750,12 @@ def is_valid(algebra, f, engine="auto", limits=DEFAULT_LIMITS):
     the lexicographically least refuting map variable -> element index.
     engine is one of auto, naive, propagate, both.
     """
-    if not is_assertoric(f):
+    prog = compile_formula(f)
+    if prog.has_box:
         raise NotAssertoric("modal formula passed to Heyting validity")
-    carrier = HeytingCarrier(algebra)
-    vars_ = variables(f)
+    vars_ = prog.vars
     if not vars_:
-        val = carrier.eval_node(f, {})
-        return (val == algebra.top), (None if val == algebra.top else {})
+        return _naive_search(algebra, prog, limits.naive_budget)
     if engine == "auto":
         k = len(vars_)
         cells = algebra.size ** min(k, limits.naive_max_vars + 1) * max(1, k)
@@ -690,12 +766,12 @@ def is_valid(algebra, f, engine="auto", limits=DEFAULT_LIMITS):
         else:
             raise SizeLimit(f"{k} variables exceed both engine budgets")
     if engine == "naive":
-        return _naive_search(carrier, f, vars_, limits.naive_budget)
+        return _naive_search(algebra, prog, limits.naive_budget)
     if engine == "propagate":
-        return _prop_search(carrier, f, vars_)
+        return _prop_search(HeytingCarrier(algebra), f, vars_)
     if engine == "both":
-        rn = _naive_search(carrier, f, vars_, limits.naive_budget)
-        rp = _prop_search(carrier, f, vars_)
+        rn = _naive_search(algebra, prog, limits.naive_budget)
+        rp = _prop_search(HeytingCarrier(algebra), f, vars_)
         if rn != rp:
             raise AssertionError(f"engines disagree: naive={rn} propagate={rp}")
         return rn

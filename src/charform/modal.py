@@ -5,17 +5,28 @@ with an explicit interior-operator table; the open elements under the
 relativized arrow form the Heyting carcass, and the span construction goes
 the other way, from a Heyting algebra to the smallest interior algebra
 whose opens realize it.
+
+Modal validity compiles the formula once (`formula.compile_formula`) and
+runs the program over every valuation in one numpy batch
+(`formula.first_refutation`), with the Boolean operations as bitwise ones
+on masks and box as one gather from the interior table.  When every
+variable occurs boxed the batch ranges over open values only.
+`evaluate_modal` is the scalar evaluator of a single valuation.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import (HeytingAlgebra, SizeLimit, is_si, opremum,
                       subalgebra_closure, _bits)
-from .formula import (Formula, _CSP, _refuting_tasks, and_, box, conj, iff,
-                      imp, neg, or_, var, variables)
+from .formula import (Formula, UnboundVariable, _CSP, _refuting_tasks, and_,
+                      box, compile_formula, conj, first_refutation, iff, imp,
+                      neg, or_, var)
 from .jankov import NotSI, term_for_element
 
 
@@ -48,7 +59,8 @@ class InteriorAlgebra:
     indexed by carrier element.
     """
 
-    __slots__ = ("atoms", "size", "full", "box", "opens", "atom_labels")
+    __slots__ = ("atoms", "size", "full", "box", "opens", "atom_labels",
+                 "_batch_ops")
 
     bottom = 0
     # the Boolean operations are set-theoretic on atoms; the signature
@@ -69,6 +81,7 @@ class InteriorAlgebra:
             self._validate()
         self.opens = tuple(sorted(set(self.box)))
         self.atom_labels = tuple(atom_labels) if atom_labels else None
+        self._batch_ops = None
 
     def _validate(self):
         b = self.box
@@ -90,6 +103,20 @@ class InteriorAlgebra:
 
     def leq(self, x, y):
         return x & ~y == 0
+
+    def batch_ops(self):
+        """The operations over numpy arrays of masks, for
+        `formula.run_program`: bitwise Boolean operations and a gather from
+        the box table.  Built on first use."""
+        if self._batch_ops is None:
+            full = self.full
+            box_table = np.asarray(self.box, dtype=np.int32)
+            self._batch_ops = {"top": full, "bot": 0, "and": operator.and_,
+                               "or": operator.or_,
+                               "imp": lambda x, y: (x ^ full) | y,
+                               "neg": lambda x: x ^ full,
+                               "box": box_table.__getitem__}
+        return self._batch_ops
 
     def atom_floor(self, a):
         """Least open containing atom index a."""
@@ -210,9 +237,14 @@ def gmt_translate(f):
 
 
 def evaluate_modal(f, b, valuation):
+    """Value of f in the interior algebra b; valuation maps variable index
+    -> mask."""
     k = f.kind
     if k == "var":
-        return valuation[f.args[0]]
+        i = f.args[0]
+        if i not in valuation:
+            raise UnboundVariable(i)
+        return valuation[i]
     if k == "top":
         return b.full
     if k == "bot":
@@ -259,86 +291,22 @@ class ModalCarrier:
         return evaluate_modal(f, self.inner, assignment)
 
 
-def _vars_boxed_only(f):
-    """True when every variable occurrence is the immediate child of a box."""
-    stack = [(f, False)]
-    while stack:
-        g, boxed = stack.pop()
-        if g.kind == "var":
-            if not boxed:
-                return False
-            continue
-        for a in g.args:
-            if isinstance(a, Formula):
-                stack.append((a, g.kind == "box"))
-    return True
-
-
 def modal_validity(b, f, budget=1_000_000):
     """Exhaustive modal validity; returns (verdict, least counter-valuation).
 
-    When every variable occurs boxed, only open values can matter, so the
-    search runs over open tuples and the least carrier witness is
-    reconstructed exactly.
+    When every variable occurs boxed, only the open values of the variables
+    matter, so the search runs over open tuples.  Every open o is the least
+    mask whose interior is o, so the least refuting open tuple is also the
+    least refuting carrier tuple.  SizeLimit is raised when the tuples
+    searched would exceed budget.
     """
-    vars_ = variables(f)
-    k = len(vars_)
-    if not k:
-        val = evaluate_modal(f, b, {})
-        return (val == b.full), (None if val == b.full else {})
-    if _vars_boxed_only(f):
-        opens = list(b.opens)
-        refuting = []
-        _scan_tuples(b, f, vars_, opens, refuting)
-        if not refuting:
-            return True, None
-        refuting.sort()
-        witness = {}
-        remaining = refuting
-        for pos, v in enumerate(vars_):
-            want = {t[pos] for t in remaining}
-            for x in range(b.size):
-                if b.box[x] in want:
-                    witness[v] = x
-                    remaining = [t for t in remaining if t[pos] == b.box[x]]
-                    break
-        return False, witness
-    total = b.size ** k
+    prog = compile_formula(f)
+    domain = b.opens if prog.boxed_only else range(b.size)
+    total = len(domain) ** len(prog.vars)
     if total > budget:
         raise SizeLimit(f"modal search needs {total} valuations")
-    assignment = {}
-
-    def rec(i):
-        if i == k:
-            if evaluate_modal(f, b, assignment) != b.full:
-                return dict(assignment)
-            return None
-        for x in range(b.size):
-            assignment[vars_[i]] = x
-            got = rec(i + 1)
-            if got is not None:
-                return got
-        assignment.pop(vars_[i], None)
-        return None
-
-    got = rec(0)
-    return (got is None), got
-
-
-def _scan_tuples(b, f, vars_, opens, refuting):
-    assignment = {}
-
-    def rec(i):
-        if i == len(vars_):
-            if evaluate_modal(f, b, assignment) != b.full:
-                refuting.append(tuple(assignment[v] for v in vars_))
-            return
-        for o in opens:
-            assignment[vars_[i]] = o
-            rec(i + 1)
-        assignment.pop(vars_[i], None)
-
-    rec(0)
+    witness = first_refutation(prog, b.batch_ops(), domain, b.full)
+    return witness is None, witness
 
 
 def modal_refutable(b, f):

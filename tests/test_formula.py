@@ -1,15 +1,19 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charform.algebra import SizeLimit, homomorphism_search, in_sh
+from charform.algebra import SizeLimit, homomorphism_search, in_sh, make_algebra
 from charform.formula import (Formula, FormulaSyntaxError, HeytingCarrier,
-                              NotAssertoric, UnboundVariable, and_, box, conj,
-                              consequence_refute, enumerate_top_valuations,
-                              evaluate, iff, imp, is_assertoric, is_valid,
-                              neg, normalize_variables, or_, parse, pretty,
-                              random_formula, substitute, var)
+                              NotAssertoric, UnboundVariable, and_, box,
+                              compile_formula, conj, consequence_refute,
+                              enumerate_top_valuations, evaluate, iff, imp,
+                              is_valid, neg, normalize_variables, or_, parse,
+                              pretty, random_formula, run_program, substitute,
+                              var, variables)
+from charform.modal import gmt_translate
 from charform.rn import boolean, chain, rn_algebra
 
 
@@ -38,7 +42,7 @@ def test_parse_error_position():
 def test_parse_constants_and_box():
     assert parse("0 -> 1") == imp(Formula("bot"), Formula("top"))
     assert parse("[]p1") == box(var(0))
-    assert not is_assertoric(parse("[]p1"))
+    assert compile_formula(parse("[]p1")).has_box
 
 
 @st.composite
@@ -112,6 +116,79 @@ def test_engines_agree_with_witnesses(all6):
         f = random_formula(rng, 4, 3)
         a = algs[i % len(algs)]
         assert is_valid(a, f, engine="both")
+
+
+def _full_product(a, f):
+    """Oracle: every valuation in lexicographic order, evaluated one at a time."""
+    vars_ = variables(f)
+    for t in itertools.product(range(a.size), repeat=len(vars_)):
+        valuation = dict(zip(vars_, t))
+        if evaluate(f, a, valuation) != a.top:
+            return False, valuation
+    return True, None
+
+
+def test_naive_engine_matches_full_product(all6, random_test_formula):
+    rng = random.Random(31)
+    for a in all6:
+        for i in range(100):
+            f = random_test_formula(rng, 4, i % 4)
+            assert is_valid(a, f, engine="naive") == _full_product(a, f)
+
+
+def _subterms(f):
+    out, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        out.add(g)
+        stack.extend(a for a in g.args if isinstance(a, Formula))
+    return out
+
+
+def test_compile_shares_repeated_subterms():
+    x = or_(var(0), neg(var(1)))
+    fs = [iff(x, x), gmt_translate(parse("(p1 -> p2) & ~p1 -> (p1 -> p2) | p1")),
+          # equal subterms built as distinct objects
+          and_(imp(var(0), var(1)), imp(var(0), var(1)))]
+    for f in fs:
+        assert len(compile_formula(f).code) == len(_subterms(f))
+    assert len(compile_formula(iff(x, x)).code) == 6
+
+
+def test_compile_flags():
+    p = compile_formula(parse("[]p3 -> [](p1 & 1)"))
+    assert p.vars == (0, 2) and p.has_box and not p.boxed_only
+    p = compile_formula(parse("[]p3 -> []p1 & 1"))
+    assert p.boxed_only
+    p = compile_formula(parse("p2 | ~p2"))
+    assert p.vars == (1,) and not p.has_box and not p.boxed_only
+
+
+def test_deep_chain_naive_engine():
+    # 5000 right-nested implications over three variables, ending in p1:
+    # valid; ending in p4: refuted only at p1=p2=p3=top, p4=bottom in Z(2)
+    z2 = rn_algebra(2)
+    for last, want in ((var(0), (True, None)),
+                       (var(3), (False, {0: z2.top, 1: z2.top, 2: z2.top,
+                                         3: z2.bottom}))):
+        f = last
+        for i in range(5000):
+            f = imp(var(i % 3), f)
+        assert is_valid(z2, f, engine="naive") == want
+
+
+def test_naive_engine_many_variables_on_one_element():
+    # 70 variables: one valuation, far more variables than numpy dimensions
+    trivial = make_algebra([[1]])
+    f = conj([var(i) for i in range(70)])
+    assert is_valid(trivial, f, engine="naive") == (True, None)
+
+
+def test_run_program_unbound_variable():
+    z3 = rn_algebra(3)
+    with pytest.raises(UnboundVariable):
+        run_program(compile_formula(parse("p1 & p2")), z3.batch_ops(),
+                    {0: np.arange(z3.size)})
 
 
 def test_size_limit():

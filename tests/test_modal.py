@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from charform.algebra import is_isomorphic, is_si, subalgebra_closure
-from charform.formula import is_valid, parse, pretty, random_formula
+from charform.algebra import SizeLimit, is_isomorphic, is_si, subalgebra_closure
+from charform.formula import (Formula, UnboundVariable, box, compile_formula,
+                              conj, imp, is_valid, parse, pretty,
+                              random_formula, substitute, var, variables)
 from charform.jankov import NotSI
 from charform.modal import (InteriorAlgebra, ModalPresentation, NotS4,
                             box_from_meet_of_arrows, check_defines_modal,
@@ -111,6 +113,144 @@ def test_grz_on_spans(all6):
     for a in all6:
         s, _ = span(a)
         assert modal_validity(s, grz)[0]
+
+
+# -- slow oracles for modal_validity ----------------------------------------
+
+
+def _vars_boxed_only(f):
+    """True when every variable occurrence is the immediate child of a box."""
+    stack = [(f, False)]
+    while stack:
+        g, boxed = stack.pop()
+        if g.kind == "var":
+            if not boxed:
+                return False
+            continue
+        for a in g.args:
+            if isinstance(a, Formula):
+                stack.append((a, g.kind == "box"))
+    return True
+
+
+def _scan_open_tuples(b, f):
+    """Oracle for boxed-only formulas: every open tuple, evaluated one at a
+    time; the least carrier witness is rebuilt position by position from
+    the sorted refuting tuples."""
+    vars_ = variables(f)
+    refuting = []
+    assignment = {}
+
+    def rec(i):
+        if i == len(vars_):
+            if evaluate_modal(f, b, assignment) != b.full:
+                refuting.append(tuple(assignment[v] for v in vars_))
+            return
+        for o in b.opens:
+            assignment[vars_[i]] = o
+            rec(i + 1)
+        assignment.pop(vars_[i], None)
+
+    rec(0)
+    if not refuting:
+        return True, None
+    refuting.sort()
+    witness = {}
+    remaining = refuting
+    for pos, v in enumerate(vars_):
+        want = {t[pos] for t in remaining}
+        for x in range(b.size):
+            if b.box[x] in want:
+                witness[v] = x
+                remaining = [t for t in remaining if t[pos] == b.box[x]]
+                break
+    return False, witness
+
+
+def _scan_full_product(b, f):
+    """Oracle for any formula: every carrier tuple in lexicographic order."""
+    vars_ = variables(f)
+    assignment = {}
+
+    def rec(i):
+        if i == len(vars_):
+            if evaluate_modal(f, b, assignment) != b.full:
+                return dict(assignment)
+            return None
+        for x in range(b.size):
+            assignment[vars_[i]] = x
+            got = rec(i + 1)
+            if got is not None:
+                return got
+        assignment.pop(vars_[i], None)
+        return None
+
+    got = rec(0)
+    return (got is None), got
+
+
+def _oracle_algebras(all6):
+    """Spans of all6 with their quotients by opens and open-generated parts."""
+    out = {}
+    for a in all6:
+        s, _ = span(a)
+        for b in [s, open_generated(s)] + [quotient_by_open(s, o) for o in s.opens]:
+            out.setdefault((b.atoms, b.box), b)
+    return list(out.values())
+
+
+def test_modal_validity_matches_oracles(all6, random_test_formula):
+    rng = random.Random(29)
+    algebras = _oracle_algebras(all6)
+    branches = {False: 0, True: 0}
+    for i in range(400):
+        b = algebras[i % len(algebras)]
+        nvars = i % 5
+        f = random_test_formula(rng, 4, nvars, modal=True)
+        boxed = substitute(f, {v: box(var(v)) for v in range(nvars)})
+        for g in (f, boxed, gmt_translate(random_formula(rng, 4, max(1, nvars)))):
+            got = modal_validity(b, g)
+            assert compile_formula(g).boxed_only == _vars_boxed_only(g)
+            if _vars_boxed_only(g):
+                assert got == _scan_open_tuples(b, g)
+            if b.size ** len(variables(g)) <= 4096:
+                assert got == _scan_full_product(b, g)
+                branches[_vars_boxed_only(g)] += 1
+    assert min(branches.values()) > 100
+
+
+def test_boxed_search_has_a_budget():
+    s, _ = span(chain(8))
+    f = gmt_translate(conj([var(i) for i in range(7)]))
+    assert len(s.opens) ** 7 > 1_000_000
+    with pytest.raises(SizeLimit):
+        modal_validity(s, f)
+
+
+def test_modal_validity_many_variables_on_one_element():
+    trivial = InteriorAlgebra(0, [0])
+    for f in (conj([var(i) for i in range(70)]),
+              conj([box(var(i)) for i in range(70)])):
+        assert modal_validity(trivial, f) == (True, None)
+
+
+def test_modal_unbound_variable():
+    s, _ = span(rn_algebra(3))
+    with pytest.raises(UnboundVariable):
+        evaluate_modal(var(0), s, {})
+
+
+def test_deep_chain_modal_validity():
+    # p1 -> (p2 -> (p3 -> ... -> p1)), 5000 implications, holds everywhere;
+    # ending in p4 instead, on two elements it is refuted only at
+    # p1=p2=p3=top, p4=0
+    s, _ = span(rn_algebra(2))
+    for last, want in ((var(0), (True, None)),
+                       (var(3), (False, {0: s.full, 1: s.full, 2: s.full, 3: 0}))):
+        f = last
+        for i in range(5000):
+            f = imp(var(i % 3), f)
+        assert modal_validity(s, f) == want
 
 
 def test_gmt_transfer(all8):
