@@ -16,8 +16,9 @@ from .algebra import (Filter, concat, concat_embedding, homomorphism_search,
                       in_sh, is_isomorphic, is_si, product, principal_filter,
                       quotient, _bits)
 from .catalog import all_algebras, si_algebras, standard_corpus
-from .formula import (EngineLimits, conj, evaluate, is_valid, parse, pretty,
-                      random_formula, substitute, var)
+from .formula import (EngineLimits, compile_formula, conj, evaluate,
+                      is_valid, parse, pretty, random_formula, run_program,
+                      substitute, var)
 from .jankov import jankov_formula
 from .modal import (box_from_meet_of_arrows, heyting_carcass, modal_validity,
                     gmt_translate, span)
@@ -252,31 +253,31 @@ def sample_lemma_formulas(seed, count=500, max_attempts=40000):
 
 def lemma_shadow_failures(p, formulas, corpus):
     """The three lemma properties; returns a list of failure strings."""
-    t = p.target
     fails = []
-    pres = p.formula
+    pres = compile_formula(p.formula)
     sidata = []
     for c in corpus:
-        pairs = []
+        ops, pairs = c.scalar_ops(), []
         if is_si(c):
             for x in range(c.size):
                 for y in range(c.size):
-                    if (evaluate(pres, c, {0: x, 1: y}) == c.top
+                    if (run_program(pres, ops, {0: x, 1: y}) == c.top
                             and c.join[y][c.neg[y]] == c.top):
                         pairs.append((x, y))
-        sidata.append(pairs)
+        sidata.append((c, ops, pairs))
     for i, f in enumerate(formulas):
-        for c, pairs in zip(corpus, sidata):
+        prog = compile_formula(f)
+        for c, ops, pairs in sidata:
             for x in range(c.size):
-                if evaluate(f, c, {0: x, 1: c.bottom}) != c.top:
+                if run_program(prog, ops, {0: x, 1: c.bottom}) != c.top:
                     fails.append(f"substitution lemma fails: formula {i}, size {c.size}")
                     break
             for x, y in ((c.bottom, c.bottom), (c.bottom, c.top),
                          (c.top, c.bottom)):
-                if evaluate(f, c, {0: x, 1: y}) != c.top:
+                if run_program(prog, ops, {0: x, 1: y}) != c.top:
                     fails.append(f"corner lemma fails: formula {i}, size {c.size}")
             for x, y in pairs:
-                if evaluate(f, c, {0: x, 1: y}) != c.top:
+                if run_program(prog, ops, {0: x, 1: y}) != c.top:
                     fails.append(f"complemented-pair lemma fails: formula {i}, size {c.size}")
         if fails:
             break

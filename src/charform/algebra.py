@@ -211,6 +211,14 @@ class HeytingAlgebra:
     def iff_val(self, a, b):
         return self.meet[self.imp[a][b]][self.imp[b][a]]
 
+    def scalar_ops(self):
+        """The operations on single elements, for `formula.run_program` and
+        the propagation engine: lookups in the operation tables."""
+        meet, join, imp = self.meet, self.join, self.imp
+        return {"top": self.top, "bot": self.bottom,
+                "and": lambda x, y: meet[x][y], "or": lambda x, y: join[x][y],
+                "imp": lambda x, y: imp[x][y], "neg": self.neg.__getitem__}
+
     def batch_ops(self):
         """The operations over numpy arrays of element indices, for
         `formula.run_program`: binary ones gather from a flat table at

@@ -8,6 +8,7 @@ irreducible).  Stdout is deterministic; timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .algebra import (SizeLimit, algebra_to_json, dense_elements, in_sh,
@@ -37,7 +38,6 @@ def _limits(args):
 
 
 def _show_note(expr_text, out):
-    import re
     ns = [int(m) for m in re.findall(r"Z\((\d+)\)", expr_text)]
     if any(n > 6 for n in ns):
         out.append("note: Z(n) is the n-element one-generated ladder quotient;"
@@ -66,17 +66,37 @@ def cmd_show(args):
     return EXIT_OK
 
 
+def _valuation(text, a, f):
+    """The --at valuation p<n>=<index or label>,...; ValueError unless every
+    entry names a variable and an element of a, and every variable of f
+    gets a value."""
+    valuation = {}
+    for part in text.split(","):
+        name, _, val = (x.strip() for x in part.partition("="))
+        m = re.fullmatch(r"p(\d+)", name)
+        if not m or int(m.group(1)) < 1 or not val:
+            raise ValueError(f"--at entry {part.strip()!r} is not p<n>=<element>")
+        if val.isdigit():
+            e = int(val)
+            if e >= a.size:
+                raise ValueError(f"element {e} is out of range 0..{a.size - 1}")
+        else:
+            try:
+                e = a.element_by_label(val)
+            except KeyError:
+                raise ValueError(f"no element labelled {val!r}") from None
+        valuation[int(m.group(1)) - 1] = e
+    missing = [f"p{v + 1}" for v in variables(f) if v not in valuation]
+    if missing:
+        raise ValueError(f"--at gives no value for {', '.join(missing)}")
+    return valuation
+
+
 def cmd_valid(args):
     a = parse_algebra_expr(args.expr)
     f = parse(args.formula)
     if args.at:
-        valuation = {}
-        for part in args.at.split(","):
-            name, _, val = part.partition("=")
-            idx = int(name.strip()[1:]) - 1
-            val = val.strip()
-            valuation[idx] = int(val) if val.isdigit() else a.element_by_label(val)
-        value = evaluate(f, a, valuation)
+        value = evaluate(f, a, _valuation(args.at, a, f))
         print(f"VALUE {a.label(value)}")
         return EXIT_OK if value == a.top else EXIT_FAIL
     verdict, witness = is_valid(a, f, engine=args.engine, limits=_limits(args))

@@ -1,25 +1,28 @@
-"""Propositional and modal formulas: parsing, printing, evaluation, and
-validity search.
+"""Propositional and modal formulas: parsing, printing, compilation,
+evaluation and validity search.
 
 `compile_formula` turns a formula into a straight-line `Program`: one slot
 per distinct subterm (hash-consed on the operation and the child slots, so
 shared subterms are evaluated once and no deep formula is ever hashed),
 with the variables, whether a box occurs and whether every variable
-occurrence is boxed.  `run_program` runs such a program over numpy columns
-of valuations, with the operations an algebra gives in its `batch_ops`
-(table gathers in a Heyting algebra, bitwise operations and one box gather
-in an interior algebra), and frees each slot after its last use.
+occurrence is boxed.  Every evaluation reads the program.  `run_program`
+runs it with the operations an algebra class gives: over numpy columns of
+valuations with `batch_ops` (table gathers in a Heyting algebra, bitwise
+operations and one box gather in an interior algebra), or at one valuation
+with `scalar_ops`, which is all `evaluate` does, for both algebra kinds.
 `first_refutation` scans every valuation over a domain in one batch and
 returns the lexicographically least refuting one; the naive engine here
-and `modal.modal_validity` are built on it.  `evaluate`,
-`modal.evaluate_modal` and `HeytingCarrier.eval_node` remain as scalar
-evaluators of single valuations.
+and `modal.modal_validity` are built on it.
 
 Validity has two engines: the batch enumeration over all valuations, and a
-constraint-propagation engine that splits the goal into subformula value
-constraints (mandatory above 6 variables).  Both are exhaustive;
-counter-valuations are always the lexicographically least one, so the
-engines agree witness-for-witness.
+constraint-propagation engine that splits the goal into constraints on the
+values of program slots (mandatory above 6 variables).  Its search checks
+each constraint at the depth where its variables are all assigned, running
+with the scalar operations the part of the constraint's sub-program that
+no earlier check at that node computed; the same search enumerates the
+top valuations of a presentation formula and decides modal refutability.  Both engines are exhaustive; counter-valuations
+are always the lexicographically least one, so the engines agree
+witness-for-witness.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SizeLimit
+from .algebra import SizeLimit, _bits
 
 
 class FormulaSyntaxError(ValueError):
@@ -273,37 +276,6 @@ def pretty(f):
     return render(f, 0)
 
 
-# -- evaluation --------------------------------------------------------------
-
-
-def evaluate(f, algebra, valuation):
-    """Value of an assertoric formula in a Heyting algebra.
-
-    valuation maps variable index -> element index.
-    """
-    k = f.kind
-    if k == "var":
-        i = f.args[0]
-        if i not in valuation:
-            raise UnboundVariable(i)
-        return valuation[i]
-    if k == "top":
-        return algebra.top
-    if k == "bot":
-        return algebra.bottom
-    if k == "neg":
-        return algebra.neg[evaluate(f.args[0], algebra, valuation)]
-    if k == "box":
-        raise NotAssertoric("box in assertoric evaluation")
-    a = evaluate(f.args[0], algebra, valuation)
-    b = evaluate(f.args[1], algebra, valuation)
-    if k == "and":
-        return algebra.meet[a][b]
-    if k == "or":
-        return algebra.join[a][b]
-    return algebra.imp[a][b]
-
-
 # -- compiled programs ---------------------------------------------------------
 
 
@@ -375,9 +347,10 @@ def compile_formula(f):
 def run_program(prog, ops, cols):
     """Value of the program with the variables bound to the columns in cols.
 
-    ops maps "top" and "bot" to elements and every other op to a function
-    over numpy arrays (see `batch_ops` of the algebra classes).  Values are
-    arrays, or scalars for subterms without variables.
+    ops maps "top" and "bot" to elements and every other op to a function,
+    over numpy arrays (`batch_ops` of the algebra classes; values are then
+    arrays, or scalars for subterms without variables) or over single
+    elements (`scalar_ops`).
     """
     vals = [None] * len(prog.code)
     for i, (op, a, b) in enumerate(prog.code):
@@ -396,6 +369,25 @@ def run_program(prog, ops, cols):
     return vals[-1]
 
 
+def _scalar_ops(algebra, prog):
+    ops = algebra.scalar_ops()
+    if prog.has_box and "box" not in ops:
+        raise NotAssertoric("box in a Heyting algebra")
+    return ops
+
+
+def evaluate(f, algebra, valuation):
+    """Value of f in a Heyting or an interior algebra at valuation, a map
+    variable index -> element.
+
+    f is compiled on every call; a caller evaluating one formula at many
+    valuations should compile it once and call `run_program` with the
+    algebra's `scalar_ops()`.
+    """
+    prog = compile_formula(f)
+    return run_program(prog, _scalar_ops(algebra, prog), valuation)
+
+
 def first_refutation(prog, ops, domain, top):
     """Lexicographically least valuation of prog.vars over domain whose value
     is not top, as {variable: element}, or None when there is none.
@@ -412,52 +404,6 @@ def first_refutation(prog, ops, domain, top):
     if not np.any(bad):
         return None
     return dict(zip(prog.vars, cols[:, np.argmax(bad)].tolist()))
-
-
-# -- carriers ----------------------------------------------------------------
-
-
-class HeytingCarrier:
-    """Adapter giving the engines a uniform view of a Heyting algebra."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.size = algebra.size
-        self.top = algebra.top
-
-    def leq(self, x, y):
-        return self.algebra.leq(x, y)
-
-    def join_irreducibles(self):
-        return self.algebra.join_irreducibles()
-
-    def box_floor(self, c):
-        raise NotAssertoric("box in assertoric validity search")
-
-    def apply(self, kind, a, b=None):
-        alg = self.algebra
-        if kind == "and":
-            return alg.meet[a][b]
-        if kind == "or":
-            return alg.join[a][b]
-        if kind == "imp":
-            return alg.imp[a][b]
-        if kind == "neg":
-            return alg.neg[a]
-        raise NotAssertoric(kind)
-
-    def eval_node(self, f, assignment):
-        k = f.kind
-        if k == "var":
-            return assignment[f.args[0]]
-        if k == "top":
-            return self.top
-        if k == "bot":
-            return self.algebra.bottom
-        if k in ("neg", "box"):
-            return self.apply(k, self.eval_node(f.args[0], assignment))
-        return self.apply(k, self.eval_node(f.args[0], assignment),
-                          self.eval_node(f.args[1], assignment))
 
 
 # -- engine limits ------------------------------------------------------------
@@ -488,60 +434,100 @@ def _naive_search(algebra, prog, budget):
 
 
 # -- propagation engine -------------------------------------------------------
+#
+# The engine reads only the program of a formula.  A constraint is a pair
+# (slot, accept): the value of that slot must be an element whose bit is
+# set in the mask accept.  A constraint on a variable slot is a domain.
 
 _BRANCH_CAP = 128
 
 
-def _flatten_and(f):
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.kind == "and":
-            stack.append(g.args[1])
-            stack.append(g.args[0])
-        else:
-            out.append(g)
+class _Slots:
+    """A program read in one algebra: its scalar operations, the variables
+    below each slot (a mask over variable indices), the slot of each
+    variable and the value of each slot without variables (None for the
+    others)."""
+
+    def __init__(self, algebra, prog):
+        self.algebra, self.prog = algebra, prog
+        self.ops = ops = _scalar_ops(algebra, prog)
+        self.full = (1 << algebra.size) - 1
+        var_slot, svars, ground = {}, [], []
+        for s, (op, a, b) in enumerate(prog.code):
+            value = None
+            if op == "var":
+                var_slot[a] = s
+                vs = 1 << a
+            elif a is None:
+                vs, value = 0, ops[op]
+            else:
+                vs = svars[a] if b is None else svars[a] | svars[b]
+                if not vs:
+                    value = (ops[op](ground[a]) if b is None
+                             else ops[op](ground[a], ground[b]))
+            svars.append(vs)
+            ground.append(value)
+        self.var_slot, self.svars, self.ground = var_slot, svars, ground
+        self._ups = {}
+
+    def accept(self, c, want):
+        """Mask of the elements e with (c <= e) == want."""
+        up = self._ups.get(c)
+        if up is None:
+            alg = self.algebra
+            up = self._ups[c] = sum(1 << e for e in range(alg.size)
+                                    if alg.leq(c, e))
+        return up if want else self.full & ~up
+
+
+def _push(slots, s, c, want):
+    """Branches of constraints forcing c <= v(s) (want=True) or not, for c
+    join-irreducible.
+
+    An empty list of branches means the requirement is unsatisfiable, a
+    branch [] means it holds vacuously.
+    """
+    op, a, b = slots.prog.code[s]
+    if op == "top":
+        return [[]] if want else []
+    if op == "bot":
+        return [] if want else [[]]
+    if op == "var":
+        allowed = slots.accept(c, want)
+        return [[(s, allowed)]] if allowed else []
+    if op == "box":
+        # c <= box(x) iff the least open above c is below x, i.e. iff each
+        # of its atoms is; descending by atoms keeps c join-prime
+        parts = [(a, 1 << i) for i in _bits(slots.algebra.box_floor(c))]
+        every = want
+    elif op in ("and", "or"):
+        parts = [(a, c), (b, c)]
+        every = (op == "and") == want
+    else:
+        return [[(s, slots.accept(c, want))]]
+    out = [[]] if every else []
+    for t, d in parts:
+        got = _push(slots, t, d, want)
+        size = len(out) * len(got) if every else len(out) + len(got)
+        if size > _BRANCH_CAP:
+            return [[(s, slots.accept(c, want))]]
+        out = [x + y for x in out for y in got] if every else out + got
     return out
 
 
-def _push(f, c, want, carrier):
-    """Branches of leaf constraints forcing c <= v(f) (want=True) or not.
-
-    Each branch is a list of ('dom', var, allowed frozenset) and
-    ('leaf', f, c, want) items; an empty list of branches means the
-    requirement is unsatisfiable, a branch [] means it holds vacuously.
-    """
-    k = f.kind
-    if k == "top":
-        return [[]] if want else []
-    if k == "bot":
-        return [] if want else [[]]
-    if k == "var":
-        x = f.args[0]
-        if want:
-            allowed = frozenset(e for e in range(carrier.size) if carrier.leq(c, e))
-        else:
-            allowed = frozenset(e for e in range(carrier.size) if not carrier.leq(c, e))
-        return [[("dom", x, allowed)]] if allowed else []
-    if k == "box":
-        return _push(f.args[0], carrier.box_floor(c), want, carrier)
-    if (k == "and" and want) or (k == "or" and not want):
-        left = _push(f.args[0], c, want, carrier)
-        right = _push(f.args[1], c, want, carrier)
-        out = []
-        for bl in left:
-            for br in right:
-                out.append(bl + br)
-                if len(out) > _BRANCH_CAP:
-                    return [[("leaf", f, c, want)]]
-        return out
-    if (k == "or" and want) or (k == "and" and not want):
-        out = _push(f.args[0], c, want, carrier) + _push(f.args[1], c, want, carrier)
-        if len(out) > _BRANCH_CAP:
-            return [[("leaf", f, c, want)]]
-        return out
-    return [[("leaf", f, c, want)]]
+def _conjuncts(code, through):
+    """Distinct slots below the root through the ops in through, left to
+    right."""
+    out, seen, todo = [], set(), [len(code) - 1]
+    while todo:
+        s = todo.pop()
+        op, a, b = code[s]
+        if op in through:
+            todo.extend(j for j in (b, a) if j is not None)
+        elif s not in seen:
+            seen.add(s)
+            out.append(s)
+    return out
 
 
 class _CSP:
@@ -549,50 +535,32 @@ class _CSP:
 
     Variables are ordered greedily so that each assignment completes as many
     leaf constraints as possible; on diagram-shaped formulas this makes the
-    tables propagate values instead of being checked at the leaves.
+    tables propagate values instead of being checked at the leaves.  Each
+    slot a leaf reads is computed once per node, at the least depth of the
+    leaves that read it, and kept for the deeper nodes; a failing leaf
+    stops the node before the slots of later leaves are computed.
     """
 
-    def __init__(self, carrier, vars_, constraints):
-        self.carrier = carrier
+    def __init__(self, slots, vars_, constraints):
+        self.slots = slots
         self.vars = list(vars_)
-        self.domains = {v: list(range(carrier.size)) for v in self.vars}
-        self.leafs = []
-        feasible = True
-        seen = set()
-        for item in constraints:
-            if item[0] == "fail":
-                feasible = False
-                break
-            if item[0] == "dom":
-                _, x, allowed = item
-                dom = [e for e in self.domains[x] if e in allowed]
-                if not dom:
-                    feasible = False
-                    break
-                self.domains[x] = dom
+        self.domains = {v: list(range(slots.algebra.size)) for v in self.vars}
+        self.leafs = {}  # slot -> accept mask, constraints on it conjoined
+        code = slots.prog.code
+        for s, accept in constraints:
+            op, x, _ = code[s]
+            if op == "var":
+                self.domains[x] = [e for e in self.domains[x] if accept >> e & 1]
             else:
-                _, g, c, want = item
-                key = (g, c, want)
-                if key in seen:
-                    continue
-                seen.add(key)
-                self.leafs.append((variables(g), g, c, want))
-        self.feasible = feasible
-        self._order = None
-        self._buckets = None
-        self._ground = None
-
-    def _leaf_ok(self, leaf, assignment):
-        _, g, c, want = leaf
-        val = self.carrier.eval_node(g, assignment)
-        if c is None:
-            return val == self.carrier.top
-        return self.carrier.leq(c, val) == want
+                self.leafs[s] = self.leafs.get(s, -1) & accept
+        self.feasible = (all(self.domains.values())
+                         and all(self.leafs.values()))
+        self._levels = None
 
     def _prepare(self):
-        if self._order is not None:
+        if self._levels is not None:
             return
-        open_vars = [set(vs) for vs, *_ in self.leafs]
+        open_vars = [set(_bits(self.slots.svars[s])) for s in self.leafs]
         remaining = set(self.vars)
         order = []
         while remaining:
@@ -608,51 +576,78 @@ class _CSP:
             for vs in open_vars:
                 vs.discard(pick)
         pos = {v: i for i, v in enumerate(order)}
-        buckets = [[] for _ in order]
-        ground = []
-        for leaf in self.leafs:
-            vs = leaf[0]
-            if not vs:
-                ground.append(leaf)
-            else:
-                buckets[max(pos[u] for u in vs)].append(leaf)
-        self._order = order
-        self._buckets = buckets
-        self._ground = ground
+        # a leaf is checked at the depth that assigns the last of its
+        # variables (-1: none), after the slots of its sub-program that no
+        # leaf checked before it computes; leaves go by ascending depth, so
+        # each slot is computed at the least depth of the leaves reading it
+        slots, code, svars = self.slots, self.slots.prog.code, self.slots.svars
+        depth = {s: max((pos[u] for u in _bits(svars[s])), default=-1)
+                 for s in self.leafs}
+        checks = [[] for _ in order]
+        seen = set()
+        self._ground_ok = True
+        for s in sorted(self.leafs, key=depth.__getitem__):
+            accept = self.leafs[s]
+            if depth[s] < 0:
+                self._ground_ok &= bool(accept >> slots.ground[s] & 1)
+                continue
+            sub, todo = [], [s]
+            while todo:
+                t = todo.pop()
+                op, a, b = code[t]
+                if t in seen or op == "var" or not svars[t]:
+                    continue
+                seen.add(t)
+                sub.append((t, slots.ops[op], a, b))
+                todo += (a,) if b is None else (a, b)
+            checks[depth[s]].append((sorted(sub), s, accept))
+        self._levels = [(x, slots.var_slot.get(x), checks[i])
+                        for i, x in enumerate(order)]
 
     def solve(self, fixed=None, collect=None):
         """First solution (dict) or None; with collect a list, all solutions."""
         if not self.feasible:
             return None
         self._prepare()
-        if any(not self._leaf_ok(l, {}) for l in self._ground):
+        if not self._ground_ok:
             return None
         domains = self.domains
         if fixed:
             for v, e in fixed.items():
                 if e not in domains[v]:
                     return None
-        order, buckets = self._order, self._buckets
+        levels = self._levels
+        vals = list(self.slots.ground)
         assignment = {}
 
         def rec(i):
-            if i == len(order):
+            if i == len(levels):
                 if collect is not None:
                     collect.append(dict(assignment))
                     return None
                 return dict(assignment)
-            x = order[i]
+            x, xs, checks = levels[i]
             values = (fixed[x],) if fixed and x in fixed else domains[x]
             for e in values:
                 assignment[x] = e
-                if all(self._leaf_ok(l, assignment) for l in buckets[i]):
+                if xs is not None:
+                    vals[xs] = e
+                for steps, s, accept in checks:
+                    for t, f, a, b in steps:
+                        vals[t] = f(vals[a]) if b is None else f(vals[a], vals[b])
+                    if not accept >> vals[s] & 1:
+                        break
+                else:
                     got = rec(i + 1)
                     if got is not None:
                         return got
             assignment.pop(x, None)
             return None
 
-        return rec(0)
+        try:
+            return rec(0)
+        finally:
+            del rec  # rec refers to itself; free vals now, not at the next GC
 
     def satisfiable(self, fixed=None):
         return self.solve(fixed=fixed) is not None
@@ -672,72 +667,59 @@ class _CSP:
         return fixed
 
 
-def _refuting_tasks(f, carrier):
-    """(vars, CSP) tasks whose solutions are exactly the refutations of f."""
-    tasks = []
-    ji = sorted(carrier.join_irreducibles())
-    for conjunct in _flatten_and(f):
-        cvars = variables(conjunct)
-        if conjunct.kind == "imp":
-            lhs, rhs = conjunct.args
-            for c in ji:
-                for bl in _push(lhs, c, True, carrier):
-                    for br in _push(rhs, c, False, carrier):
+def _refuting_tasks(slots):
+    """(vars, constraints) tasks whose solutions are exactly the
+    refutations of the program: a join-irreducible c below the left side
+    of an implication conjunct and not below its right side, or not below
+    another conjunct."""
+    code, tasks = slots.prog.code, []
+    ji = sorted(slots.algebra.join_irreducibles())
+    for s in _conjuncts(code, ("and",)):
+        op, a, b = code[s]
+        cvars = tuple(_bits(slots.svars[s]))
+        for c in ji:
+            if op == "imp":
+                for bl in _push(slots, a, c, True):
+                    for br in _push(slots, b, c, False):
                         tasks.append((cvars, bl + br))
-        else:
-            for c in ji:
-                for b in _push(conjunct, c, False, carrier):
-                    tasks.append((cvars, b))
+            else:
+                for br in _push(slots, s, c, False):
+                    tasks.append((cvars, br))
     return tasks
 
 
-def _prop_search(carrier, f, vars_):
+def _prop_search(algebra, prog):
     """Propagation engine; returns (valid, lex-least witness or None)."""
+    slots = _Slots(algebra, prog)
     best = None
-    for cvars, constraints in _refuting_tasks(f, carrier):
-        csp = _CSP(carrier, cvars, constraints)
-        sol = csp.lex_min()
+    for cvars, constraints in _refuting_tasks(slots):
+        sol = _CSP(slots, cvars, constraints).lex_min()
         if sol is None:
             continue
-        full = tuple(sol.get(v, 0) for v in vars_)
+        full = tuple(sol.get(v, 0) for v in prog.vars)
         if best is None or full < best:
             best = full
     if best is None:
         return True, None
-    return False, dict(zip(vars_, best))
+    return False, dict(zip(prog.vars, best))
 
 
-def enumerate_top_valuations(carrier, f, vars_=None):
+def enumerate_top_valuations(algebra, f, vars_=None):
     """All valuations making f equal top, in lexicographic order.
 
     Used to enumerate satisfying tuples of rigid conjunctive formulas
-    without scanning the full product space.
+    without scanning the full product space: the conjuncts, below boxes
+    too, must each be top.
     """
+    slots = _Slots(algebra, compile_formula(f))
     if vars_ is None:
-        vars_ = variables(f)
-    constraints = []
-    for conjunct in _flatten_and(f):
-        constraints.extend(_push_eqtop(conjunct, carrier))
-    csp = _CSP(carrier, vars_, constraints)
+        vars_ = slots.prog.vars
+    top = 1 << algebra.top
+    csp = _CSP(slots, vars_, [(s, top) for s in
+                              _conjuncts(slots.prog.code, ("and", "box"))])
     found = []
     csp.solve(collect=found)
     return sorted(tuple(sol[v] for v in vars_) for sol in found)
-
-
-def _push_eqtop(f, carrier):
-    """Constraints forcing v(f) = top; a leaf with c=None checks equality."""
-    k = f.kind
-    if k == "top":
-        return []
-    if k == "bot":
-        return [("fail",)]
-    if k == "and":
-        return _push_eqtop(f.args[0], carrier) + _push_eqtop(f.args[1], carrier)
-    if k == "box":
-        return _push_eqtop(f.args[0], carrier)
-    if k == "var":
-        return [("dom", f.args[0], frozenset({carrier.top}))]
-    return [("leaf", f, None, None)]
 
 
 # -- public validity API ------------------------------------------------------
@@ -768,10 +750,10 @@ def is_valid(algebra, f, engine="auto", limits=DEFAULT_LIMITS):
     if engine == "naive":
         return _naive_search(algebra, prog, limits.naive_budget)
     if engine == "propagate":
-        return _prop_search(HeytingCarrier(algebra), f, vars_)
+        return _prop_search(algebra, prog)
     if engine == "both":
         rn = _naive_search(algebra, prog, limits.naive_budget)
-        rp = _prop_search(HeytingCarrier(algebra), f, vars_)
+        rp = _prop_search(algebra, prog)
         if rn != rp:
             raise AssertionError(f"engines disagree: naive={rn} propagate={rp}")
         return rn

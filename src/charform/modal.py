@@ -6,12 +6,13 @@ relativized arrow form the Heyting carcass, and the span construction goes
 the other way, from a Heyting algebra to the smallest interior algebra
 whose opens realize it.
 
-Modal validity compiles the formula once (`formula.compile_formula`) and
-runs the program over every valuation in one numpy batch
-(`formula.first_refutation`), with the Boolean operations as bitwise ones
-on masks and box as one gather from the interior table.  When every
-variable occurs boxed the batch ranges over open values only.
-`evaluate_modal` is the scalar evaluator of a single valuation.
+Formulas are evaluated by their compiled programs, with the operations an
+interior algebra gives in `scalar_ops` and `batch_ops`: the Boolean ones
+bitwise on masks, box a lookup in the interior table.  `evaluate_modal` is
+`formula.evaluate`.  Modal validity runs the program over every valuation
+in one numpy batch (`formula.first_refutation`); when every variable occurs
+boxed the batch ranges over open values only.  `modal_refutable` runs the
+propagation engine of `formula` on the algebra itself.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 
 from .algebra import (HeytingAlgebra, SizeLimit, is_si, opremum,
                       subalgebra_closure, _bits)
-from .formula import (Formula, UnboundVariable, _CSP, _refuting_tasks, and_,
-                      box, compile_formula, conj, first_refutation, iff, imp,
-                      neg, or_, var)
+from .formula import (Formula, _CSP, _Slots, _refuting_tasks, and_, box,
+                      compile_formula, conj, evaluate, first_refutation, iff,
+                      imp, neg, or_, var)
 from .jankov import NotSI, term_for_element
 
 
@@ -104,25 +105,34 @@ class InteriorAlgebra:
     def leq(self, x, y):
         return x & ~y == 0
 
+    def scalar_ops(self):
+        """The operations on single masks, for `formula.run_program` and the
+        propagation engine: bitwise Boolean operations and a lookup in the
+        box table."""
+        full = self.full
+        return {"top": full, "bot": 0, "and": operator.and_,
+                "or": operator.or_, "imp": lambda x, y: (x ^ full) | y,
+                "neg": lambda x: x ^ full, "box": self.box.__getitem__}
+
     def batch_ops(self):
         """The operations over numpy arrays of masks, for
-        `formula.run_program`: bitwise Boolean operations and a gather from
-        the box table.  Built on first use."""
+        `formula.run_program`: the scalar ones, which numpy broadcasts, with
+        box as a gather from the box table.  Built on first use."""
         if self._batch_ops is None:
-            full = self.full
             box_table = np.asarray(self.box, dtype=np.int32)
-            self._batch_ops = {"top": full, "bot": 0, "and": operator.and_,
-                               "or": operator.or_,
-                               "imp": lambda x, y: (x ^ full) | y,
-                               "neg": lambda x: x ^ full,
-                               "box": box_table.__getitem__}
+            self._batch_ops = dict(self.scalar_ops(),
+                                   box=box_table.__getitem__)
         return self._batch_ops
 
-    def atom_floor(self, a):
-        """Least open containing atom index a."""
+    def join_irreducibles(self):
+        """The atoms, as masks."""
+        return [1 << i for i in range(self.atoms)]
+
+    def box_floor(self, c):
+        """Least open element containing c."""
         out = self.full
         for o in self.opens:
-            if (o >> a) & 1:
+            if c & ~o == 0:
                 out &= o
         return out
 
@@ -216,79 +226,44 @@ def open_generated(b):
 
 def gmt_translate(f):
     """Boxed-implication translation: variables, implications and negations
-    are boxed; conjunction and disjunction commute."""
-    k = f.kind
-    if k == "var":
-        return box(f)
-    if k in ("top", "bot"):
-        return f
-    if k == "and":
-        return and_(gmt_translate(f.args[0]), gmt_translate(f.args[1]))
-    if k == "or":
-        return or_(gmt_translate(f.args[0]), gmt_translate(f.args[1]))
-    if k == "imp":
-        return box(imp(gmt_translate(f.args[0]), gmt_translate(f.args[1])))
-    if k == "neg":
-        return box(neg(gmt_translate(f.args[0])))
-    raise ValueError("formula is not assertoric")
+    are boxed; conjunction and disjunction commute.
+
+    Two iterative passes, as in `formula.compile_formula`, so formulas of
+    any depth translate: the first lists the nodes root first, right
+    subtree before left; the second builds the translations in the reverse
+    of that order with a stack of translated children.
+    """
+    order, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        order.append(g)
+        if g.kind != "var":
+            todo += g.args
+    done = []
+    for g in reversed(order):
+        k = g.kind
+        if k == "var":
+            t = box(g)
+        elif k in ("and", "or"):
+            r = done.pop()
+            t = Formula(k, (done.pop(), r))
+        elif k == "imp":
+            r = done.pop()
+            t = box(imp(done.pop(), r))
+        elif k == "neg":
+            t = box(neg(done.pop()))
+        elif k in ("top", "bot"):
+            t = g
+        else:
+            raise ValueError("formula is not assertoric")
+        done.append(t)
+    return done[0]
 
 
 # -- evaluation and validity -----------------------------------------------------
 
-
-def evaluate_modal(f, b, valuation):
-    """Value of f in the interior algebra b; valuation maps variable index
-    -> mask."""
-    k = f.kind
-    if k == "var":
-        i = f.args[0]
-        if i not in valuation:
-            raise UnboundVariable(i)
-        return valuation[i]
-    if k == "top":
-        return b.full
-    if k == "bot":
-        return 0
-    if k == "neg":
-        return evaluate_modal(f.args[0], b, valuation) ^ b.full
-    if k == "box":
-        return b.box[evaluate_modal(f.args[0], b, valuation)]
-    x = evaluate_modal(f.args[0], b, valuation)
-    y = evaluate_modal(f.args[1], b, valuation)
-    if k == "and":
-        return x & y
-    if k == "or":
-        return x | y
-    return (~x & b.full) | y
-
-
-class ModalCarrier:
-    """Engine adapter for an interior algebra (elements are masks)."""
-
-    def __init__(self, b):
-        self.inner = b
-        self.size = b.size
-        self.top = b.full
-        self._floors = {}
-
-    def leq(self, x, y):
-        return x & ~y == 0
-
-    def join_irreducibles(self):
-        return [1 << i for i in range(self.inner.atoms)]
-
-    def box_floor(self, c):
-        got = self._floors.get(c)
-        if got is None:
-            got = self.inner.full
-            for o in self.inner.opens:
-                if c & ~o == 0:
-                    got &= o
-            self._floors[c] = got
-        return got
-
-    def eval_node(self, f, assignment):
-        return evaluate_modal(f, self.inner, assignment)
+# one evaluator serves both algebra kinds
+evaluate_modal = evaluate
 
 
 def modal_validity(b, f, budget=1_000_000):
@@ -311,11 +286,9 @@ def modal_validity(b, f, budget=1_000_000):
 
 def modal_refutable(b, f):
     """Propagation-engine decision: is f refutable in the interior algebra?"""
-    carrier = ModalCarrier(b)
-    for cvars, constraints in _refuting_tasks(f, carrier):
-        if _CSP(carrier, cvars, constraints).satisfiable():
-            return True
-    return False
+    slots = _Slots(b, compile_formula(f))
+    return any(_CSP(slots, cvars, constraints).satisfiable()
+               for cvars, constraints in _refuting_tasks(slots))
 
 
 # -- modal subdirect irreducibility and Sub-Hom ----------------------------------
@@ -351,7 +324,7 @@ def quotient_by_open(b, o):
 
 
 def _atom_neighborhoods(b):
-    return [b.atom_floor(a) for a in range(b.atoms)]
+    return [b.box_floor(1 << a) for a in range(b.atoms)]
 
 
 def in_sh_modal(a, b):
@@ -480,7 +453,7 @@ def modal_characteristic_formula(p, connective="box-imp"):
 def check_defines_modal(p, corpus):
     """Extension criterion for a modal presentation over interior algebras."""
     from .presentation import _check_extensions
-    return _check_extensions(p, corpus, ModalCarrier)
+    return _check_extensions(p, corpus)
 
 
 # -- the interior operator the long way ------------------------------------------

@@ -16,9 +16,9 @@ from .algebra import (HeytingAlgebra, canonical_key, close_map, concat,
                       concat_embedding, enumerate_filters, induced_subalgebra,
                       is_si, principal_filter, quotient, subalgebra_closure,
                       _bits)
-from .formula import (Formula, HeytingCarrier, and_, conj, evaluate,
+from .formula import (Formula, and_, compile_formula, conj, evaluate,
                       enumerate_top_valuations, iff, imp, is_valid, parse,
-                      pretty, variables)
+                      pretty, run_program, variables)
 from .jankov import diagram_formula
 from .rn import TruncationTooSmall, trunc_zprime
 
@@ -198,18 +198,16 @@ def check_defines(presentation, corpus=None, size_bound=None):
         if presentation.variety is None:
             raise ValueError("no corpus and no variety handle")
         corpus = build_corpus(presentation.variety, size_bound)
-    return _check_extensions(presentation, corpus, HeytingCarrier)
+    return _check_extensions(presentation, corpus)
 
 
-def _check_extensions(presentation, corpus, carrier):
-    """The loop of check_defines; carrier adapts a corpus algebra to the
-    engine that enumerates its top valuations."""
+def _check_extensions(presentation, corpus):
+    """The loop of check_defines, for Heyting and for interior algebras."""
     vars_ = sorted(presentation.valuation)
     gens = [presentation.valuation[v] for v in vars_]
     bound = max((b.size for b in corpus), default=0)
     for b in corpus:
-        for tup in enumerate_top_valuations(carrier(b), presentation.formula,
-                                            vars_):
+        for tup in enumerate_top_valuations(b, presentation.formula, vars_):
             if not extends_to_homomorphism(presentation.target, b,
                                            list(zip(gens, tup))):
                 return Verdict("refuted", bound, b, tup)
@@ -338,15 +336,17 @@ def lemma_shadow_exhaustive(max_depth=3, trunc_k=12, corpus_bound=8):
 
     # evaluation points: (algebra index, value of p, value of q, must-be-top)
     points = [(0, p.valuation[0], p.valuation[1], False)]
+    pres = compile_formula(p.formula)
     for ai, c in enumerate(corpus, start=1):
         for x in range(c.size):
             points.append((ai, x, c.bottom, True))
         for x, y in ((c.bottom, c.bottom), (c.bottom, c.top), (c.top, c.bottom)):
             points.append((ai, x, y, True))
         if is_si(c):
+            ops = c.scalar_ops()
             for x in range(c.size):
                 for y in range(c.size):
-                    if (evaluate(p.formula, c, {0: x, 1: y}) == c.top
+                    if (run_program(pres, ops, {0: x, 1: y}) == c.top
                             and c.join[y][c.neg[y]] == c.top):
                         points.append((ai, x, y, True))
 

@@ -1,7 +1,8 @@
 import pytest
 
 from charform.catalog import all_algebras, si_algebras, standard_corpus
-from charform.formula import BOT, TOP, Formula, var
+from charform.formula import (BOT, TOP, Formula, NotAssertoric,
+                              UnboundVariable, var)
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +45,66 @@ def _random_test_formula(rng, depth, nvars, modal=False):
 @pytest.fixture(scope="session")
 def random_test_formula():
     return _random_test_formula
+
+
+# -- slow oracles: the recursive evaluators the compiled path replaced --------
+
+
+def _evaluate(f, algebra, valuation):
+    """Value of an assertoric formula in a Heyting algebra, by recursion."""
+    k = f.kind
+    if k == "var":
+        i = f.args[0]
+        if i not in valuation:
+            raise UnboundVariable(i)
+        return valuation[i]
+    if k == "top":
+        return algebra.top
+    if k == "bot":
+        return algebra.bottom
+    if k == "neg":
+        return algebra.neg[_evaluate(f.args[0], algebra, valuation)]
+    if k == "box":
+        raise NotAssertoric("box in assertoric evaluation")
+    a = _evaluate(f.args[0], algebra, valuation)
+    b = _evaluate(f.args[1], algebra, valuation)
+    if k == "and":
+        return algebra.meet[a][b]
+    if k == "or":
+        return algebra.join[a][b]
+    return algebra.imp[a][b]
+
+
+def _evaluate_modal(f, b, valuation):
+    """Value of f in the interior algebra b (masks), by recursion."""
+    k = f.kind
+    if k == "var":
+        i = f.args[0]
+        if i not in valuation:
+            raise UnboundVariable(i)
+        return valuation[i]
+    if k == "top":
+        return b.full
+    if k == "bot":
+        return 0
+    if k == "neg":
+        return _evaluate_modal(f.args[0], b, valuation) ^ b.full
+    if k == "box":
+        return b.box[_evaluate_modal(f.args[0], b, valuation)]
+    x = _evaluate_modal(f.args[0], b, valuation)
+    y = _evaluate_modal(f.args[1], b, valuation)
+    if k == "and":
+        return x & y
+    if k == "or":
+        return x | y
+    return (~x & b.full) | y
+
+
+@pytest.fixture(scope="session")
+def evaluate_oracle():
+    return _evaluate
+
+
+@pytest.fixture(scope="session")
+def evaluate_modal_oracle():
+    return _evaluate_modal

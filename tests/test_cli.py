@@ -68,6 +68,20 @@ def test_valid_at(capsys):
     assert code == 0 and out.strip() == "VALUE 1"
 
 
+@pytest.mark.parametrize("at, message", [
+    ("p1=zz", "no element labelled 'zz'"),
+    ("p1=99", "element 99 is out of range 0..2"),
+    ("p1=3", "element 3 is out of range 0..2"),
+    ("p2=1", "--at gives no value for p1"),
+    ("x1=0", "--at entry 'x1=0' is not p<n>=<element>"),
+])
+def test_valid_at_rejects_bad_input(capsys, at, message):
+    code = main(["valid", "Z(3)", "p1 | ~p1", "--at", at])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"input error: {message}\n"
+
+
 def test_jankov(capsys):
     code, out = run(capsys, "jankov", "Z(3)", "--style", "dejongh")
     assert code == 0 and out.strip().endswith("vars: 1")

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charform.algebra import SizeLimit, homomorphism_search, in_sh, make_algebra
-from charform.formula import (Formula, FormulaSyntaxError, HeytingCarrier,
-                              NotAssertoric, UnboundVariable, and_, box,
-                              compile_formula, conj, consequence_refute,
+from charform.formula import (Formula, FormulaSyntaxError, NotAssertoric,
+                              UnboundVariable, and_, box, compile_formula,
+                              conj, consequence_refute,
                               enumerate_top_valuations, evaluate, iff, imp,
                               is_valid, neg, normalize_variables, or_, parse,
                               pretty, random_formula, run_program, substitute,
                               var, variables)
-from charform.modal import gmt_translate
+from charform.modal import gmt_translate, span
 from charform.rn import boolean, chain, rn_algebra
 
 
@@ -109,31 +109,77 @@ def test_validity_examples():
     assert is_valid(z3, parse("~p1 | ~~p1"))[0]
 
 
-def test_engines_agree_with_witnesses(all6):
+def test_engines_agree_with_witnesses(all6, random_test_formula):
+    # constants and repeated subterms: constant slots and leaves that share
+    # a slot in the propagation engine
     rng = random.Random(13)
     algs = [a for a in all6 if a.size >= 2]
     for i in range(300):
-        f = random_formula(rng, 4, 3)
+        f = random_test_formula(rng, 4, i % 5)
         a = algs[i % len(algs)]
         assert is_valid(a, f, engine="both")
 
 
-def _full_product(a, f):
+def _full_product(a, f, ev):
     """Oracle: every valuation in lexicographic order, evaluated one at a time."""
     vars_ = variables(f)
     for t in itertools.product(range(a.size), repeat=len(vars_)):
         valuation = dict(zip(vars_, t))
-        if evaluate(f, a, valuation) != a.top:
+        if ev(f, a, valuation) != a.top:
             return False, valuation
     return True, None
 
 
-def test_naive_engine_matches_full_product(all6, random_test_formula):
+def test_naive_engine_matches_full_product(all6, random_test_formula,
+                                           evaluate_oracle):
     rng = random.Random(31)
     for a in all6:
         for i in range(100):
             f = random_test_formula(rng, 4, i % 4)
-            assert is_valid(a, f, engine="naive") == _full_product(a, f)
+            assert (is_valid(a, f, engine="naive")
+                    == _full_product(a, f, evaluate_oracle))
+
+
+def test_evaluate_matches_oracles(all6, random_test_formula, evaluate_oracle,
+                                  evaluate_modal_oracle):
+    rng = random.Random(41)
+    for a in all6:
+        s, _ = span(a)
+        for alg, modal, oracle in ((a, False, evaluate_oracle),
+                                   (s, True, evaluate_modal_oracle)):
+            for i in range(60):
+                f = random_test_formula(rng, 4, i % 4, modal=modal)
+                v = {x: rng.randrange(alg.size) for x in range(i % 4)}
+                assert evaluate(f, alg, v) == oracle(f, alg, v)
+        boxed = parse("p1 & []p1")
+        for ev in (evaluate, evaluate_oracle):
+            with pytest.raises(NotAssertoric):
+                ev(boxed, a, {0: a.top})
+
+
+def test_enumerate_top_valuations_matches_oracles(all6, random_test_formula,
+                                                  evaluate_oracle,
+                                                  evaluate_modal_oracle):
+    rng = random.Random(43)
+    checked = 0
+    for a in all6:
+        s, _ = span(a)
+        for alg, modal, oracle in ((a, False, evaluate_oracle),
+                                   (s, True, evaluate_modal_oracle)):
+            for i in range(40):
+                f = random_test_formula(rng, 4, i % 4, modal=modal)
+                if rng.random() < 0.5:
+                    # conjunctions of equations are what presentations use
+                    f = and_(f, random_test_formula(rng, 3, i % 4, modal=modal))
+                vars_ = variables(f)
+                if alg.size ** len(vars_) > 4096:
+                    continue
+                want = [t for t in itertools.product(range(alg.size),
+                                                     repeat=len(vars_))
+                        if oracle(f, alg, dict(zip(vars_, t))) == alg.top]
+                assert enumerate_top_valuations(alg, f) == want
+                checked += 1
+    assert checked > 400
 
 
 def _subterms(f):
@@ -174,7 +220,12 @@ def test_deep_chain_naive_engine():
         f = last
         for i in range(5000):
             f = imp(var(i % 3), f)
-        assert is_valid(z2, f, engine="naive") == want
+        for engine in ("naive", "propagate", "both"):
+            assert is_valid(z2, f, engine=engine) == want
+        tops = {v: z2.top for v in range(4)}
+        assert evaluate(f, z2, tops) == z2.top
+        assert evaluate(f, z2, want[1] or tops) == (z2.top if want[0]
+                                                   else z2.bottom)
 
 
 def test_naive_engine_many_variables_on_one_element():
@@ -208,10 +259,9 @@ def test_consequence_refute():
 
 def test_enumerate_top_valuations():
     z3 = rn_algebra(3)
-    car = HeytingCarrier(z3)
-    tops = enumerate_top_valuations(car, parse("~~p1 -> p1"))
+    tops = enumerate_top_valuations(z3, parse("~~p1 -> p1"))
     assert tops == [(0,), (2,)]
-    tops2 = enumerate_top_valuations(car, parse("p1 & ~p1"), (0,))
+    tops2 = enumerate_top_valuations(z3, parse("p1 & ~p1"), (0,))
     assert tops2 == []
 
 

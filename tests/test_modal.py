@@ -133,7 +133,7 @@ def _vars_boxed_only(f):
     return True
 
 
-def _scan_open_tuples(b, f):
+def _scan_open_tuples(b, f, ev):
     """Oracle for boxed-only formulas: every open tuple, evaluated one at a
     time; the least carrier witness is rebuilt position by position from
     the sorted refuting tuples."""
@@ -143,7 +143,7 @@ def _scan_open_tuples(b, f):
 
     def rec(i):
         if i == len(vars_):
-            if evaluate_modal(f, b, assignment) != b.full:
+            if ev(f, b, assignment) != b.full:
                 refuting.append(tuple(assignment[v] for v in vars_))
             return
         for o in b.opens:
@@ -167,14 +167,14 @@ def _scan_open_tuples(b, f):
     return False, witness
 
 
-def _scan_full_product(b, f):
+def _scan_full_product(b, f, ev):
     """Oracle for any formula: every carrier tuple in lexicographic order."""
     vars_ = variables(f)
     assignment = {}
 
     def rec(i):
         if i == len(vars_):
-            if evaluate_modal(f, b, assignment) != b.full:
+            if ev(f, b, assignment) != b.full:
                 return dict(assignment)
             return None
         for x in range(b.size):
@@ -199,7 +199,8 @@ def _oracle_algebras(all6):
     return list(out.values())
 
 
-def test_modal_validity_matches_oracles(all6, random_test_formula):
+def test_modal_validity_matches_oracles(all6, random_test_formula,
+                                       evaluate_modal_oracle):
     rng = random.Random(29)
     algebras = _oracle_algebras(all6)
     branches = {False: 0, True: 0}
@@ -212,11 +213,26 @@ def test_modal_validity_matches_oracles(all6, random_test_formula):
             got = modal_validity(b, g)
             assert compile_formula(g).boxed_only == _vars_boxed_only(g)
             if _vars_boxed_only(g):
-                assert got == _scan_open_tuples(b, g)
+                assert got == _scan_open_tuples(b, g, evaluate_modal_oracle)
             if b.size ** len(variables(g)) <= 4096:
-                assert got == _scan_full_product(b, g)
+                assert got == _scan_full_product(b, g, evaluate_modal_oracle)
                 branches[_vars_boxed_only(g)] += 1
     assert min(branches.values()) > 100
+
+
+def test_modal_refutable_matches_modal_validity(all6, random_test_formula):
+    rng = random.Random(37)
+    algebras = _oracle_algebras(all6)
+    refuted = 0
+    for i in range(600):
+        b = algebras[i % len(algebras)]
+        f = random_test_formula(rng, 4, i % 4, modal=True)
+        if i % 3 == 0:
+            f = gmt_translate(random_formula(rng, 4, max(1, i % 4)))
+        got = modal_refutable(b, f)
+        assert got == (not modal_validity(b, f)[0])
+        refuted += got
+    assert 100 < refuted < 500
 
 
 def test_boxed_search_has_a_budget():
@@ -244,13 +260,19 @@ def test_deep_chain_modal_validity():
     # p1 -> (p2 -> (p3 -> ... -> p1)), 5000 implications, holds everywhere;
     # ending in p4 instead, on two elements it is refuted only at
     # p1=p2=p3=top, p4=0
-    s, _ = span(rn_algebra(2))
+    z2 = rn_algebra(2)
+    s, embed = span(z2)
     for last, want in ((var(0), (True, None)),
                        (var(3), (False, {0: s.full, 1: s.full, 2: s.full, 3: 0}))):
         f = last
         for i in range(5000):
             f = imp(var(i % 3), f)
         assert modal_validity(s, f) == want
+        # the translation of the chain holds in the span exactly where the
+        # chain holds in Z(2), and the open witnesses are the embedded ones
+        ok, w = is_valid(z2, f)
+        w = w and {v: embed[e] for v, e in w.items()}
+        assert modal_validity(s, gmt_translate(f)) == (ok, w)
 
 
 def test_gmt_transfer(all8):
