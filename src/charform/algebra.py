@@ -7,14 +7,13 @@ lattice, residuation and distributive laws up to 96 elements; above that
 size, and in `relabel_algebra`, the check is skipped and the tables are
 trusted.
 
-`close_map` and the term search in `jankov` work on any algebra that lists
-its operations as a `signature`; interior algebras (`modal`) give theirs
-too, so both kinds share one closure and one term search.
+`close_set` and the generation search in `jankov` work on any algebra that
+lists its operations as a `signature`; interior algebras (`modal`) give
+theirs too, so both kinds share one closure and one generation search.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -585,48 +584,38 @@ def induced_subalgebra(a, carrier):
     return elems, sub
 
 
-def close_map(images, frontier, source, target, limit=None):
-    """Close a partial map source -> target under the operations.
+def close_set(algebra, closed, frontier, limit=None):
+    """Close a set of elements under the operations of the algebra's
+    `signature`.
 
-    `images` maps source elements to target elements and is extended in
-    place; `frontier` lists its keys not yet combined with the others (all
-    of them, for a fresh map).  Both algebras are of one kind and combine
-    through its `signature`.  Returns the closed map, or None as soon as
-    some element would get two images; a returned map commutes with every
-    operation on its domain.  With a limit, a map that outgrows it is
-    returned at once, unclosed, for a caller that would discard it.
+    `closed` is a set and is extended in place; `frontier` lists its
+    members not yet combined with the others (all of them, for a fresh
+    set).  With a limit, a set that outgrows it is returned at once,
+    unclosed, for a caller that would discard it.
     """
-    binary, unary = source.signature
-    get = images.get
+    binary, unary = algebra.signature
     while frontier:
-        items = list(images)
-        fitems = list(images.values())
+        items = list(closed)
         new = []
         for x in frontier:
-            fx = images[x]
-            pairs = [[(op(source, x), op(target, fx)) for _, op in unary]]
+            reached = {op(algebra, x) for _, op in unary}
             for _, row, col in binary:
-                pairs.append(zip(row(source, x, items), row(target, fx, fitems)))
+                reached.update(row(algebra, x, items))
                 if col is not None:
-                    pairs.append(zip(col(source, x, items),
-                                     col(target, fx, fitems)))
-            for z, w in itertools.chain.from_iterable(pairs):
-                got = get(z)
-                if got is None:
-                    images[z] = w
-                    new.append(z)
-                elif got != w:
-                    return None
-            if limit is not None and len(images) > limit:
-                return images
+                    reached.update(col(algebra, x, items))
+            reached -= closed
+            closed |= reached
+            new += reached
+            if limit is not None and len(closed) > limit:
+                return closed
         frontier = new
-    return images
+    return closed
 
 
 def subalgebra_closure(a, gens):
     """Least subset containing gens, bottom and top, closed under the ops."""
-    images = {x: x for x in (a.bottom, a.top, *gens)}
-    return frozenset(close_map(images, list(images), a, a))
+    start = {a.bottom, a.top, *gens}
+    return frozenset(close_set(a, start, list(start)))
 
 
 def generated_subalgebra(a, gens):

@@ -238,7 +238,10 @@ def parse(text):
             return var(idx - 1)
         fail(f"unexpected token {t!r}")
 
-    f = parse_iff()
+    try:
+        f = parse_iff()
+    except RecursionError:
+        fail("formula nested too deeply")
     if i < len(tokens):
         fail(f"unexpected token {tokens[i][0]!r}")
     return f
@@ -485,34 +488,57 @@ def _push(slots, s, c, want):
     join-irreducible.
 
     An empty list of branches means the requirement is unsatisfiable, a
-    branch [] means it holds vacuously.
+    branch [] means it holds vacuously.  A conjunction, a disjunction or a
+    box splits into parts whose branches combine (all parts, or any one);
+    a split that would give more than _BRANCH_CAP branches is kept as one
+    constraint on its own slot.  The parts are pushed depth first from an
+    explicit stack of frames [slot, c, all parts?, parts left, branches so
+    far], so formulas of any depth push.
     """
-    op, a, b = slots.prog.code[s]
-    if op == "top":
-        return [[]] if want else []
-    if op == "bot":
-        return [] if want else [[]]
-    if op == "var":
-        allowed = slots.accept(c, want)
-        return [[(s, allowed)]] if allowed else []
-    if op == "box":
-        # c <= box(x) iff the least open above c is below x, i.e. iff each
-        # of its atoms is; descending by atoms keeps c join-prime
-        parts = [(a, 1 << i) for i in _bits(slots.algebra.box_floor(c))]
-        every = want
-    elif op in ("and", "or"):
-        parts = [(a, c), (b, c)]
-        every = (op == "and") == want
-    else:
-        return [[(s, slots.accept(c, want))]]
-    out = [[]] if every else []
-    for t, d in parts:
-        got = _push(slots, t, d, want)
-        size = len(out) * len(got) if every else len(out) + len(got)
-        if size > _BRANCH_CAP:
-            return [[(s, slots.accept(c, want))]]
-        out = [x + y for x in out for y in got] if every else out + got
-    return out
+    code, accept, stack = slots.prog.code, slots.accept, []
+    while True:
+        op, a, b = code[s]
+        if op == "and" or op == "or":
+            every = (op == "and") == want
+            stack.append([s, c, every, [(b, c)], [[]] if every else []])
+            s = a
+            continue
+        if op == "box":
+            # c <= box(x) iff the least open above c is below x, i.e. iff
+            # each of its atoms is; descending by atoms keeps c join-prime
+            # (c is never 0, so there is at least one atom)
+            parts = [(a, 1 << i) for i in _bits(slots.algebra.box_floor(c))]
+            stack.append([s, c, want, parts[:0:-1], [[]] if want else []])
+            s, c = parts[0]
+            continue
+        if op == "top":
+            got = [[]] if want else []
+        elif op == "bot":
+            got = [] if want else [[]]
+        elif op == "var":
+            allowed = accept(c, want)
+            got = [[(s, allowed)]] if allowed else []
+        else:
+            got = [[(s, accept(c, want))]]
+        # combine got into the frames it completes, up to one with a part
+        # left to push
+        while stack:
+            frame = stack[-1]
+            fs, fc, every, left, out = frame
+            size = len(out) * len(got) if every else len(out) + len(got)
+            if size > _BRANCH_CAP:
+                stack.pop()
+                got = [[(fs, accept(fc, want))]]
+                continue
+            out = [x + y for x in out for y in got] if every else out + got
+            if left:
+                frame[4] = out
+                s, c = left.pop()
+                break
+            stack.pop()
+            got = out
+        else:
+            return got
 
 
 def _conjuncts(code, through):

@@ -58,43 +58,56 @@ def jankov_formula(algebra):
     return imp(d, var(opremum(algebra)))
 
 
-def terms_for_all(algebra, gens, want=None):
-    """Minimal-depth defining term for every generated element.
+def generation_steps(algebra, gens, want=None):
+    """How the generators reach each element, breadth-first.
 
     gens is a sequence of (variable index, element) pairs; algebra is a
     Heyting or an interior algebra, searched through its `signature`.
-    Breadth-first over the value closure; ties are broken by connective
-    order and < or < imp < neg < box, then by operand discovery order.  With
-    want given, the search stops after the depth at which want is reached.
+    Returns a dict, in discovery order, from each element reached to its
+    step: ("var", v) for a generator (the first variable naming it), or
+    (op, x) or (op, x, y) with operands reached at an earlier depth, the
+    greatest of them one depth below.  Ties are broken by connective order
+    and < or < imp < neg < box, then by operand discovery order.  With want
+    given, the search stops after the depth at which want is reached.
     """
-    known = {}
+    steps = {}
     for v, e in gens:
-        known.setdefault(e, var(v))
-    order = list(known)
+        steps.setdefault(e, ("var", v))
+    order = list(steps)
     binary, unary = algebra.signature
     start = 0  # order[start:] are the elements of the greatest depth
-    while want not in known:
+    while want not in steps:
         items = list(order)
         last = items[start:]
         new = []
-        # a new term has an operand of the greatest depth
+        # a new element has an operand of the greatest depth
         for kind, row, _ in binary:
             for i, x in enumerate(items):
                 ys = items if i >= start else last
                 for y, z in zip(ys, row(algebra, x, ys)):
-                    if z not in known:
-                        known[z] = Formula(kind, (known[x], known[y]))
+                    if z not in steps:
+                        steps[z] = (kind, x, y)
                         new.append(z)
         for kind, op in unary:
             for x in last:
                 z = op(algebra, x)
-                if z not in known:
-                    known[z] = Formula(kind, (known[x],))
+                if z not in steps:
+                    steps[z] = (kind, x)
                     new.append(z)
         if not new:
             break
         start = len(order)
         order.extend(new)
+    return steps
+
+
+def terms_for_all(algebra, gens, want=None):
+    """Minimal-depth defining term for every generated element: the terms
+    of the steps of `generation_steps`, with the same arguments."""
+    known = {}
+    for z, (kind, *args) in generation_steps(algebra, gens, want).items():
+        known[z] = (var(args[0]) if kind == "var"
+                    else Formula(kind, tuple(known[x] for x in args)))
     return known
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .formula import (Formula, _CSP, _Slots, _refuting_tasks, and_, box,
                       compile_formula, conj, evaluate, first_refutation, iff,
                       imp, neg, or_, var)
 from .jankov import NotSI, term_for_element
+from .presentation import GenerationPlan, _check_extensions
 
 
 class NotS4(ValueError):
@@ -392,6 +394,13 @@ class ModalPresentation:
         if len(subalgebra_closure(self.target, gens)) != self.target.size:
             raise ValueError("valuation image does not generate the target")
 
+    @cached_property
+    def plan(self):
+        """The `GenerationPlan` of the target from the valuation image, in
+        ascending variable order; built on first use."""
+        return GenerationPlan(self.target,
+                              [self.valuation[v] for v in sorted(self.valuation)])
+
 
 def modal_diagram_formula(b):
     """Operation-table diagram with box conjuncts, identity valuation."""
@@ -452,7 +461,6 @@ def modal_characteristic_formula(p, connective="box-imp"):
 
 def check_defines_modal(p, corpus):
     """Extension criterion for a modal presentation over interior algebras."""
-    from .presentation import _check_extensions
     return _check_extensions(p, corpus)
 
 

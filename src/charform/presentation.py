@@ -5,21 +5,32 @@ algebra over a variety.  `check_defines` tests the homomorphism-extension
 criterion against every s.i. member of a finite corpus of the variety and
 returns an explicit refutation or a verified-up-to-bound verdict, never an
 unconditional yes.
+
+The criterion runs on a `GenerationPlan`, built once per presentation and
+cached on it: how the valuation image generates the target (the steps of
+`jankov.generation_steps`), with the target's operation tables as index
+arrays.  For each corpus algebra, all tuples at which the formula is top
+are checked in one numpy batch: the plan computes the map each tuple
+forces on the whole target, and a tuple passes when that map commutes with
+every operation.  The least failing tuple is the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import json
 
-from .algebra import (HeytingAlgebra, canonical_key, close_map, concat,
+import numpy as np
+
+from .algebra import (HeytingAlgebra, Poset, canonical_key, close_set, concat,
                       concat_embedding, enumerate_filters, induced_subalgebra,
                       is_si, principal_filter, quotient, subalgebra_closure,
                       _bits)
 from .formula import (Formula, and_, compile_formula, conj, evaluate,
                       enumerate_top_valuations, iff, imp, is_valid, parse,
                       pretty, run_program, variables)
-from .jankov import diagram_formula
+from .jankov import diagram_formula, generation_steps
 from .rn import TruncationTooSmall, trunc_zprime
 
 
@@ -49,6 +60,13 @@ class Presentation:
         gens = set(self.valuation.values())
         if len(subalgebra_closure(self.target, gens)) != self.target.size:
             raise ValueError("valuation image does not generate the target")
+
+    @cached_property
+    def plan(self):
+        """The `GenerationPlan` of the target from the valuation image, in
+        ascending variable order; built on first use."""
+        return GenerationPlan(self.target,
+                              [self.valuation[v] for v in sorted(self.valuation)])
 
 
 def diagram_presentation(algebra, variety=None, name=""):
@@ -101,11 +119,12 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
             for filt in enumerate_filters(g, limit=max(g.size, 20)):
                 q, _ = quotient(g, filt)
                 for carrier in _bounded_subalgebras(q, bound):
-                    _, sub = induced_subalgebra(q, carrier)
-                    if not is_si(sub):
+                    order = _si_order(q, carrier)
+                    if order is None:
                         continue
-                    key = canonical_key(sub)
+                    key = canonical_key(order)
                     if key not in found:
+                        _, sub = induced_subalgebra(q, carrier)
                         gen_elt = min(_bits(filt.members),
                                       key=lambda x: g.down[x].bit_count())
                         found[key] = (sub, ("sh", gi, gen_elt, carrier))
@@ -120,6 +139,23 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
     if with_evidence:
         return [(a, ev) for _, (a, ev) in ordered]
     return [a for _, (a, ev) in ordered]
+
+
+def _si_order(a, carrier):
+    """The order of the subalgebra of a on carrier, as the `Poset` that
+    `induced_subalgebra` would give it, or None when that subalgebra is not
+    s.i.: it is when some element below top lies above all the others."""
+    mask = sum(1 << x for x in carrier)
+    below_top = mask & ~(1 << a.top)
+    above_all = mask
+    for x in _bits(below_top):
+        above_all &= a.up[x]
+    if not above_all & below_top:
+        return None
+    elems = sorted(carrier)
+    pos = {x: i for i, x in enumerate(elems)}
+    return Poset([sum(1 << pos[y] for y in _bits(a.up[x] & mask)) for x in elems],
+                 _checked=True)
 
 
 def _bounded_subalgebras(a, bound):
@@ -139,9 +175,8 @@ def _bounded_subalgebras(a, bound):
                 if x in carrier:
                     continue
                 # the carrier is closed already: only x is new
-                images = dict(zip(carrier, carrier))
-                images[x] = x
-                bigger = frozenset(close_map(images, [x], a, a, limit=bound))
+                bigger = frozenset(close_set(a, {x, *carrier}, [x],
+                                             limit=bound))
                 if len(bigger) <= bound and bigger not in done:
                     nxt.append(bigger)
         frontier = nxt
@@ -170,21 +205,98 @@ class Verdict:
         return f"VERIFIED-UP-TO-BOUND({self.bound})"
 
 
+# Rows checked at once are capped so that one batch compares about this many
+# (row, pair of source elements) entries per operation.
+_BATCH_ENTRIES = 1 << 16
+
+
+class GenerationPlan:
+    """How a list of elements generates an algebra, read once for checking
+    many candidate images of those elements at once.
+
+    `steps` replays `jankov.generation_steps` one depth at a time: each
+    entry is (op, elements reached, operand arrays), one per depth and op,
+    the operands being columns of the candidate rows for "var".  `tables`
+    holds the algebra's operations as int32 index arrays, each binary one
+    over all pairs (n x n) and each unary one over all elements.
+    """
+
+    def __init__(self, algebra, gens):
+        self.size = algebra.size
+        self.bottom, self.top = algebra.bottom, algebra.top
+        self.gens = np.asarray(gens, dtype=np.intp)
+        if gens:
+            found = generation_steps(algebra, list(enumerate(gens)))
+        else:
+            # the empty set generates bottom and top
+            found = {algebra.bottom: ("bot",), algebra.top: ("top",)}
+        self.generates = len(found) == algebra.size
+        depth, groups = {}, {}
+        for z, (op, *args) in found.items():
+            depth[z] = d = 0 if op == "var" else 1 + max(
+                (depth[x] for x in args), default=-1)
+            zs, operands = groups.setdefault((d, op), ([], []))
+            zs.append(z)
+            operands.append(args)
+        self.steps = [(op, np.asarray(zs, dtype=np.intp),
+                       [np.asarray(a, dtype=np.intp) for a in zip(*operands)])
+                      for (_, op), (zs, operands) in groups.items()]
+        ops = algebra.batch_ops()
+        every = np.arange(algebra.size, dtype=np.int32)
+        binary, unary = algebra.signature
+        self.tables = ([(op, ops[op](every[:, None], every[None, :]))
+                        for op, _, _ in binary]
+                       + [(op, ops[op](every)) for op, _ in unary])
+
+    def homomorphic(self, target, rows):
+        """For each row of images of the generators, one per generator in
+        order, whether the map extends to a homomorphism into target (of
+        the same kind): a boolean array.
+
+        The extension, if any, is the map the steps force, so a row passes
+        when that map sends bottom and top to bottom and top, agrees with
+        the row on every generator and commutes with every operation of
+        the signature.  A plan whose elements do not generate passes none.
+        """
+        rows = np.asarray(rows, dtype=np.int32).reshape(len(rows), len(self.gens))
+        if not self.generates:
+            return np.zeros(len(rows), dtype=bool)
+        per = max(1, _BATCH_ENTRIES // self.size ** 2)
+        return np.concatenate([np.ones(0, dtype=bool)] + [
+            self._homomorphic(target, rows[i:i + per])
+            for i in range(0, len(rows), per)])
+
+    def _homomorphic(self, target, rows):
+        ops = target.batch_ops()
+        # img[r, x]: the image of element x that row r forces
+        img = np.empty((len(rows), self.size), dtype=np.int32)
+        for op, zs, args in self.steps:
+            if op == "var":
+                img[:, zs] = rows[:, args[0]]
+            elif args:
+                img[:, zs] = ops[op](*(img[:, a] for a in args))
+            else:
+                img[:, zs] = ops[op]
+        ok = ((img[:, self.bottom] == ops["bot"])
+              & (img[:, self.top] == ops["top"])
+              & (img[:, self.gens] == rows).all(axis=1))
+        for op, table in self.tables:
+            args = ((img[:, :, None], img[:, None, :]) if table.ndim == 2
+                    else (img,))
+            ok &= (img[:, table] == ops[op](*args)).reshape(len(img), -1).all(axis=1)
+        return ok
+
+
 def extends_to_homomorphism(source, target, pairs):
     """Does generator(i) -> image(i) extend to a homomorphism?
 
     pairs is a sequence of (source element, target element); source and
-    target are both Heyting algebras or both interior algebras.  Closure
-    over the operations with conflict detection; the map must come out
-    total, so the sources must generate.
+    target are both Heyting algebras or both interior algebras.  The
+    one-row case of `GenerationPlan.homomorphic`, with the plan built on
+    the fly; the sources must generate.
     """
-    images = {}
-    for x, y in ((source.bottom, target.bottom), (source.top, target.top),
-                 *pairs):
-        if images.setdefault(x, y) != y:
-            return False
-    images = close_map(images, list(images), source, target)
-    return images is not None and len(images) == source.size
+    plan = GenerationPlan(source, [x for x, _ in pairs])
+    return bool(plan.homomorphic(target, [[y for _, y in pairs]])[0])
 
 
 def check_defines(presentation, corpus=None, size_bound=None):
@@ -202,15 +314,16 @@ def check_defines(presentation, corpus=None, size_bound=None):
 
 
 def _check_extensions(presentation, corpus):
-    """The loop of check_defines, for Heyting and for interior algebras."""
+    """The loop of check_defines, for Heyting and for interior algebras:
+    one batch check per corpus algebra of all its top tuples, against the
+    presentation's cached plan."""
     vars_ = sorted(presentation.valuation)
-    gens = [presentation.valuation[v] for v in vars_]
     bound = max((b.size for b in corpus), default=0)
     for b in corpus:
-        for tup in enumerate_top_valuations(b, presentation.formula, vars_):
-            if not extends_to_homomorphism(presentation.target, b,
-                                           list(zip(gens, tup))):
-                return Verdict("refuted", bound, b, tup)
+        tuples = enumerate_top_valuations(b, presentation.formula, vars_)
+        ok = presentation.plan.homomorphic(b, tuples)
+        if not ok.all():
+            return Verdict("refuted", bound, b, tuples[int(np.argmin(ok))])
     return Verdict("verified-up-to-bound", bound)
 
 
@@ -317,7 +430,6 @@ def lemma_shadow_exhaustive(max_depth=3, trunc_k=12, corpus_bound=8):
     covers all ~1.85e6 depth-3 syntax trees at once.  Returns (tree count,
     distinct profile count, failure count).
     """
-    import numpy as np
     from .catalog import all_algebras
 
     p = zprime_presentation(trunc_k)

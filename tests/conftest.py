@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
-                              UnboundVariable, var)
+                              UnboundVariable, enumerate_top_valuations, var)
 
 
 @pytest.fixture(scope="session")
@@ -108,3 +110,71 @@ def evaluate_oracle():
 @pytest.fixture(scope="session")
 def evaluate_modal_oracle():
     return _evaluate_modal
+
+
+# -- slow oracle: the closure-based extension check the batched plan replaced --
+
+
+def _close_map(images, frontier, source, target):
+    """Close a partial map source -> target under the operations of the
+    algebras' `signature`; None as soon as some element would get two
+    images."""
+    binary, unary = source.signature
+    while frontier:
+        items = list(images)
+        fitems = list(images.values())
+        new = []
+        for x in frontier:
+            fx = images[x]
+            pairs = [[(op(source, x), op(target, fx)) for _, op in unary]]
+            for _, row, col in binary:
+                pairs.append(zip(row(source, x, items), row(target, fx, fitems)))
+                if col is not None:
+                    pairs.append(zip(col(source, x, items),
+                                     col(target, fx, fitems)))
+            for z, w in itertools.chain.from_iterable(pairs):
+                got = images.get(z)
+                if got is None:
+                    images[z] = w
+                    new.append(z)
+                elif got != w:
+                    return None
+        frontier = new
+    return images
+
+
+def _extends_to_homomorphism(source, target, pairs):
+    """Does generator(i) -> image(i) extend to a homomorphism?  Bottom, top
+    and the pairs seed a map that is closed with conflict detection; the
+    map must come out total."""
+    images = {}
+    for x, y in ((source.bottom, target.bottom), (source.top, target.top),
+                 *pairs):
+        if images.setdefault(x, y) != y:
+            return False
+    images = _close_map(images, list(images), source, target)
+    return images is not None and len(images) == source.size
+
+
+def _check_defines(p, corpus):
+    """Slow oracle for check_defines: the extension check of every top
+    tuple of every corpus algebra in turn, as (kind, bound, witness algebra,
+    witness tuple)."""
+    vars_ = sorted(p.valuation)
+    gens = [p.valuation[v] for v in vars_]
+    bound = max((b.size for b in corpus), default=0)
+    for b in corpus:
+        for tup in enumerate_top_valuations(b, p.formula, vars_):
+            if not _extends_to_homomorphism(p.target, b, list(zip(gens, tup))):
+                return "refuted", bound, b, tup
+    return "verified-up-to-bound", bound, None, ()
+
+
+@pytest.fixture(scope="session")
+def extends_oracle():
+    return _extends_to_homomorphism
+
+
+@pytest.fixture(scope="session")
+def check_defines_oracle():
+    return _check_defines

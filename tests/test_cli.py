@@ -61,6 +61,14 @@ def test_valid(capsys):
     assert code == 2
 
 
+def test_valid_rejects_deep_nesting(capsys):
+    # too deep for the recursive descent: an input error, not a traceback
+    code = main(["valid", "Z(2)", "(" * 2000 + "p1" + ")" * 2000])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("input error: formula nested too deeply")
+
+
 def test_valid_at(capsys):
     formula = pretty(conj(zprime_conjuncts()))
     code, out = run(capsys, "valid", "trunc(Zprime,12)", formula,

@@ -226,6 +226,15 @@ def test_deep_chain_naive_engine():
         assert evaluate(f, z2, tops) == z2.top
         assert evaluate(f, z2, want[1] or tops) == (z2.top if want[0]
                                                    else z2.bottom)
+    # 5000 right-nested disjunctions, which the propagation engine splits:
+    # ending in ~p1 valid, ending in p4 refuted only at all bottoms
+    bottoms = {v: z2.bottom for v in range(4)}
+    for last, want in ((neg(var(0)), (True, None)), (var(3), (False, bottoms))):
+        f = last
+        for i in range(5000):
+            f = or_(var(i % 3), f)
+        for engine in ("propagate", "both"):
+            assert is_valid(z2, f, engine=engine) == want
 
 
 def test_naive_engine_many_variables_on_one_element():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from charform.algebra import SizeLimit, is_isomorphic, is_si, subalgebra_closure
+from charform.catalog import all_algebras
 from charform.formula import (Formula, UnboundVariable, box, compile_formula,
                               conj, imp, is_valid, parse, pretty,
                               random_formula, substitute, var, variables)
@@ -374,6 +375,29 @@ def test_translf_shadow():
     hv = check_defines(hp, [c for c in corpus_h if is_si(c)])
     mv = check_defines_modal(mp, corpus_m)
     assert hv.refuted and mv.refuted
+
+
+def test_check_defines_modal_matches_oracle_loop(check_defines_oracle):
+    # GMT presentations over the spans of all_algebras(5), one member at a
+    # time, so every refutation is compared
+    from charform.presentation import Presentation
+    spans = [span(a)[0] for a in all_algebras(5)]
+    c3, z2 = rn_algebra(3), rn_algebra(2)
+    g = c3.element_by_label("g")
+    heyting = [diagram_presentation(a)
+               for a in (rn_algebra(3), chain(4), rn_algebra(5), boolean(2))]
+    heyting += [Presentation(parse("~p1 -> p1"), c3, {0: g}),
+                Presentation(parse("p1 -> p1"), c3, {0: g}),
+                Presentation(parse("~~p1 -> p1"), z2, {0: z2.top})]
+    kinds = set()
+    for hp in heyting:
+        mp = gmt_presentation(hp)
+        for b in spans:
+            v = check_defines_modal(mp, [b])
+            assert ((v.kind, v.bound, v.witness_algebra, v.witness_tuple)
+                    == check_defines_oracle(mp, [b]))
+            kinds.add(v.kind)
+    assert kinds == {"refuted", "verified-up-to-bound"}
 
 
 def _naive_modal_closure(b, gens):

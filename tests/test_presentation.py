@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,11 +7,13 @@ from charform.algebra import (concat, generated_subalgebra, homomorphism_search,
                               induced_subalgebra, is_isomorphic, is_si,
                               make_algebra, product, quotient,
                               principal_filter, subalgebra_closure)
-from charform.catalog import si_algebras
+from charform.catalog import all_algebras, si_algebras
 from charform.formula import conj, evaluate, imp, is_valid, parse, \
     substitute, var
 from charform.jankov import characteristic_formula
-from charform.presentation import (BadAnchor, Presentation, VariableClash,
+from charform.modal import span
+from charform.presentation import (BadAnchor, GenerationPlan, Presentation,
+                                   VariableClash,
                                    VarietyHandle, _bounded_subalgebras,
                                    build_corpus, check_defines,
                                    concat_defining_formula,
@@ -20,7 +23,7 @@ from charform.presentation import (BadAnchor, Presentation, VariableClash,
                                    presentation_from_json,
                                    presentation_to_json, zprime_conjuncts,
                                    zprime_presentation)
-from charform.rn import chain, rn_algebra, trunc_zstar
+from charform.rn import chain, rn_algebra, trunc, trunc_zstar
 
 
 def test_presentation_invariants():
@@ -85,6 +88,63 @@ def test_extends_to_homomorphism_matches_search(all6):
                     assert extends_to_homomorphism(s, t, pairs) == bool(found)
                     cases += 1
     assert cases == 9862
+
+
+def test_batched_extension_matches_oracle(all6, extends_oracle):
+    # every list of at most two generators, generating or not, repeated or
+    # not, and every image tuple as one batch; all6 has the one-element
+    # source, and the generating pairs cover the cases above
+    rows_checked, extend = 0, 0
+    for s in all6:
+        for k in (0, 1, 2):
+            for g in itertools.product(range(s.size), repeat=k):
+                plan = GenerationPlan(s, list(g))
+                for t in all6:
+                    rows = list(itertools.product(range(t.size), repeat=k))
+                    want = [extends_oracle(s, t, list(zip(g, r))) for r in rows]
+                    assert plan.homomorphic(t, rows).tolist() == want
+                    rows_checked += len(rows)
+                    extend += sum(want)
+    assert (rows_checked, extend) == (94251, 3268)
+
+
+def test_batched_extension_matches_oracle_on_spans(extends_oracle):
+    # seeded generator lists and image tuples between the interior
+    # algebras that span all_algebras(5), up to 16 elements each
+    rng = random.Random(2025)
+    spans = [span(a)[0] for a in all_algebras(5)]
+    outcomes = set()
+    for s in spans:
+        for t in spans:
+            for _ in range(3):
+                g = [rng.randrange(s.size) for _ in range(rng.randint(0, 3))]
+                plan = GenerationPlan(s, g)
+                rows = [tuple(rng.randrange(t.size) for _ in g) for _ in range(40)]
+                if t is s:
+                    rows.append(tuple(g))  # the identity extends when g generates
+                want = [extends_oracle(s, t, list(zip(g, r))) for r in rows]
+                assert plan.homomorphic(t, rows).tolist() == want
+                outcomes.update(want)
+    assert outcomes == {True, False}
+
+
+def test_check_defines_matches_oracle_loop(check_defines_oracle):
+    # the zprime presentations and their mutations over the members of two
+    # corpora, one member at a time, so every refutation is compared
+    cs = zprime_conjuncts()
+    mutations = [conj(cs[1:]), conj([cs[0], cs[2], cs[3]]), conj(cs[:2])]
+    corpora = [build_corpus(VarietyHandle.generated((trunc(name, 10),), 8))
+               for name in ("Zstar", "KG")]
+    kinds = []
+    for k in range(10, 16):
+        p = zprime_presentation(k)
+        for q in [p] + [Presentation(f, p.target, p.valuation) for f in mutations]:
+            for b in (b for corpus in corpora for b in corpus):
+                v = check_defines(q, [b])
+                assert ((v.kind, v.bound, v.witness_algebra, v.witness_tuple)
+                        == check_defines_oracle(q, [b]))
+                kinds.append(v.kind)
+    assert len(kinds) == 24 * 39 and "refuted" in kinds
 
 
 def test_trivial_source_has_no_extension():
