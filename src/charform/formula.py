@@ -5,7 +5,8 @@ evaluation and validity search.
 per distinct subterm (hash-consed on the operation and the child slots, so
 shared subterms are evaluated once and no deep formula is ever hashed),
 with the variables, whether a box occurs and whether every variable
-occurrence is boxed.  Every evaluation reads the program.  `run_program`
+occurrence is boxed.  The program is kept on the formula object, so each
+object is compiled once.  Every evaluation reads the program.  `run_program`
 runs it with the operations an algebra class gives: over numpy columns of
 valuations with `batch_ops` (table gathers in a Heyting algebra, bitwise
 operations and one box gather in an interior algebra), or at one valuation
@@ -19,15 +20,19 @@ constraint-propagation engine that splits the goal into constraints on the
 values of program slots (mandatory above 6 variables).  Its search checks
 each constraint at the depth where its variables are all assigned, running
 with the scalar operations the part of the constraint's sub-program that
-no earlier check at that node computed; the same search enumerates the
-top valuations of a presentation formula and decides modal refutability.  Both engines are exhaustive; counter-valuations
-are always the lexicographically least one, so the engines agree
-witness-for-witness.
+no earlier check at that node computed.  That layout depends only on the
+variable order and the set of constrained slots, so one validity check
+builds it once per such pair, on its `_Slots`, and its many constraint
+problems share it.  The same search enumerates the top valuations of a
+presentation formula and decides modal refutability.  Both engines are
+exhaustive; counter-valuations are always the lexicographically least
+one, so the engines agree witness-for-witness.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,32 +256,40 @@ _PREC = {"imp": 1, "or": 2, "and": 3, "neg": 4, "box": 4, "var": 5,
          "top": 5, "bot": 5}
 
 
-def pretty(f):
-    """Canonical minimal-parenthesis rendering; parse(pretty(f)) == f."""
+_SYM = {"top": "1", "bot": "0", "neg": "~", "box": "[]", "and": " & ",
+        "or": " | ", "imp": " -> "}
 
-    def render(g, parent_prec, right_of_imp=False):
+
+def pretty(f):
+    """Canonical minimal-parenthesis rendering; parse(pretty(f)) == f.
+
+    Iterative, so formulas of any depth print: the stack holds the text
+    still to write, as strings and as (subformula, precedence of its
+    context) pairs, the next piece on top.
+    """
+    out, todo = [], [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, parent_prec = item
         k = g.kind
         if k == "var":
-            return f"p{g.args[0] + 1}"
-        if k == "top":
-            return "1"
-        if k == "bot":
-            return "0"
-        if k in ("neg", "box"):
-            sym = "~" if k == "neg" else "[]"
-            return sym + render(g.args[0], _PREC[k])
-        l, r = g.args
-        sym = {"and": " & ", "or": " | ", "imp": " -> "}[k]
-        p = _PREC[k]
-        if k == "imp":
-            body = render(l, p + 1) + sym + render(r, p)
+            out.append(f"p{g.args[0] + 1}")
+        elif len(g.args) < 2:
+            out.append(_SYM[k])
+            if g.args:
+                todo.append((g.args[0], _PREC[k]))
         else:
-            body = render(l, p) + sym + render(r, p + 1)
-        if p < parent_prec:
-            return "(" + body + ")"
-        return body
-
-    return render(f, 0)
+            l, r = g.args
+            p = _PREC[k]
+            lp, rp = (p + 1, p) if k == "imp" else (p, p + 1)
+            if p < parent_prec:
+                out.append("(")
+                todo.append(")")
+            todo += [(r, rp), _SYM[k], (l, lp)]
+    return "".join(out)
 
 
 # -- compiled programs ---------------------------------------------------------
@@ -306,7 +319,13 @@ def compile_formula(f):
     lists the nodes root first, right subtree before left, so that its
     reverse is the left-to-right post-order; the second emits that order
     with a stack of child slots, keying each slot by (op, child slots).
+    The program is kept on f as a private attribute outside the dataclass
+    fields, so equality and hashing ignore it, and each formula object is
+    compiled once.
     """
+    prog = getattr(f, "_program", None)
+    if prog is not None:
+        return prog
     order, todo = [], [f]
     while todo:
         g = todo.pop()
@@ -343,8 +362,10 @@ def compile_formula(f):
     frees = [()] * len(code)
     for j, i in last.items():
         frees[i] += (j,)
-    return Program(tuple(code), tuple(frees), tuple(sorted(vars_)), has_box,
+    prog = Program(tuple(code), tuple(frees), tuple(sorted(vars_)), has_box,
                    boxed_only)
+    object.__setattr__(f, "_program", prog)  # f is frozen
+    return prog
 
 
 def run_program(prog, ops, cols):
@@ -383,9 +404,9 @@ def evaluate(f, algebra, valuation):
     """Value of f in a Heyting or an interior algebra at valuation, a map
     variable index -> element.
 
-    f is compiled on every call; a caller evaluating one formula at many
-    valuations should compile it once and call `run_program` with the
-    algebra's `scalar_ops()`.
+    f is compiled on its first evaluation; a caller evaluating one formula
+    at many valuations saves the per-call set-up by calling `run_program`
+    with its program and the algebra's `scalar_ops()`.
     """
     prog = compile_formula(f)
     return run_program(prog, _scalar_ops(algebra, prog), valuation)
@@ -472,6 +493,48 @@ class _Slots:
             ground.append(value)
         self.var_slot, self.svars, self.ground = var_slot, svars, ground
         self._ups = {}
+        self._layouts = {}
+
+    def layout(self, order, leaves):
+        """Search layout for a variable order and a frozenset of leaf slots,
+        built once per pair: (levels, ground leaves).
+
+        A leaf is checked at the depth that assigns the last of its
+        variables, after the slots of its sub-program that no leaf checked
+        before it computes; leaves go by ascending (depth, slot), so each
+        slot is computed at the least depth of the leaves reading it.
+        levels[i] is (variable, its slot or None, [(steps, leaf slot)]) for
+        depth i; a step is (slot, operation, argument slots).  The ground
+        leaves are those without variables.
+        """
+        key = (order, leaves)
+        got = self._layouts.get(key)
+        if got is not None:
+            return got
+        code, svars = self.prog.code, self.svars
+        pos = {v: i for i, v in enumerate(order)}
+        depth = {s: max((pos[u] for u in _bits(svars[s])), default=-1)
+                 for s in leaves}
+        checks = [[] for _ in order]
+        ground, seen = [], set()
+        for s in sorted(leaves, key=lambda s: (depth[s], s)):
+            if depth[s] < 0:
+                ground.append(s)
+                continue
+            sub, todo = [], [s]
+            while todo:
+                t = todo.pop()
+                op, a, b = code[t]
+                if t in seen or op == "var" or not svars[t]:
+                    continue
+                seen.add(t)
+                sub.append((t, self.ops[op], a, b))
+                todo += (a,) if b is None else (a, b)
+            checks[depth[s]].append((sorted(sub), s))
+        got = self._layouts[key] = (
+            [(x, self.var_slot.get(x), checks[i]) for i, x in enumerate(order)],
+            ground)
+        return got
 
     def accept(self, c, want):
         """Mask of the elements e with (c <= e) == want."""
@@ -565,6 +628,11 @@ class _CSP:
     slot a leaf reads is computed once per node, at the least depth of the
     leaves that read it, and kept for the deeper nodes; a failing leaf
     stops the node before the slots of later leaves are computed.
+
+    The layout of the search depends only on the variable order and the set
+    of leaf slots, and many CSPs of one search share both, so the layout is
+    built once per such pair and cached on the `_Slots` (see
+    `_Slots.layout`); a CSP adds only its own accept masks.
     """
 
     def __init__(self, slots, vars_, constraints):
@@ -583,52 +651,33 @@ class _CSP:
                          and all(self.leafs.values()))
         self._levels = None
 
+    def _order(self):
+        """Greedy variable order: next the variable that is the last open
+        one of the most leaves, then the one with the least domain, then the
+        least index.  The leaves are counted by their masks of open
+        variables."""
+        open_masks = Counter(self.slots.svars[s] for s in self.leafs)
+        remaining, order = set(self.vars), []
+        while remaining:
+            pick = min(remaining, key=lambda v: (-open_masks[1 << v],
+                                                 len(self.domains[v]), v))
+            order.append(pick)
+            remaining.discard(pick)
+            keep, left = ~(1 << pick), Counter()
+            for m, n in open_masks.items():
+                left[m & keep] += n
+            open_masks = left
+        return tuple(order)
+
     def _prepare(self):
         if self._levels is not None:
             return
-        open_vars = [set(_bits(self.slots.svars[s])) for s in self.leafs]
-        remaining = set(self.vars)
-        order = []
-        while remaining:
-            closing = {v: 0 for v in remaining}
-            for vs in open_vars:
-                if len(vs) == 1:
-                    (v,) = vs
-                    closing[v] += 1
-            pick = min(remaining,
-                       key=lambda v: (-closing[v], len(self.domains[v]), v))
-            order.append(pick)
-            remaining.discard(pick)
-            for vs in open_vars:
-                vs.discard(pick)
-        pos = {v: i for i, v in enumerate(order)}
-        # a leaf is checked at the depth that assigns the last of its
-        # variables (-1: none), after the slots of its sub-program that no
-        # leaf checked before it computes; leaves go by ascending depth, so
-        # each slot is computed at the least depth of the leaves reading it
-        slots, code, svars = self.slots, self.slots.prog.code, self.slots.svars
-        depth = {s: max((pos[u] for u in _bits(svars[s])), default=-1)
-                 for s in self.leafs}
-        checks = [[] for _ in order]
-        seen = set()
-        self._ground_ok = True
-        for s in sorted(self.leafs, key=depth.__getitem__):
-            accept = self.leafs[s]
-            if depth[s] < 0:
-                self._ground_ok &= bool(accept >> slots.ground[s] & 1)
-                continue
-            sub, todo = [], [s]
-            while todo:
-                t = todo.pop()
-                op, a, b = code[t]
-                if t in seen or op == "var" or not svars[t]:
-                    continue
-                seen.add(t)
-                sub.append((t, slots.ops[op], a, b))
-                todo += (a,) if b is None else (a, b)
-            checks[depth[s]].append((sorted(sub), s, accept))
-        self._levels = [(x, slots.var_slot.get(x), checks[i])
-                        for i, x in enumerate(order)]
+        leafs = self.leafs
+        levels, ground = self.slots.layout(self._order(), frozenset(leafs))
+        self._ground_ok = all(leafs[s] >> self.slots.ground[s] & 1
+                              for s in ground)
+        self._levels = [(x, xs, [(steps, s, leafs[s]) for steps, s in checks])
+                        for x, xs, checks in levels]
 
     def solve(self, fixed=None, collect=None):
         """First solution (dict) or None; with collect a list, all solutions."""
@@ -679,17 +728,27 @@ class _CSP:
         return self.solve(fixed=fixed) is not None
 
     def lex_min(self):
-        """Lexicographically least solution over ascending variable index."""
-        if not self.satisfiable():
+        """Lexicographically least solution over ascending variable index.
+
+        Variable by variable, only the values below the best solution found
+        so far are tried; each solution found is adopted, and a variable with
+        no smaller value that works keeps the best solution's value without
+        another solve.
+        """
+        best = self.solve()
+        if best is None:
             return None
         fixed = {}
         for v in sorted(self.vars):
             for e in self.domains[v]:
-                fixed[v] = e
-                if self.satisfiable(fixed):
+                if e >= best[v]:
                     break
-            else:
-                return None
+                fixed[v] = e
+                sol = self.solve(fixed)
+                if sol is not None:
+                    best = sol
+                    break
+            fixed[v] = best[v]
         return fixed
 
 

@@ -394,10 +394,12 @@ def zprime_presentation(k, variety=None):
 
     Formula (expanded form): ~(p&q) & (~~q -> q) & ((~~p -> p) -> q | ~q)
     & (((~~p -> p) -> p | ~p) -> q | ~q), with p at a = <g,0> and q at
-    b = <0,1>.
+    b = <0,1>.  The last conjunct is top at (a, b) only from k = 8 on (the
+    17-element truncation); below that the formula does not present the
+    target.
     """
-    if k < 6:
-        raise TruncationTooSmall("zprime presentation needs k >= 6")
+    if k < 8:
+        raise TruncationTooSmall("zprime presentation needs k >= 8")
     target = trunc_zprime(k)
     formula = conj(zprime_conjuncts())
     valuation = {0: target.element_by_label("a"),

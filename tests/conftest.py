@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+from charform.algebra import _bits
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
-                              UnboundVariable, enumerate_top_valuations, var)
+                              UnboundVariable, _CSP, enumerate_top_valuations,
+                              var)
 
 
 @pytest.fixture(scope="session")
@@ -178,3 +180,78 @@ def extends_oracle():
 @pytest.fixture(scope="session")
 def check_defines_oracle():
     return _check_defines
+
+
+# -- slow oracle: the propagation search with a layout per CSP ---------------
+
+
+class _OracleCSP(_CSP):
+    """The propagation CSP as it was before layouts were shared: the greedy
+    order from one set of open variables per leaf, the layout built for
+    each CSP with leaves in constraint order within a depth, and a lex_min
+    that solves once per candidate value."""
+
+    def _order(self):
+        open_vars = [set(_bits(self.slots.svars[s])) for s in self.leafs]
+        remaining = set(self.vars)
+        order = []
+        while remaining:
+            closing = {v: 0 for v in remaining}
+            for vs in open_vars:
+                if len(vs) == 1:
+                    (v,) = vs
+                    closing[v] += 1
+            pick = min(remaining,
+                       key=lambda v: (-closing[v], len(self.domains[v]), v))
+            order.append(pick)
+            remaining.discard(pick)
+            for vs in open_vars:
+                vs.discard(pick)
+        return tuple(order)
+
+    def _prepare(self):
+        if self._levels is not None:
+            return
+        order = self._order()
+        pos = {v: i for i, v in enumerate(order)}
+        slots, code, svars = self.slots, self.slots.prog.code, self.slots.svars
+        depth = {s: max((pos[u] for u in _bits(svars[s])), default=-1)
+                 for s in self.leafs}
+        checks = [[] for _ in order]
+        seen = set()
+        self._ground_ok = True
+        for s in sorted(self.leafs, key=depth.__getitem__):
+            accept = self.leafs[s]
+            if depth[s] < 0:
+                self._ground_ok &= bool(accept >> slots.ground[s] & 1)
+                continue
+            sub, todo = [], [s]
+            while todo:
+                t = todo.pop()
+                op, a, b = code[t]
+                if t in seen or op == "var" or not svars[t]:
+                    continue
+                seen.add(t)
+                sub.append((t, slots.ops[op], a, b))
+                todo += (a,) if b is None else (a, b)
+            checks[depth[s]].append((sorted(sub), s, accept))
+        self._levels = [(x, slots.var_slot.get(x), checks[i])
+                        for i, x in enumerate(order)]
+
+    def lex_min(self):
+        if not self.satisfiable():
+            return None
+        fixed = {}
+        for v in sorted(self.vars):
+            for e in self.domains[v]:
+                fixed[v] = e
+                if self.satisfiable(fixed):
+                    break
+            else:
+                return None
+        return fixed
+
+
+@pytest.fixture(scope="session")
+def oracle_csp():
+    return _OracleCSP

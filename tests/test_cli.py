@@ -106,6 +106,16 @@ def test_charf(capsys):
     assert code == 0 and "vars: 2" in out
 
 
+def test_charf_zprime_bound(capsys):
+    for k in range(1, 16):
+        code = main(["charf", "--builtin", "zprime", "--k", str(k)])
+        out = capsys.readouterr()
+        if k < 8:
+            assert code == 2 and "needs k >= 8" in out.err and not out.out
+        else:
+            assert code == 0 and out.out.strip().endswith("vars: 2")
+
+
 def test_embeds(capsys):
     code, out = run(capsys, "embeds", "Z(2)", "Z(3)")
     assert code == 0 and out.startswith("YES")

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charform.algebra import SizeLimit, homomorphism_search, in_sh, make_algebra
+from charform.acceptance import KG_AXIOM, pretrue_formula
+from charform.algebra import (SizeLimit, homomorphism_search, in_sh,
+                              make_algebra, relabel_algebra)
+from charform.catalog import all_algebras, si_algebras
 from charform.formula import (Formula, FormulaSyntaxError, NotAssertoric,
-                              UnboundVariable, and_, box, compile_formula,
+                              UnboundVariable, _CSP, _refuting_tasks, _Slots,
+                              and_, box, compile_formula,
                               conj, consequence_refute,
                               enumerate_top_valuations, evaluate, iff, imp,
                               is_valid, neg, normalize_variables, or_, parse,
                               pretty, random_formula, run_program, substitute,
                               var, variables)
+from charform.jankov import jankov_formula
 from charform.modal import gmt_translate, span
 from charform.rn import boolean, chain, rn_algebra
 
@@ -120,6 +125,88 @@ def test_engines_agree_with_witnesses(all6, random_test_formula):
         assert is_valid(a, f, engine="both")
 
 
+def _lex_min_counting(csp):
+    """csp.lex_min() and the number of solves it ran."""
+    calls, solve = 0, csp.solve
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    csp.solve = counted
+    return csp.lex_min(), calls
+
+
+def _check_against_oracle(a, f, oracle_csp):
+    """The propagation engine against the oracle CSP: per refuting task the
+    same variable order, the same least solution and no more solves; one
+    layout per distinct (order, leaf set); and the verdict and least
+    witness of `is_valid` equal to those the oracle's solutions give."""
+    prog = compile_formula(f)
+    slots = _Slots(a, prog)
+    best, keys = None, set()
+    for cvars, constraints in _refuting_tasks(slots):
+        csp = _CSP(slots, cvars, constraints)
+        old = oracle_csp(slots, cvars, constraints)
+        got, calls = _lex_min_counting(csp)
+        want, old_calls = _lex_min_counting(old)
+        assert got == want and calls <= old_calls
+        if csp.feasible:
+            assert csp._order() == old._order()
+            keys.add((old._order(), frozenset(old.leafs)))
+        if want is not None:
+            full = tuple(want.get(v, 0) for v in prog.vars)
+            best = full if best is None else min(best, full)
+    assert len(slots._layouts) == len(keys)
+    verdict = (True, None) if best is None else (False,
+                                                 dict(zip(prog.vars, best)))
+    assert is_valid(a, f, engine="propagate") == verdict
+    return verdict[0]
+
+
+def _relabelled(algebras, seed):
+    rng = random.Random(seed)
+    out = []
+    for a in algebras:
+        order = list(range(a.size))
+        rng.shuffle(order)
+        out.append(relabel_algebra(a, order))
+    return out
+
+
+def test_propagation_engine_matches_oracle_on_jankov(oracle_csp):
+    targets = _relabelled(all_algebras(7), 17)
+    verdicts = set()
+    for a in si_algebras(5):
+        chi = jankov_formula(a)
+        for b in targets:
+            verdicts.add(_check_against_oracle(b, chi, oracle_csp))
+    assert verdicts == {True, False}
+
+
+def test_propagation_engine_matches_oracle_on_pretrue(oracle_csp):
+    kg = parse(KG_AXIOM)
+    pre, _, _ = pretrue_formula()
+    targets = [b for b in all_algebras(10) if b.size == 10
+               and is_valid(b, kg)[0]][::7]
+    verdicts = {_check_against_oracle(b, pre, oracle_csp)
+                for b in _relabelled(targets, 19)}
+    assert verdicts == {True, False}
+
+
+def test_propagation_engine_matches_oracle_on_random(all6, random_test_formula,
+                                                     oracle_csp):
+    rng = random.Random(23)
+    algs = [a for a in all6 if a.size >= 2]
+    checked = 0
+    while checked < 40:
+        f = random_test_formula(rng, 6, 7 + checked % 3)
+        if len(variables(f)) >= 7:
+            _check_against_oracle(algs[checked % len(algs)], f, oracle_csp)
+            checked += 1
+
+
 def _full_product(a, f, ev):
     """Oracle: every valuation in lexicographic order, evaluated one at a time."""
     vars_ = variables(f)
@@ -222,6 +309,9 @@ def test_deep_chain_naive_engine():
             f = imp(var(i % 3), f)
         for engine in ("naive", "propagate", "both"):
             assert is_valid(z2, f, engine=engine) == want
+        text = " -> ".join([f"p{i % 3 + 1}" for i in reversed(range(5000))]
+                           + [pretty(last)])
+        assert pretty(f) == text and repr(f) == f"Formula({text!r})"
         tops = {v: z2.top for v in range(4)}
         assert evaluate(f, z2, tops) == z2.top
         assert evaluate(f, z2, want[1] or tops) == (z2.top if want[0]
@@ -235,6 +325,10 @@ def test_deep_chain_naive_engine():
             f = or_(var(i % 3), f)
         for engine in ("propagate", "both"):
             assert is_valid(z2, f, engine=engine) == want
+        # a disjunction right of a disjunction is parenthesised
+        text = (" | (".join(f"p{i % 3 + 1}" for i in reversed(range(5000)))
+                + f" | {pretty(last)}" + ")" * 4999)
+        assert pretty(f) == text and repr(f) == f"Formula({text!r})"
 
 
 def test_naive_engine_many_variables_on_one_element():

@@ -23,7 +23,8 @@ from charform.presentation import (BadAnchor, GenerationPlan, Presentation,
                                    presentation_from_json,
                                    presentation_to_json, zprime_conjuncts,
                                    zprime_presentation)
-from charform.rn import chain, rn_algebra, trunc, trunc_zstar
+from charform.rn import (TruncationTooSmall, chain, rn_algebra, trunc,
+                         trunc_zstar)
 
 
 def test_presentation_invariants():
@@ -34,6 +35,22 @@ def test_presentation_invariants():
     with pytest.raises(ValueError):
         # top at the valuation, but the image does not generate
         Presentation(parse("p1"), rn_algebra(3), {0: 2})
+
+
+def test_zprime_presentation_bound():
+    # the last conjunct is not top at (a, b) on the 13- and 15-element
+    # truncations, so k = 8 is the least k with a presentation
+    for k in range(1, 16):
+        if k < 8:
+            with pytest.raises(TruncationTooSmall, match="needs k >= 8"):
+                zprime_presentation(k)
+        else:
+            p = zprime_presentation(k)
+            assert p.target.size == 2 * k + 1
+            assert evaluate(p.formula, p.target, p.valuation) == p.target.top
+    t = trunc("Zprime", 7)
+    v = {0: t.element_by_label("a"), 1: t.element_by_label("b")}
+    assert evaluate(zprime_conjuncts()[3], t, v) != t.top
 
 
 def test_build_corpus_examples():
