@@ -2,10 +2,9 @@
 
 Elements are integers 0..size-1.  The order and all element subsets are
 bitmasks, so kernel operations reduce to table lookups and mask arithmetic.
-Algebras are immutable after construction.  The constructor checks the
-lattice, residuation and distributive laws up to 96 elements; above that
-size, and in `relabel_algebra`, the check is skipped and the tables are
-trusted.
+Algebras are immutable after construction.  The public constructors check
+their input in full at any size; the library's own constructions, correct
+by construction, build through the private `_trusted` classmethods.
 
 `close_set` and the generation search in `jankov` work on any algebra that
 lists its operations as a `signature`; interior algebras (`modal`) give
@@ -42,7 +41,6 @@ class NoSuchAlgebra(AlgebraError):
 
 DEFAULT_FILTER_LIMIT = 20
 DEFAULT_SH_LIMIT = 40
-_FULL_VALIDATE_MAX = 96  # above this the O(n^3) constructor checks are skipped
 
 
 def _bits(mask):
@@ -57,11 +55,16 @@ class Poset:
 
     __slots__ = ("size", "up")
 
-    def __init__(self, up, _checked=False):
-        self.size = len(up)
-        self.up = tuple(up)
-        if not _checked:
-            self._validate()
+    def __init__(self, up):
+        self.size, self.up = len(up), tuple(up)
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, up):
+        """A poset the library derived, unchecked."""
+        p = cls.__new__(cls)
+        p.size, p.up = len(up), tuple(up)
+        return p
 
     @classmethod
     def from_leq(cls, rows):
@@ -79,6 +82,8 @@ class Poset:
 
     def _validate(self):
         n = self.size
+        if not all(isinstance(m, int) and 0 <= m < 1 << n for m in self.up):
+            raise ValueError(f"up-set masks must be ints in 0..2^{n}-1")
         for i in range(n):
             if not (self.up[i] >> i) & 1:
                 raise ValueError(f"leq not reflexive at {i}")
@@ -139,11 +144,32 @@ class HeytingAlgebra:
                   ("imp", _imp_row, _imp_col)),
                  (("neg", lambda a, x: a.neg[x]),))
 
-    def __init__(self, up, meet, join, imp, bottom, top, labels=None,
-                 validate=True):
+    def __init__(self, up, meet, join, imp, bottom, top, labels=None):
+        """Check caller-given tables: ValueError on a wrong shape or entry,
+        an `AlgebraError` on a broken law."""
+        n = len(up)
+        ids = set(range(n))
+        if not ids.issuperset((bottom, top)) or any(
+                len(t) != n or any(len(r) != n or not ids.issuperset(r)
+                                   for r in t) for t in (meet, join, imp)):
+            raise ValueError(f"tables must be {n}x{n}, with all entries, "
+                             f"bottom and top in 0..{n - 1}")
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} elements")
+        Poset(up)
+        self._fill(up, meet, join, imp, bottom, top, labels)
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, up, meet, join, imp, bottom, top, labels=None):
+        """An algebra on tables the library derived, unchecked."""
+        a = cls.__new__(cls)
+        a._fill(up, meet, join, imp, bottom, top, labels)
+        return a
+
+    def _fill(self, up, meet, join, imp, bottom, top, labels):
         self.size = len(up)
         self.up = tuple(up)
-        full = (1 << self.size) - 1
         down = [0] * self.size
         for i in range(self.size):
             for j in _bits(up[i]):
@@ -157,14 +183,9 @@ class HeytingAlgebra:
         self.neg = tuple(self.imp[a][bottom] for a in range(self.size))
         self.labels = tuple(labels) if labels is not None else None
         self._batch_ops = None
-        if validate and self.size <= _FULL_VALIDATE_MAX:
-            self._validate(full)
 
-    # -- validation ------------------------------------------------------
-
-    def _validate(self, full):
+    def _validate(self):
         n = self.size
-        Poset(self.up)
         if self.down[self.bottom] != 1 << self.bottom:
             raise NotALattice("bottom is not least")
         if self.up[self.top] != 1 << self.top:
@@ -329,8 +350,7 @@ def upset_algebra(poset):
                 if pup[x] & u & ~v == 0:
                     w |= 1 << x
             imp[i][j] = idx[w]
-    return HeytingAlgebra(up, meet, join, imp, idx[0], idx[full],
-                          validate=n <= _FULL_VALIDATE_MAX)
+    return HeytingAlgebra._trusted(up, meet, join, imp, idx[0], idx[full])
 
 
 def product(a, b):
@@ -365,9 +385,8 @@ def product(a, b):
     labels = None
     if n <= 4096:
         labels = [f"⟨{a.label(i)},{b.label(j)}⟩" for i in range(na) for j in range(nb)]
-    return HeytingAlgebra(up, meet, join, imp, pid(a.bottom, b.bottom),
-                          pid(a.top, b.top), labels=labels,
-                          validate=n <= _FULL_VALIDATE_MAX)
+    return HeytingAlgebra._trusted(up, meet, join, imp, pid(a.bottom, b.bottom),
+                                   pid(a.top, b.top), labels=labels)
 
 
 def concat_embedding(a, b):
@@ -445,8 +464,8 @@ def concat(a, b):
             l += "'"
         seen.add(l)
         labels[i] = l
-    return HeytingAlgebra(up, meet, join, imp, a.bottom, top, labels=labels,
-                          validate=n <= _FULL_VALIDATE_MAX)
+    return HeytingAlgebra._trusted(up, meet, join, imp, a.bottom, top,
+                                   labels=labels)
 
 
 # -- filters, quotients, subalgebras --------------------------------------
@@ -553,8 +572,8 @@ def quotient(a, filt):
     join = [[pos[rep[a.join[x][y]]] for y in reps] for x in reps]
     imp = [[pos[rep[a.imp[x][y]]] for y in reps] for x in reps]
     labels = [a.label(x) for x in reps] if a.labels else None
-    q = HeytingAlgebra(up, meet, join, imp, pos[rep[a.bottom]], pos[rep[a.top]],
-                       labels=labels, validate=m <= _FULL_VALIDATE_MAX)
+    q = HeytingAlgebra._trusted(up, meet, join, imp, pos[rep[a.bottom]],
+                                pos[rep[a.top]], labels=labels)
     surj = Homomorphism(a, q, tuple(pos[rep[x]] for x in range(n)))
     return q, surj
 
@@ -579,8 +598,8 @@ def induced_subalgebra(a, carrier):
     labels = [a.label(x) for x in elems] if a.labels else None
     bot = next(x for x in elems if all(a.leq(x, y) for y in elems))
     topx = next(x for x in elems if all(a.leq(y, x) for y in elems))
-    sub = HeytingAlgebra(up, meet, join, imp, pos[bot], pos[topx],
-                         labels=labels, validate=m <= _FULL_VALIDATE_MAX)
+    sub = HeytingAlgebra._trusted(up, meet, join, imp, pos[bot], pos[topx],
+                                  labels=labels)
     return elems, sub
 
 
@@ -640,8 +659,8 @@ def relabel_algebra(a, order, labels=None):
     imp = [[pos[a.imp[x][y]] for y in order] for x in order]
     if labels is None and a.labels:
         labels = [a.label(x) for x in order]
-    return HeytingAlgebra(up, meet, join, imp, pos[a.bottom], pos[a.top],
-                          labels=labels, validate=False)
+    return HeytingAlgebra._trusted(up, meet, join, imp, pos[a.bottom],
+                                   pos[a.top], labels=labels)
 
 
 # -- searches --------------------------------------------------------------
@@ -698,22 +717,15 @@ def homomorphism_search(a, b, partial=None, injective=False, first_only=False,
         if not consistent(x):
             return []
 
-    def full_check():
-        for x in range(n):
-            for y in range(n):
-                for ta, tb in zip(tables_a, tables_b):
-                    if tb[m[x]][m[y]] != m[ta[x][y]]:
-                        return False
-        return True
-
     out = []
 
     def backtrack(k, used):
         if k == len(free):
-            if full_check():
+            try:    # the Homomorphism constructor checks every operation
                 out.append(Homomorphism(a, b, tuple(m)))
-                return first_only
-            return False
+            except ValueError:
+                return False
+            return first_only
         x = free[k]
         for v in range(b.size):
             if injective and (used >> v) & 1:
@@ -847,12 +859,7 @@ def is_isomorphic(a, b):
 
     if not backtrack(0):
         return False, None
-    # an order isomorphism of Heyting algebras preserves all operations,
-    # but verify the tables anyway
-    for x in range(n):
-        for y in range(n):
-            if m[a.imp[x][y]] != b.imp[m[x]][m[y]]:
-                return False, None
+    # an order isomorphism of Heyting algebras preserves all operations
     return True, tuple(m)
 
 

@@ -25,13 +25,13 @@ def _extend_posets(posets, max_upsets):
             for j in _bits(p.up[i]):
                 down[j] |= 1 << i
         # downsets of p = upsets of the dual
-        downsets = Poset(down).upset_masks()
+        downsets = Poset._trusted(down).upset_masks()
         for d in downsets:
             up = list(p.up)
             for i in _bits(d):
                 up[i] |= 1 << n
             up.append(1 << n)
-            q = Poset(up, _checked=True)
+            q = Poset._trusted(up)
             if len(q.upset_masks()) > max_upsets:
                 continue
             key = canonical_key(q)
@@ -43,7 +43,7 @@ def _extend_posets(posets, max_upsets):
 @lru_cache(maxsize=None)
 def _posets_with_few_upsets(max_upsets):
     """All posets (up to iso) whose upset lattice has <= max_upsets elements."""
-    level = [Poset([], _checked=True)]
+    level = [Poset._trusted([])]
     found = list(level)
     while level:
         level = _extend_posets(level, max_upsets)

@@ -188,11 +188,15 @@ def parse(text):
         return lhs
 
     def parse_imp():
-        lhs = parse_or()
-        if peek() == "->":
+        # a loop folding to the right, so long chains need no recursion
+        operands = [parse_or()]
+        while peek() == "->":
             take()
-            return imp(lhs, parse_imp())
-        return lhs
+            operands.append(parse_or())
+        f = operands.pop()
+        while operands:
+            f = imp(operands.pop(), f)
+        return f
 
     def parse_or():
         lhs = parse_and()

@@ -73,15 +73,29 @@ class InteriorAlgebra:
                  (("neg", lambda b, x: x ^ b.full),
                   ("box", lambda b, x: b.box[x])))
 
-    def __init__(self, atoms, box_table, atom_labels=None, validate=True):
+    def __init__(self, atoms, box_table, atom_labels=None):
+        """Check a caller-given box table: ValueError on a wrong length,
+        entry or label count, `NotS4` on a broken law."""
+        size = 1 << atoms
+        if len(box_table) != size or not set(range(size)).issuperset(box_table):
+            raise ValueError(f"box table needs {size} entries in 0..{size - 1}")
+        if atom_labels and len(atom_labels) != atoms:
+            raise ValueError(f"{len(atom_labels)} labels for {atoms} atoms")
+        self._fill(atoms, box_table, atom_labels)
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, atoms, box_table, atom_labels=None):
+        """An interior algebra on a box table the library derived, unchecked."""
+        b = cls.__new__(cls)
+        b._fill(atoms, box_table, atom_labels)
+        return b
+
+    def _fill(self, atoms, box_table, atom_labels):
         self.atoms = atoms
         self.size = 1 << atoms
         self.full = self.size - 1
         self.box = tuple(box_table)
-        if len(self.box) != self.size:
-            raise ValueError("box table has wrong length")
-        if validate:
-            self._validate()
         self.opens = tuple(sorted(set(self.box)))
         self.atom_labels = tuple(atom_labels) if atom_labels else None
         self._batch_ops = None
@@ -168,7 +182,7 @@ def span(algebra):
                 best |= o
         box_table.append(best)
     labels = [algebra.label(j) for j in ji]
-    return InteriorAlgebra(m, box_table, atom_labels=labels), tuple(embed)
+    return InteriorAlgebra._trusted(m, box_table, labels), tuple(embed)
 
 
 def heyting_carcass(b):
@@ -184,8 +198,7 @@ def heyting_carcass(b):
     meet = [[idx[u & v] for v in opens] for u in opens]
     join = [[idx[u | v] for v in opens] for u in opens]
     impt = [[idx[b.box[(~u & b.full) | v]] for v in opens] for u in opens]
-    return HeytingAlgebra(up, meet, join, impt, idx[0], idx[b.full],
-                          validate=n <= 40)
+    return HeytingAlgebra._trusted(up, meet, join, impt, idx[0], idx[b.full])
 
 
 def open_generated(b):
@@ -220,7 +233,7 @@ def open_generated(b):
     labels = None
     if b.atom_labels:
         labels = ["+".join(b.atom_labels[a] for a in blk) for blk in blocks]
-    return InteriorAlgebra(k, box_table, atom_labels=labels)
+    return InteriorAlgebra._trusted(k, box_table, atom_labels=labels)
 
 
 # -- Goedel-McKinsey-Tarski translation ----------------------------------------
@@ -322,7 +335,7 @@ def quotient_by_open(b, o):
 
     box_table = [restrict(b.box[expand(t)] & o) for t in range(1 << k)]
     labels = [b.atom_labels[a] for a in keep] if b.atom_labels else None
-    return InteriorAlgebra(k, box_table, atom_labels=labels)
+    return InteriorAlgebra._trusted(k, box_table, atom_labels=labels)
 
 
 def _atom_neighborhoods(b):

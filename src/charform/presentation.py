@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import json
+import re
 
 import numpy as np
 
@@ -154,8 +155,8 @@ def _si_order(a, carrier):
         return None
     elems = sorted(carrier)
     pos = {x: i for i, x in enumerate(elems)}
-    return Poset([sum(1 << pos[y] for y in _bits(a.up[x] & mask)) for x in elems],
-                 _checked=True)
+    return Poset._trusted([sum(1 << pos[y] for y in _bits(a.up[x] & mask))
+                           for x in elems])
 
 
 def _bounded_subalgebras(a, bound):
@@ -524,8 +525,20 @@ def presentation_from_json(text):
     doc = json.loads(text)
     formula = parse(doc["formula"])
     target = parse_algebra_expr(doc["target"])
-    vars_ = [int(v[1:]) - 1 for v in doc["vars"]]
-    valuation = dict(zip(vars_, doc["valuation"]))
+    names, values = doc["vars"], doc["valuation"]
+    if len(names) != len(values):
+        raise ValueError(f"{len(names)} vars but {len(values)} valuation "
+                         "entries")
+    for name in names:
+        if not (isinstance(name, str) and re.fullmatch(r"p[1-9]\d*", name)):
+            raise ValueError(f"variable {name!r} is not p<n> with n >= 1")
+    if len(set(names)) != len(names):
+        raise ValueError("a variable is listed twice")
+    for v in values:
+        if type(v) is not int or not 0 <= v < target.size:
+            raise ValueError(f"valuation entry {v!r} is not an element "
+                             f"index 0..{target.size - 1}")
+    valuation = {int(name[1:]) - 1: v for name, v in zip(names, values)}
     vdoc = doc.get("variety") or {}
     handle = None
     if vdoc.get("generators"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (HeytingAlgebra, NoSuchAlgebra, Poset, concat,
+from .algebra import (NoSuchAlgebra, Poset, concat,
                       generated_subalgebra, make_algebra, principal_filter,
                       product, quotient, relabel_algebra, upset_algebra)
 
@@ -61,7 +61,7 @@ def universal_frame(rounds):
                 mask |= up[i]
             up.append(mask)
             val.append(sigma)
-    return Poset(up), 0
+    return Poset._trusted(up), 0
 
 
 def _down_mask(up, i):
@@ -147,7 +147,7 @@ def chain(n):
 
 def boolean(atoms):
     """The Boolean algebra with the given number of atoms, as upsets."""
-    return upset_algebra(Poset([1 << i for i in range(atoms)]))
+    return upset_algebra(Poset._trusted([1 << i for i in range(atoms)]))
 
 
 # -- truncations of the built-in infinite algebras -------------------------
@@ -171,8 +171,7 @@ def trunc_zprime(k):
     labels = list(alg.labels)
     labels[alg.element_by_label("⟨g,0⟩")] = "a"
     labels[alg.element_by_label("⟨0,1⟩")] = "b"
-    return HeytingAlgebra(alg.up, alg.meet, alg.join, alg.imp, alg.bottom,
-                          alg.top, labels=labels, validate=False)
+    return relabel_algebra(alg, range(alg.size), labels=labels)
 
 
 def trunc_zstar(k):

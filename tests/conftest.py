@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from charform.algebra import _bits
+from charform.algebra import HeytingAlgebra, _bits
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _CSP, enumerate_top_valuations,
                               var)
+from charform.modal import InteriorAlgebra
 
 
 @pytest.fixture(scope="session")
@@ -255,3 +256,28 @@ class _OracleCSP(_CSP):
 @pytest.fixture(scope="session")
 def oracle_csp():
     return _OracleCSP
+
+
+# -- oracles for the trust rule: the checking constructors ---------------------
+
+
+def _recheck(a):
+    """Rebuild an algebra the library derived through the public, checking
+    constructor: raises if any table breaks a law."""
+    return HeytingAlgebra(a.up, a.meet, a.join, a.imp, a.bottom, a.top,
+                          a.labels)
+
+
+def _recheck_interior(b):
+    """Rebuild an interior algebra through the checking constructor."""
+    return InteriorAlgebra(b.atoms, b.box, b.atom_labels)
+
+
+@pytest.fixture(scope="session")
+def recheck():
+    return _recheck
+
+
+@pytest.fixture(scope="session")
+def recheck_interior():
+    return _recheck_interior

@@ -1,18 +1,24 @@
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charform.algebra import (Filter, NotALattice, NotResiduated, Poset,
-                              SizeLimit, algebra_from_json, algebra_to_json,
+from charform.algebra import (Filter, HeytingAlgebra, NotALattice,
+                              NotResiduated, Poset, SizeLimit,
+                              algebra_from_json, algebra_to_json,
                               canonical_key, concat, concat_embedding,
                               dense_elements,
                               enumerate_filters, generated_subalgebra,
-                              homomorphism_search, in_sh, is_isomorphic,
-                              is_si, make_algebra, opremum, principal_filter,
-                              product, quotient, regular_elements,
+                              homomorphism_search, in_sh, induced_subalgebra,
+                              is_isomorphic, is_si, make_algebra, opremum,
+                              principal_filter, product, quotient,
+                              regular_elements, relabel_algebra,
                               subalgebra_closure, upset_algebra, _bits)
-from charform.rn import chain, rn_algebra
+from charform.catalog import _posets_with_few_upsets, all_algebras
+from charform.presentation import _bounded_subalgebras, _si_order
+from charform.rn import chain, rn_algebra, trunc, universal_frame
 
 Z2 = make_algebra([[1, 1], [0, 1]])
 SQUARE = make_algebra([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
@@ -43,6 +49,76 @@ def test_not_a_lattice():
     order = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(NotALattice):
         make_algebra(order)
+
+
+def _tables(a):
+    return [list(map(list, t)) for t in (a.meet, a.join, a.imp)]
+
+
+def test_constructor_checks_at_any_size():
+    # 100 elements: above the size where checks used to be skipped
+    a = product(chain(10), chain(10))
+    meet, join, imp = _tables(a)
+    imp[a.top][a.bottom] = a.top
+    with pytest.raises(NotResiduated):
+        HeytingAlgebra(a.up, meet, join, imp, a.bottom, a.top)
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: t["meet"].pop(),                          # not n x n
+    lambda t: t["join"][1].append(0),                   # ragged row
+    lambda t: t["imp"][0].__setitem__(0, 9),            # entry out of range
+    lambda t: t["imp"][0].__setitem__(0, -1),           # negative entry
+    lambda t: t.__setitem__("bottom", 4),               # bottom out of range
+    lambda t: t.__setitem__("top", -1),                 # top out of range
+    lambda t: t.__setitem__("labels", ["a", "b"]),      # too few labels
+    lambda t: t["up"].__setitem__(0, 1 << 4),           # mask outside carrier
+    lambda t: t["up"].__setitem__(0, -1),               # negative mask
+])
+def test_constructor_rejects_malformed_tables(change):
+    meet, join, imp = _tables(SQUARE)
+    t = {"up": list(SQUARE.up), "meet": meet, "join": join, "imp": imp,
+         "bottom": SQUARE.bottom, "top": SQUARE.top, "labels": None}
+    HeytingAlgebra(**t)
+    change(t)
+    with pytest.raises(ValueError):
+        HeytingAlgebra(**t)
+
+
+def test_json_rejects_short_labels():
+    doc = json.loads(algebra_to_json(chain(3)))
+    doc["labels"] = ["0", "1"]
+    with pytest.raises(ValueError, match="2 labels for 3 elements"):
+        algebra_from_json(json.dumps(doc))
+
+
+def test_derived_algebras_pass_the_full_check(recheck):
+    # the library's own constructions skip the check; the public
+    # constructor re-runs it on each of them here, as an oracle
+    algebras = all_algebras(7)
+    for a in algebras:
+        recheck(a)
+        for x in range(a.size):
+            recheck(quotient(a, principal_filter(a, x))[0])
+        for carrier in _bounded_subalgebras(a, 6):
+            elems, sub = induced_subalgebra(a, carrier)
+            recheck(sub)
+            order = _si_order(a, carrier)
+            if order is not None:
+                assert Poset(order.up).up == sub.up
+    small = all_algebras(4)
+    for a in small:
+        for b in small:
+            recheck(product(a, b))
+            recheck(concat(a, b))
+    for a in (trunc("Zprime", 6), trunc("KG", 4), rn_algebra(9)):
+        recheck(a)
+        order = list(range(a.size))
+        random.Random(7).shuffle(order)
+        recheck(relabel_algebra(a, order))
+    for p in _posets_with_few_upsets(7):
+        Poset(p.up)
+    Poset(universal_frame(6)[0].up)
 
 
 def test_upset_algebra_examples():

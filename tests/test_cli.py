@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from charform.cli import main
@@ -144,6 +146,30 @@ def test_present_verify_mutated_file(tmp_path, capsys):
     f.write_text(doc, encoding="utf-8")
     code, out = run(capsys, "present-verify", str(f))
     assert code == 1 and out.startswith("REFUTED")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("valuation", [99, 0], "valuation entry 99 is not an element index"),
+    ("valuation", [-1, 0], "valuation entry -1 is not an element index"),
+    ("valuation", ["1", 0], "valuation entry '1' is not an element index"),
+    ("valuation", [0], "2 vars but 1 valuation entries"),
+    ("vars", ["p1"], "1 vars but 2 valuation entries"),
+    ("vars", ["x1", "p2"], "variable 'x1' is not p<n> with n >= 1"),
+    ("vars", ["p0", "p2"], "variable 'p0' is not p<n> with n >= 1"),
+    ("vars", ["p1", "p1"], "a variable is listed twice"),
+])
+def test_present_verify_rejects_bad_file(tmp_path, capsys, field, value,
+                                         message):
+    doc = json.loads(presentation_to_json(zprime_presentation(10),
+                                          "trunc(Zprime,10)"))
+    assert doc["vars"] == ["p1", "p2"]
+    doc[field] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["present-verify", str(f)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"input error: {message}")
 
 
 def test_gmt(capsys):

@@ -46,6 +46,34 @@ def test_not_s4():
         InteriorAlgebra(2, (0, 1, 2, 0))  # box(top) != top
 
 
+@pytest.mark.parametrize("atoms, box, labels", [
+    (1, (0,), None),                # box table too short
+    (1, (0, 2), None),              # entry outside the carrier
+    (1, (0, -1), None),             # negative entry
+    (1, (0, 1), ("a", "b")),        # too many atom labels
+    (-1, (0,), None),               # negative atom count
+])
+def test_interior_constructor_rejects_malformed_tables(atoms, box, labels):
+    with pytest.raises(ValueError):
+        InteriorAlgebra(atoms, box, labels)
+    if labels is None:
+        with pytest.raises(ValueError):
+            interior_from_json(f'{{"atoms": {atoms}, "box": {list(box)}}}')
+
+
+def test_derived_interior_algebras_pass_the_full_check(all6, recheck,
+                                                       recheck_interior):
+    # span, carcass, open_generated and quotient_by_open skip the checks;
+    # the public constructors re-run them here, as oracles
+    for a in all6:
+        s, _ = span(a)
+        recheck_interior(s)
+        recheck(heyting_carcass(s))
+        recheck_interior(open_generated(s))
+        for o in s.opens:
+            recheck_interior(quotient_by_open(s, o))
+
+
 def test_carcass_round_trip(all8):
     for a in all8:
         s, _ = span(a)
