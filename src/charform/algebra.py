@@ -579,7 +579,8 @@ def quotient(a, filt):
 
 
 def induced_subalgebra(a, carrier):
-    """Algebra on a carrier that is already closed under the operations.
+    """Algebra on a carrier already closed under meet, join and imp; it
+    need not hold a's bottom (an interval [c, top] is such a carrier).
 
     Returns (sorted carrier, algebra); the k-th element of the new algebra
     is the k-th smallest member of the carrier.

@@ -523,6 +523,10 @@ def presentation_to_json(p, target_expr, variety_exprs=(), bound=8):
 def presentation_from_json(text):
     from .exprs import parse_algebra_expr
     doc = json.loads(text)
+    if not (isinstance(doc, dict)
+            and {"formula", "target", "vars", "valuation"} <= doc.keys()):
+        raise ValueError("a presentation needs formula, target, vars and "
+                         "valuation")
     formula = parse(doc["formula"])
     target = parse_algebra_expr(doc["target"])
     names, values = doc["vars"], doc["valuation"]

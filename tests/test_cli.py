@@ -157,13 +157,17 @@ def test_present_verify_mutated_file(tmp_path, capsys):
     ("vars", ["x1", "p2"], "variable 'x1' is not p<n> with n >= 1"),
     ("vars", ["p0", "p2"], "variable 'p0' is not p<n> with n >= 1"),
     ("vars", ["p1", "p1"], "a variable is listed twice"),
+    ("vars", None, "a presentation needs formula, target, vars and valuation"),
 ])
 def test_present_verify_rejects_bad_file(tmp_path, capsys, field, value,
                                          message):
     doc = json.loads(presentation_to_json(zprime_presentation(10),
                                           "trunc(Zprime,10)"))
     assert doc["vars"] == ["p1", "p2"]
-    doc[field] = value
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["present-verify", str(f)])
