@@ -4,7 +4,7 @@ Elements are integers 0..size-1.  The order and all element subsets are
 bitmasks, so kernel operations reduce to table lookups and mask arithmetic.
 Algebras are immutable after construction.  The public constructors check
 their input in full at any size; the library's own constructions, correct
-by construction, build through the private `_trusted` classmethods.
+by construction, build through the private `_trusted` classmethod.
 
 `close_set` and the generation search in `jankov` work on any algebra that
 lists its operations as a `signature`; interior algebras (`modal`) give
@@ -50,21 +50,30 @@ def _bits(mask):
         mask ^= low
 
 
-class Poset:
+class _Trusted:
+    """`_trusted(...)` builds an instance on data the library derived: it
+    fills the slots through `_fill`, without the checks of `__init__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *args, **kwargs):
+        obj = cls.__new__(cls)
+        obj._fill(*args, **kwargs)
+        return obj
+
+
+class Poset(_Trusted):
     """Finite poset; up[i] is the bitmask of {j : i <= j}."""
 
     __slots__ = ("size", "up")
 
     def __init__(self, up):
-        self.size, self.up = len(up), tuple(up)
+        self._fill(up)
         self._validate()
 
-    @classmethod
-    def _trusted(cls, up):
-        """A poset the library derived, unchecked."""
-        p = cls.__new__(cls)
-        p.size, p.up = len(up), tuple(up)
-        return p
+    def _fill(self, up):
+        self.size, self.up = len(up), tuple(up)
 
     @classmethod
     def from_leq(cls, rows):
@@ -130,7 +139,7 @@ def _imp_col(a, x, ys):
     return [imp[y][x] for y in ys]
 
 
-class HeytingAlgebra:
+class HeytingAlgebra(_Trusted):
     """Finite Heyting algebra with explicit meet/join/imp tables.
 
     up[i]/down[i] are bitmasks of the up-set and down-set of element i.
@@ -160,14 +169,7 @@ class HeytingAlgebra:
         self._fill(up, meet, join, imp, bottom, top, labels)
         self._validate()
 
-    @classmethod
-    def _trusted(cls, up, meet, join, imp, bottom, top, labels=None):
-        """An algebra on tables the library derived, unchecked."""
-        a = cls.__new__(cls)
-        a._fill(up, meet, join, imp, bottom, top, labels)
-        return a
-
-    def _fill(self, up, meet, join, imp, bottom, top, labels):
+    def _fill(self, up, meet, join, imp, bottom, top, labels=None):
         self.size = len(up)
         self.up = tuple(up)
         down = [0] * self.size
@@ -860,7 +862,12 @@ def is_isomorphic(a, b):
 
     if not backtrack(0):
         return False, None
-    # an order isomorphism of Heyting algebras preserves all operations
+    # an order isomorphism of Heyting algebras preserves all operations,
+    # but verify the tables anyway
+    for x in range(n):
+        for y in range(n):
+            if m[a.imp[x][y]] != b.imp[m[x]][m[y]]:
+                return False, None
     return True, tuple(m)
 
 
@@ -934,6 +941,8 @@ def algebra_to_json(a):
 
 def algebra_from_json(text):
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and {"size", "leq"} <= doc.keys()):
+        raise ValueError("an algebra needs size and leq")
     rows = doc["leq"]
     if len(rows) != doc["size"]:
         raise ValueError("size does not match leq table")

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (HeytingAlgebra, SizeLimit, is_si, opremum,
-                      subalgebra_closure, _bits)
+                      subalgebra_closure, _Trusted, _bits)
 from .formula import (Formula, _CSP, _Slots, _refuting_tasks, and_, box,
                       compile_formula, conj, evaluate, first_refutation, iff,
                       imp, neg, or_, var)
@@ -55,7 +55,7 @@ def _imp_col(b, x, ys):
     return [(y ^ full) | x for y in ys]
 
 
-class InteriorAlgebra:
+class InteriorAlgebra(_Trusted):
     """Powerset of an atom set with an S4 interior operator.
 
     Carrier elements are subset bitmasks 0 .. 2^atoms - 1; box is a table
@@ -76,6 +76,10 @@ class InteriorAlgebra:
     def __init__(self, atoms, box_table, atom_labels=None):
         """Check a caller-given box table: ValueError on a wrong length,
         entry or label count, `NotS4` on a broken law."""
+        if (type(atoms) is not int
+                or not 0 <= atoms <= len(box_table).bit_length()):
+            raise ValueError(f"atom count {atoms!r} does not fit "
+                             f"{len(box_table)} box entries")
         size = 1 << atoms
         if len(box_table) != size or not set(range(size)).issuperset(box_table):
             raise ValueError(f"box table needs {size} entries in 0..{size - 1}")
@@ -84,14 +88,7 @@ class InteriorAlgebra:
         self._fill(atoms, box_table, atom_labels)
         self._validate()
 
-    @classmethod
-    def _trusted(cls, atoms, box_table, atom_labels=None):
-        """An interior algebra on a box table the library derived, unchecked."""
-        b = cls.__new__(cls)
-        b._fill(atoms, box_table, atom_labels)
-        return b
-
-    def _fill(self, atoms, box_table, atom_labels):
+    def _fill(self, atoms, box_table, atom_labels=None):
         self.atoms = atoms
         self.size = 1 << atoms
         self.full = self.size - 1
@@ -509,4 +506,6 @@ def interior_to_json(b):
 
 def interior_from_json(text):
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and {"atoms", "box"} <= doc.keys()):
+        raise ValueError("an interior algebra needs atoms and box")
     return InteriorAlgebra(doc["atoms"], doc["box"])

@@ -92,6 +92,12 @@ def test_json_rejects_short_labels():
         algebra_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", ['{}', '{"size": 2}', '[2, [[1, 1], [0, 1]]]'])
+def test_json_rejects_missing_keys(text):
+    with pytest.raises(ValueError, match="needs size and leq"):
+        algebra_from_json(text)
+
+
 def test_derived_algebras_pass_the_full_check(recheck):
     # the library's own constructions skip the check; the public
     # constructor re-runs it on each of them here, as an oracle

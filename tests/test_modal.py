@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -52,32 +53,40 @@ def test_not_s4():
     (1, (0, -1), None),             # negative entry
     (1, (0, 1), ("a", "b")),        # too many atom labels
     (-1, (0,), None),               # negative atom count
+    ("1", (0, 1), None),            # atom count not an int
+    (10**9, (0, 1), None),          # atom count far beyond the table
 ])
 def test_interior_constructor_rejects_malformed_tables(atoms, box, labels):
     with pytest.raises(ValueError):
         InteriorAlgebra(atoms, box, labels)
     if labels is None:
         with pytest.raises(ValueError):
-            interior_from_json(f'{{"atoms": {atoms}, "box": {list(box)}}}')
+            interior_from_json(json.dumps({"atoms": atoms, "box": list(box)}))
 
 
-def test_derived_interior_algebras_pass_the_full_check(all6, recheck,
-                                                       recheck_interior):
-    # span, carcass, open_generated and quotient_by_open skip the checks;
-    # the public constructors re-run them here, as oracles
+@pytest.mark.parametrize("text", ['{}', '{"atoms": 1}', '[1, [0, 1]]'])
+def test_interior_json_rejects_missing_keys(text):
+    with pytest.raises(ValueError, match="needs atoms and box"):
+        interior_from_json(text)
+
+
+def test_derived_interior_algebras_pass_the_full_check(all6, recheck_interior):
+    # span, open_generated and quotient_by_open skip the checks; the public
+    # constructor re-runs them here, as oracles (the carcass: round trip)
     for a in all6:
         s, _ = span(a)
         recheck_interior(s)
-        recheck(heyting_carcass(s))
         recheck_interior(open_generated(s))
         for o in s.opens:
             recheck_interior(quotient_by_open(s, o))
 
 
-def test_carcass_round_trip(all8):
+def test_carcass_round_trip(all8, recheck):
     for a in all8:
         s, _ = span(a)
-        assert is_isomorphic(heyting_carcass(s), a)[0]
+        h = heyting_carcass(s)
+        recheck(h)  # the carcass skips the check; re-run it as an oracle
+        assert is_isomorphic(h, a)[0]
 
 
 def test_carcass_of_identity_box():
