@@ -54,15 +54,56 @@ class NotAssertoric(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
-    """AST node; kind in {var, top, bot, and, or, imp, neg, box}."""
+    """AST node; kind in {var, top, bot, and, or, imp, neg, box}.
+
+    Equality and hashing are structural and iterative, so formulas of any
+    depth compare and hash.  Each node keeps its hash, once computed, as a
+    private attribute outside the dataclass fields.
+    """
 
     kind: str
     args: tuple = ()
 
     def __repr__(self):
         return f"Formula({pretty(self)!r})"
+
+    def __hash__(self):
+        todo = [self]
+        while "_hash" not in self.__dict__:
+            f = todo.pop()
+            pending = [g for g in f.args
+                       if isinstance(g, Formula) and "_hash" not in g.__dict__]
+            if pending:
+                todo += [f, *pending]
+            else:  # f is frozen
+                object.__setattr__(f, "_hash",
+                                   hash((f.kind, *map(hash, f.args))))
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        if hash(self) != hash(other):
+            return False
+        # pairs of shared subterms are compared once
+        seen, todo = set(), [(self, other)]
+        while todo:
+            f, g = todo.pop()
+            if f is g or (id(f), id(g)) in seen:
+                continue
+            seen.add((id(f), id(g)))
+            if f.kind != g.kind or len(f.args) != len(g.args):
+                return False
+            for x, y in zip(f.args, g.args):
+                if isinstance(x, Formula) and isinstance(y, Formula):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
 
 TOP = Formula("top")

@@ -114,7 +114,7 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
     variety at this size).  Deterministic order by (size, canonical form).
     """
     bound = size_bound or handle.bound
-    found = {}
+    found, keys = {}, {}  # keys: canonical_key of each order by up masks
     if handle.generators:
         for gi, g in enumerate(handle.generators):
             for filt in enumerate_filters(g, limit=max(g.size, 20)):
@@ -123,7 +123,9 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
                     order = _si_order(q, carrier)
                     if order is None:
                         continue
-                    key = canonical_key(order)
+                    if (up := tuple(order.up)) not in keys:
+                        keys[up] = canonical_key(order)
+                    key = keys[up]
                     if key not in found:
                         _, sub = induced_subalgebra(q, carrier)
                         gen_elt = min(_bits(filt.members),
@@ -160,28 +162,33 @@ def _si_order(a, carrier):
 
 
 def _bounded_subalgebras(a, bound):
-    """All op-closed carriers of size <= bound, each as a frozenset."""
+    """All op-closed carriers of size <= bound, each as a frozenset, sorted
+    by (size, elements).
+
+    A Close-by-One search (Kuznetsov 1993) over `close_set`.  It starts
+    from the closure of the empty set, which tries every element z outside
+    it; a carrier c reached by adding element y tries each z > y outside c.
+    The closure d of c and z is a child of c unless d adds an element of
+    index below z.  That canonicity test gives each carrier one parent, so
+    each is yielded once and none is stored to be looked up.  A closure
+    above the bound is dropped, and with it all that contain it.
+    """
     base = subalgebra_closure(a, ())
     if len(base) > bound:
         return []
-    done = set()
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for carrier in frontier:
-            if carrier in done:
+    out, todo = [], [(base, 0)]
+    while todo:
+        carrier, lo = todo.pop()
+        out.append(carrier)
+        for y in range(lo, a.size):
+            if y in carrier:
                 continue
-            done.add(carrier)
-            for x in range(a.size):
-                if x in carrier:
-                    continue
-                # the carrier is closed already: only x is new
-                bigger = frozenset(close_set(a, {x, *carrier}, [x],
-                                             limit=bound))
-                if len(bigger) <= bound and bigger not in done:
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(done, key=lambda c: (len(c), sorted(c)))
+            # the carrier is closed already: only y is new
+            bigger = close_set(a, {y, *carrier}, [y], limit=bound)
+            if len(bigger) > bound or min(bigger - carrier) < y:
+                continue
+            todo.append((frozenset(bigger), y + 1))
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
 
 
 # -- the extension criterion -------------------------------------------------

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from charform.algebra import HeytingAlgebra, _bits
+from charform.algebra import (HeytingAlgebra, _bits, close_set,
+                              subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _CSP, enumerate_top_valuations,
@@ -181,6 +182,40 @@ def extends_oracle():
 @pytest.fixture(scope="session")
 def check_defines_oracle():
     return _check_defines
+
+
+# -- slow oracle: the breadth-first subalgebra search Close-by-One replaced ---
+
+
+def _bounded_subalgebras(a, bound):
+    """All op-closed carriers of size <= bound, by breadth-first search:
+    every (carrier, new element) pair is closed, and closures already found
+    are dropped afterwards."""
+    base = subalgebra_closure(a, ())
+    if len(base) > bound:
+        return []
+    done = set()
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for carrier in frontier:
+            if carrier in done:
+                continue
+            done.add(carrier)
+            for x in range(a.size):
+                if x in carrier:
+                    continue
+                bigger = frozenset(close_set(a, {x, *carrier}, [x],
+                                             limit=bound))
+                if len(bigger) <= bound and bigger not in done:
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(done, key=lambda c: (len(c), sorted(c)))
+
+
+@pytest.fixture(scope="session")
+def bounded_subalgebras_oracle():
+    return _bounded_subalgebras
 
 
 # -- slow oracle: the propagation search with a layout per CSP ---------------

@@ -9,9 +9,10 @@ from charform.acceptance import KG_AXIOM, pretrue_formula
 from charform.algebra import (SizeLimit, homomorphism_search, in_sh,
                               make_algebra, relabel_algebra)
 from charform.catalog import all_algebras, si_algebras
-from charform.formula import (Formula, FormulaSyntaxError, NotAssertoric,
-                              UnboundVariable, _CSP, _refuting_tasks, _Slots,
-                              and_, box, compile_formula,
+from charform.formula import (BOT, TOP, Formula, FormulaSyntaxError,
+                              NotAssertoric, UnboundVariable, _CSP,
+                              _refuting_tasks, _Slots, and_, box,
+                              compile_formula,
                               conj, consequence_refute,
                               enumerate_top_valuations, evaluate, iff, imp,
                               is_valid, neg, normalize_variables, or_, parse,
@@ -312,11 +313,12 @@ def test_deep_chain_naive_engine():
         text = " -> ".join([f"p{i % 3 + 1}" for i in reversed(range(5000))]
                            + [pretty(last)])
         assert pretty(f) == text and repr(f) == f"Formula({text!r})"
-        # the parser reads the chain back; == on formulas still recurses, so
-        # compare the printed text and the compiled program instead
+        # the parser reads the chain back, equal and with an equal hash
         g = parse(text)
         assert pretty(g) == text
+        assert g == f and hash(g) == hash(f) and g in {f}
         assert compile_formula(g).code == compile_formula(f).code
+        assert g != imp(var(0), f) and g != parse(text[:-2] + "p3")
         tops = {v: z2.top for v in range(4)}
         assert evaluate(f, z2, tops) == z2.top
         assert evaluate(f, z2, want[1] or tops) == (z2.top if want[0]
@@ -334,6 +336,15 @@ def test_deep_chain_naive_engine():
         text = (" | (".join(f"p{i % 3 + 1}" for i in reversed(range(5000)))
                 + f" | {pretty(last)}" + ")" * 4999)
         assert pretty(f) == text and repr(f) == f"Formula({text!r})"
+    # a 5000-deep left-nested conjunction round-trips, hashes and sits in a
+    # set; each node keeps its hash, so a deeper chain on top of it hashes
+    g = var(0)
+    for i in range(1, 5001):
+        g = and_(g, var(i % 3))
+    h = parse(pretty(g))
+    assert h is not g and h == g and hash(h) == hash(g)
+    assert h in {g} and {g, h} == {g} and {g: 1}[h] == 1
+    assert and_(g, TOP) != and_(h, BOT) and and_(g, TOP) in {and_(h, TOP)}
 
 
 def test_naive_engine_many_variables_on_one_element():

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from charform.algebra import (concat, generated_subalgebra, homomorphism_search,
-                              induced_subalgebra, is_isomorphic, is_si,
-                              make_algebra, product, quotient,
-                              principal_filter, subalgebra_closure)
+from charform.algebra import (concat, enumerate_filters, generated_subalgebra,
+                              homomorphism_search, induced_subalgebra,
+                              is_isomorphic, is_si, make_algebra, product,
+                              quotient, principal_filter, subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras
 from charform.formula import conj, evaluate, imp, is_valid, parse, \
     substitute, var
@@ -185,8 +185,30 @@ def _naive_bounded_subalgebras(a, bound):
 
 def test_bounded_subalgebras_match_naive(all8):
     for a in all8:
-        for bound in (2, 4, 6):
+        for bound in (2, 4, 6, 8):
             assert _bounded_subalgebras(a, bound) == _naive_bounded_subalgebras(a, bound)
+
+
+# the generators of the corpus benchmark workload, built in at these sizes
+CORPUS_GENERATORS = (("Zstar", 10), ("Zstar", 7), ("Zstar", 8), ("Zstar", 9),
+                     ("KG", 8), ("KG", 9), ("KG", 10), ("KG", 11), ("KG", 12),
+                     ("Zprime", 10), ("Zprime", 12), ("Zprime", 14),
+                     ("Zprime", 16), ("Zinf", 18), ("Zinf", 20))
+
+
+def test_bounded_subalgebras_match_bfs_oracle(bounded_subalgebras_oracle):
+    # every quotient build_corpus searches for the benchmark generators at
+    # bound 8 and for the criterion-6 generators at bound k + 1
+    cases = ([(trunc(kind, k), 8) for kind, k in CORPUS_GENERATORS]
+             + [(trunc_zstar(k), k + 1) for k in (10, 12)])
+    quotients = 0
+    for g, bound in cases:
+        for filt in enumerate_filters(g, limit=max(g.size, 20)):
+            q, _ = quotient(g, filt)
+            assert (_bounded_subalgebras(q, bound)
+                    == bounded_subalgebras_oracle(q, bound))
+            quotients += 1
+    assert quotients == 329 + 64
 
 
 def test_check_defines_diagram_presentations(si6):
