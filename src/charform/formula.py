@@ -17,13 +17,17 @@ and `modal.modal_validity` are built on it.
 
 Validity has two engines: the batch enumeration over all valuations, and a
 constraint-propagation engine that splits the goal into constraints on the
-values of program slots (mandatory above 6 variables).  Its search checks
-each constraint at the depth where its variables are all assigned, running
-with the scalar operations the part of the constraint's sub-program that
-no earlier check at that node computed.  That layout depends only on the
-variable order and the set of constrained slots, so one validity check
-builds it once per such pair, on its `_Slots`, and its many constraint
-problems share it.  The same search enumerates the top valuations of a
+values of program slots (mandatory above 6 variables).  Without a box the
+split depends on neither the algebra nor the join-irreducible element it
+is made for, so it is made once per program and kept on it.  The search
+checks each constraint at the depth where its variables are all assigned:
+the slots that do not depend on that depth's variable are computed once
+per node, and each check runs, with the scalar operations, the rest of
+its sub-program, so the checks are independent and the one that failed
+last runs first.  That layout depends only on the variable order and the
+set of constrained slots, so one validity check builds it once per such
+pair, on its `_Slots`, and its many constraint problems share it.  The
+same search enumerates the top valuations of a
 presentation formula and decides modal refutability.  Both engines are
 exhaustive; counter-valuations are always the lexicographically least
 one, so the engines agree witness-for-witness.
@@ -166,12 +170,30 @@ def variables(f):
 
 
 def substitute(f, mapping):
-    """Simultaneous substitution of formulas for variables."""
-    if f.kind == "var":
-        return mapping.get(f.args[0], f)
-    if not f.args:
-        return f
-    return Formula(f.kind, tuple(substitute(a, mapping) for a in f.args))
+    """Simultaneous substitution of formulas for variables.
+
+    Iterative, so formulas of any depth substitute: a node is rebuilt once
+    its children are, each node object once, so shared subterms stay
+    shared; a node whose children all come back unchanged is kept.
+    """
+    done, todo = {}, [f]  # id(node) -> its image; every node stays alive
+    while todo:
+        g = todo[-1]
+        if id(g) in done:
+            todo.pop()
+        elif g.kind == "var":
+            done[id(g)] = mapping.get(g.args[0], g)
+            todo.pop()
+        else:
+            pending = [a for a in g.args if id(a) not in done]
+            if pending:
+                todo += pending
+                continue
+            todo.pop()
+            args = tuple(done[id(a)] for a in g.args)
+            same = all(x is y for x, y in zip(args, g.args))
+            done[id(g)] = g if same else Formula(g.kind, args)
+    return done[id(f)]
 
 
 def normalize_variables(f):
@@ -545,12 +567,16 @@ class _Slots:
         built once per pair: (levels, ground leaves).
 
         A leaf is checked at the depth that assigns the last of its
-        variables, after the slots of its sub-program that no leaf checked
-        before it computes; leaves go by ascending (depth, slot), so each
-        slot is computed at the least depth of the leaves reading it.
-        levels[i] is (variable, its slot or None, [(steps, leaf slot)]) for
-        depth i; a step is (slot, operation, argument slots).  The ground
-        leaves are those without variables.
+        variables.  levels[i] is (variable, its slot or None, pre steps,
+        [(steps, leaf slot)]) for depth i, the leaves by ascending slot.
+        The pre steps compute, once per node and before any value of the
+        variable is tried, the slots that the leaves of depth i read, that
+        do not depend on the variable and that no shallower depth computes.
+        The steps of a check compute every slot of its leaf's sub-program
+        that depends on the variable, so no check reads a slot that another
+        check of its depth computes, and the checks of a depth may run in
+        any order.  A step is (slot, operation, argument slots); steps go by
+        ascending slot.  The ground leaves are those without variables.
         """
         key = (order, leaves)
         got = self._layouts.get(key)
@@ -558,28 +584,35 @@ class _Slots:
             return got
         code, svars = self.prog.code, self.svars
         pos = {v: i for i, v in enumerate(order)}
-        depth = {s: max((pos[u] for u in _bits(svars[s])), default=-1)
-                 for s in leaves}
-        checks = [[] for _ in order]
-        ground, seen = [], set()
-        for s in sorted(leaves, key=lambda s: (depth[s], s)):
-            if depth[s] < 0:
-                ground.append(s)
-                continue
-            sub, todo = [], [s]
-            while todo:
-                t = todo.pop()
-                op, a, b = code[t]
-                if t in seen or op == "var" or not svars[t]:
-                    continue
-                seen.add(t)
-                sub.append((t, self.ops[op], a, b))
-                todo += (a,) if b is None else (a, b)
-            checks[depth[s]].append((sorted(sub), s))
-        got = self._layouts[key] = (
-            [(x, self.var_slot.get(x), checks[i]) for i, x in enumerate(order)],
-            ground)
+        at_depth, ground = [[] for _ in order], []
+        for s in sorted(leaves):
+            d = max((pos[u] for u in _bits(svars[s])), default=-1)
+            (ground if d < 0 else at_depth[d]).append(s)
+        levels, done = [], set()
+        for x, here in zip(order, at_depth):
+            pre, checks, computed = set(), [], set()
+            for s in here:
+                own, todo = set(), [s]
+                while todo:
+                    t = todo.pop()
+                    op, a, b = code[t]
+                    if (t in own or t in pre or t in done or op == "var"
+                            or not svars[t]):
+                        continue
+                    (own if svars[t] >> x & 1 else pre).add(t)
+                    todo += (a,) if b is None else (a, b)
+                checks.append((self._steps(own), s))
+                computed |= own
+            done |= computed | pre
+            levels.append((x, self.var_slot.get(x), self._steps(pre), checks))
+        got = self._layouts[key] = (levels, ground)
         return got
+
+    def _steps(self, slots):
+        """(slot, operation, argument slots) of each slot, ascending."""
+        code, ops = self.prog.code, self.ops
+        return [(t, ops[code[t][0]], code[t][1], code[t][2])
+                for t in sorted(slots)]
 
     def accept(self, c, want):
         """Mask of the elements e with (c <= e) == want."""
@@ -591,9 +624,9 @@ class _Slots:
         return up if want else self.full & ~up
 
 
-def _push(slots, s, c, want):
+def _push(code, s, c, want, accept, box_floor=None):
     """Branches of constraints forcing c <= v(s) (want=True) or not, for c
-    join-irreducible.
+    join-irreducible; a constraint on a slot t is (t, accept(c, want)).
 
     An empty list of branches means the requirement is unsatisfiable, a
     branch [] means it holds vacuously.  A conjunction, a disjunction or a
@@ -602,8 +635,13 @@ def _push(slots, s, c, want):
     constraint on its own slot.  The parts are pushed depth first from an
     explicit stack of frames [slot, c, all parts?, parts left, branches so
     far], so formulas of any depth push.
+
+    Only a box changes c, to the atoms of box_floor(c), and accept(c, want)
+    is never empty, as c is never 0.  So without a box the branches depend
+    on c only through accept: pushed with accept(c, want) = want, they hold
+    (slot, want) pairs that serve every c.
     """
-    code, accept, stack = slots.prog.code, slots.accept, []
+    stack = []
     while True:
         op, a, b = code[s]
         if op == "and" or op == "or":
@@ -615,7 +653,7 @@ def _push(slots, s, c, want):
             # c <= box(x) iff the least open above c is below x, i.e. iff
             # each of its atoms is; descending by atoms keeps c join-prime
             # (c is never 0, so there is at least one atom)
-            parts = [(a, 1 << i) for i in _bits(slots.algebra.box_floor(c))]
+            parts = [(a, 1 << i) for i in _bits(box_floor(c))]
             stack.append([s, c, want, parts[:0:-1], [[]] if want else []])
             s, c = parts[0]
             continue
@@ -623,9 +661,6 @@ def _push(slots, s, c, want):
             got = [[]] if want else []
         elif op == "bot":
             got = [] if want else [[]]
-        elif op == "var":
-            allowed = accept(c, want)
-            got = [[(s, allowed)]] if allowed else []
         else:
             got = [[(s, accept(c, want))]]
         # combine got into the frames it completes, up to one with a part
@@ -649,6 +684,31 @@ def _push(slots, s, c, want):
             return got
 
 
+def _refuting_branches(code, s, c, accept, box_floor=None):
+    """`_push` branches whose solutions refute the conjunct s at c: c below
+    the left side of an implication and not below its right side, or c not
+    below s."""
+    op, a, b = code[s]
+    if op != "imp":
+        return _push(code, s, c, False, accept, box_floor)
+    right = _push(code, b, c, False, accept, box_floor)
+    return [bl + br for bl in _push(code, a, c, True, accept, box_floor)
+            for br in right]
+
+
+def _pushed(prog):
+    """Each conjunct of a program without box with its refuting branches of
+    (slot, want) pairs, which serve every c; pushed once per program and
+    kept on it."""
+    got = getattr(prog, "_pushed", None)
+    if got is None:
+        got = [(s, _refuting_branches(prog.code, s, None,
+                                      lambda c, want: want))
+               for s in _conjuncts(prog.code, ("and",))]
+        object.__setattr__(prog, "_pushed", got)  # prog is frozen
+    return got
+
+
 def _conjuncts(code, through):
     """Distinct slots below the root through the ops in through, left to
     right."""
@@ -669,15 +729,21 @@ class _CSP:
 
     Variables are ordered greedily so that each assignment completes as many
     leaf constraints as possible; on diagram-shaped formulas this makes the
-    tables propagate values instead of being checked at the leaves.  Each
-    slot a leaf reads is computed once per node, at the least depth of the
-    leaves that read it, and kept for the deeper nodes; a failing leaf
-    stops the node before the slots of later leaves are computed.
+    tables propagate values instead of being checked at the leaves.  At each
+    node the slots of the depth's leaves that do not depend on the depth's
+    variable are computed once, before its values are tried; each leaf
+    check then computes its own slots that depend on the variable, so the
+    checks of a depth do not depend on each other.  A value passes iff every
+    check accepts it, whatever their order, so a check that fails moves to
+    the front of its depth: later values try first the check most likely
+    to reject them.  The search tree, the solutions and their order do not
+    depend on the order of the checks; only the checks run per value do.
 
     The layout of the search depends only on the variable order and the set
     of leaf slots, and many CSPs of one search share both, so the layout is
     built once per such pair and cached on the `_Slots` (see
-    `_Slots.layout`); a CSP adds only its own accept masks.
+    `_Slots.layout`); a CSP adds its own accept masks, and its own check
+    order per depth.
     """
 
     def __init__(self, slots, vars_, constraints):
@@ -721,8 +787,9 @@ class _CSP:
         levels, ground = self.slots.layout(self._order(), frozenset(leafs))
         self._ground_ok = all(leafs[s] >> self.slots.ground[s] & 1
                               for s in ground)
-        self._levels = [(x, xs, [(steps, s, leafs[s]) for steps, s in checks])
-                        for x, xs, checks in levels]
+        self._levels = [(x, xs, pre,
+                         [(steps, s, leafs[s]) for steps, s in checks])
+                        for x, xs, pre, checks in levels]
 
     def solve(self, fixed=None, collect=None):
         """First solution (dict) or None; with collect a list, all solutions."""
@@ -746,16 +813,20 @@ class _CSP:
                     collect.append(dict(assignment))
                     return None
                 return dict(assignment)
-            x, xs, checks = levels[i]
+            x, xs, pre, checks = levels[i]
+            for t, f, a, b in pre:
+                vals[t] = f(vals[a]) if b is None else f(vals[a], vals[b])
             values = (fixed[x],) if fixed and x in fixed else domains[x]
             for e in values:
                 assignment[x] = e
                 if xs is not None:
                     vals[xs] = e
-                for steps, s, accept in checks:
+                for k, (steps, s, accept) in enumerate(checks):
                     for t, f, a, b in steps:
                         vals[t] = f(vals[a]) if b is None else f(vals[a], vals[b])
                     if not accept >> vals[s] & 1:
+                        if k:
+                            checks.insert(0, checks.pop(k))
                         break
                 else:
                     got = rec(i + 1)
@@ -799,22 +870,30 @@ class _CSP:
 
 def _refuting_tasks(slots):
     """(vars, constraints) tasks whose solutions are exactly the
-    refutations of the program: a join-irreducible c below the left side
-    of an implication conjunct and not below its right side, or not below
-    another conjunct."""
-    code, tasks = slots.prog.code, []
+    refutations of the program: for each conjunct, in program order, and
+    each join-irreducible c, ascending, one task per refuting branch (see
+    `_refuting_branches`).
+
+    A box moves c, so a program with box pushes each conjunct for each c.
+    A program without box pushes each conjunct once (`_pushed`), and each c
+    only turns every want of the branches into its mask accept(c, want).
+    """
+    prog, svars, tasks = slots.prog, slots.svars, []
     ji = sorted(slots.algebra.join_irreducibles())
-    for s in _conjuncts(code, ("and",)):
-        op, a, b = code[s]
-        cvars = tuple(_bits(slots.svars[s]))
-        for c in ji:
-            if op == "imp":
-                for bl in _push(slots, a, c, True):
-                    for br in _push(slots, b, c, False):
-                        tasks.append((cvars, bl + br))
-            else:
-                for br in _push(slots, s, c, False):
-                    tasks.append((cvars, br))
+    if prog.has_box:
+        floor = slots.algebra.box_floor
+        for s in _conjuncts(prog.code, ("and",)):
+            cvars = tuple(_bits(svars[s]))
+            for c in ji:
+                tasks += [(cvars, br) for br in _refuting_branches(
+                    prog.code, s, c, slots.accept, floor)]
+        return tasks
+    masks = [(slots.accept(c, False), slots.accept(c, True)) for c in ji]
+    for s, branches in _pushed(prog):
+        cvars = tuple(_bits(svars[s]))
+        for m in masks:
+            tasks += [(cvars, [(t, m[want]) for t, want in br])
+                      for br in branches]
     return tasks
 
 

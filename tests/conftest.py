@@ -6,8 +6,8 @@ from charform.algebra import (HeytingAlgebra, _bits, close_set,
                               subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
-                              UnboundVariable, _CSP, enumerate_top_valuations,
-                              var)
+                              UnboundVariable, _conjuncts,
+                              enumerate_top_valuations, var)
 from charform.modal import InteriorAlgebra
 
 
@@ -221,11 +221,30 @@ def bounded_subalgebras_oracle():
 # -- slow oracle: the propagation search with a layout per CSP ---------------
 
 
-class _OracleCSP(_CSP):
+class _OracleCSP:
     """The propagation CSP as it was before layouts were shared: the greedy
     order from one set of open variables per leaf, the layout built for
-    each CSP with leaves in constraint order within a depth, and a lex_min
-    that solves once per candidate value."""
+    each CSP with leaves in constraint order within a depth, each slot
+    computed once per node by the first leaf that reads it, a search that
+    runs the leaves of a depth in that fixed order, and a lex_min that
+    solves once per candidate value.  It reads the program through the
+    engine's `_Slots` and shares no other code with the engine."""
+
+    def __init__(self, slots, vars_, constraints):
+        self.slots = slots
+        self.vars = list(vars_)
+        self.domains = {v: list(range(slots.algebra.size)) for v in self.vars}
+        self.leafs = {}
+        code = slots.prog.code
+        for s, accept in constraints:
+            op, x, _ = code[s]
+            if op == "var":
+                self.domains[x] = [e for e in self.domains[x] if accept >> e & 1]
+            else:
+                self.leafs[s] = self.leafs.get(s, -1) & accept
+        self.feasible = (all(self.domains.values())
+                         and all(self.leafs.values()))
+        self._levels = None
 
     def _order(self):
         open_vars = [set(_bits(self.slots.svars[s])) for s in self.leafs]
@@ -274,6 +293,45 @@ class _OracleCSP(_CSP):
         self._levels = [(x, slots.var_slot.get(x), checks[i])
                         for i, x in enumerate(order)]
 
+    def solve(self, fixed=None, collect=None):
+        if not self.feasible:
+            return None
+        self._prepare()
+        if not self._ground_ok:
+            return None
+        if fixed and any(e not in self.domains[v] for v, e in fixed.items()):
+            return None
+        levels, vals, assignment = self._levels, list(self.slots.ground), {}
+
+        def rec(i):
+            if i == len(levels):
+                if collect is not None:
+                    collect.append(dict(assignment))
+                    return None
+                return dict(assignment)
+            x, xs, checks = levels[i]
+            values = (fixed[x],) if fixed and x in fixed else self.domains[x]
+            for e in values:
+                assignment[x] = e
+                if xs is not None:
+                    vals[xs] = e
+                for steps, s, accept in checks:
+                    for t, f, a, b in steps:
+                        vals[t] = f(vals[a]) if b is None else f(vals[a], vals[b])
+                    if not accept >> vals[s] & 1:
+                        break
+                else:
+                    got = rec(i + 1)
+                    if got is not None:
+                        return got
+            assignment.pop(x, None)
+            return None
+
+        return rec(0)
+
+    def satisfiable(self, fixed=None):
+        return self.solve(fixed=fixed) is not None
+
     def lex_min(self):
         if not self.satisfiable():
             return None
@@ -291,6 +349,79 @@ class _OracleCSP(_CSP):
 @pytest.fixture(scope="session")
 def oracle_csp():
     return _OracleCSP
+
+
+# -- slow oracle: the refuting tasks pushed once per join-irreducible ---------
+
+
+def _push_per_c(slots, s, c, want):
+    """Branches of constraints (slot, accept mask) forcing c <= v(s)
+    (want=True) or not, pushed for one join-irreducible c, with a split of
+    more than 128 branches kept as one constraint on its slot."""
+    code, accept, stack = slots.prog.code, slots.accept, []
+    while True:
+        op, a, b = code[s]
+        if op == "and" or op == "or":
+            every = (op == "and") == want
+            stack.append([s, c, every, [(b, c)], [[]] if every else []])
+            s = a
+            continue
+        if op == "box":
+            parts = [(a, 1 << i) for i in _bits(slots.algebra.box_floor(c))]
+            stack.append([s, c, want, parts[:0:-1], [[]] if want else []])
+            s, c = parts[0]
+            continue
+        if op == "top":
+            got = [[]] if want else []
+        elif op == "bot":
+            got = [] if want else [[]]
+        elif op == "var":
+            allowed = accept(c, want)
+            got = [[(s, allowed)]] if allowed else []
+        else:
+            got = [[(s, accept(c, want))]]
+        while stack:
+            frame = stack[-1]
+            fs, fc, every, left, out = frame
+            size = len(out) * len(got) if every else len(out) + len(got)
+            if size > 128:
+                stack.pop()
+                got = [[(fs, accept(fc, want))]]
+                continue
+            out = [x + y for x in out for y in got] if every else out + got
+            if left:
+                frame[4] = out
+                s, c = left.pop()
+                break
+            stack.pop()
+            got = out
+        else:
+            return got
+
+
+def _refuting_tasks_per_c(slots):
+    """The refuting tasks of a program, every conjunct pushed afresh for
+    every join-irreducible c, and the right side of an implication afresh
+    for every branch of its left side."""
+    code, tasks = slots.prog.code, []
+    ji = sorted(slots.algebra.join_irreducibles())
+    for s in _conjuncts(code, ("and",)):
+        op, a, b = code[s]
+        cvars = tuple(_bits(slots.svars[s]))
+        for c in ji:
+            if op == "imp":
+                for bl in _push_per_c(slots, a, c, True):
+                    for br in _push_per_c(slots, b, c, False):
+                        tasks.append((cvars, bl + br))
+            else:
+                for br in _push_per_c(slots, s, c, False):
+                    tasks.append((cvars, br))
+    return tasks
+
+
+@pytest.fixture(scope="session")
+def refuting_tasks_oracle():
+    return _refuting_tasks_per_c
 
 
 # -- oracles for the trust rule: the checking constructors ---------------------

@@ -139,15 +139,47 @@ def _lex_min_counting(csp):
     return csp.lex_min(), calls
 
 
-def _check_against_oracle(a, f, oracle_csp):
-    """The propagation engine against the oracle CSP: per refuting task the
-    same variable order, the same least solution and no more solves; one
-    layout per distinct (order, leaf set); and the verdict and least
-    witness of `is_valid` equal to those the oracle's solutions give."""
+class _Enough(Exception):
+    pass
+
+
+class _Capped(list):
+    """A list to collect solutions in that stops the search at the n-th."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def append(self, solution):
+        super().append(solution)
+        if len(self) == self.n:
+            raise _Enough
+
+
+def _first_solutions(csp, n=200):
+    """The first n solutions of csp.solve(collect=...), in its order."""
+    found = _Capped(n)
+    try:
+        csp.solve(collect=found)
+    except _Enough:
+        pass
+    return list(found)
+
+
+def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle):
+    """The propagation engine against the oracles: the refuting tasks, in
+    order, equal to those pushed afresh for each c; per task the same
+    variable order, the same least solution, no more solves and, when the
+    task is feasible, the same solutions in the same order (the first 200:
+    some random formulas have millions); one layout per
+    distinct (order, leaf set); and the verdict and least witness of
+    `is_valid` equal to those the oracle's solutions give."""
     prog = compile_formula(f)
     slots = _Slots(a, prog)
+    tasks = _refuting_tasks(slots)
+    assert tasks == refuting_tasks_oracle(slots)
     best, keys = None, set()
-    for cvars, constraints in _refuting_tasks(slots):
+    for cvars, constraints in tasks:
         csp = _CSP(slots, cvars, constraints)
         old = oracle_csp(slots, cvars, constraints)
         got, calls = _lex_min_counting(csp)
@@ -156,6 +188,7 @@ def _check_against_oracle(a, f, oracle_csp):
         if csp.feasible:
             assert csp._order() == old._order()
             keys.add((old._order(), frozenset(old.leafs)))
+            assert _first_solutions(csp) == _first_solutions(old)
         if want is not None:
             full = tuple(want.get(v, 0) for v in prog.vars)
             best = full if best is None else min(best, full)
@@ -176,36 +209,59 @@ def _relabelled(algebras, seed):
     return out
 
 
-def test_propagation_engine_matches_oracle_on_jankov(oracle_csp):
+def test_propagation_engine_matches_oracle_on_jankov(oracle_csp,
+                                                    refuting_tasks_oracle):
     targets = _relabelled(all_algebras(7), 17)
     verdicts = set()
     for a in si_algebras(5):
         chi = jankov_formula(a)
         for b in targets:
-            verdicts.add(_check_against_oracle(b, chi, oracle_csp))
+            verdicts.add(_check_against_oracle(b, chi, oracle_csp,
+                                               refuting_tasks_oracle))
     assert verdicts == {True, False}
 
 
-def test_propagation_engine_matches_oracle_on_pretrue(oracle_csp):
+def test_propagation_engine_matches_oracle_on_pretrue(oracle_csp,
+                                                     refuting_tasks_oracle):
     kg = parse(KG_AXIOM)
     pre, _, _ = pretrue_formula()
     targets = [b for b in all_algebras(10) if b.size == 10
                and is_valid(b, kg)[0]][::7]
-    verdicts = {_check_against_oracle(b, pre, oracle_csp)
+    verdicts = {_check_against_oracle(b, pre, oracle_csp,
+                                      refuting_tasks_oracle)
                 for b in _relabelled(targets, 19)}
     assert verdicts == {True, False}
 
 
 def test_propagation_engine_matches_oracle_on_random(all6, random_test_formula,
-                                                     oracle_csp):
+                                                     oracle_csp,
+                                                     refuting_tasks_oracle):
     rng = random.Random(23)
     algs = [a for a in all6 if a.size >= 2]
     checked = 0
     while checked < 40:
         f = random_test_formula(rng, 6, 7 + checked % 3)
         if len(variables(f)) >= 7:
-            _check_against_oracle(algs[checked % len(algs)], f, oracle_csp)
+            _check_against_oracle(algs[checked % len(algs)], f, oracle_csp,
+                                  refuting_tasks_oracle)
             checked += 1
+
+
+def test_refuting_tasks_with_box_match_oracle(random_test_formula,
+                                              refuting_tasks_oracle):
+    # a box moves c, so these programs still push once per c
+    rng = random.Random(29)
+    spans = [span(a)[0] for a in all_algebras(5)]
+    checked = 0
+    for s in spans:
+        for i in range(30):
+            prog = compile_formula(random_test_formula(rng, 5, 1 + i % 4,
+                                                       modal=True))
+            if prog.has_box:
+                slots = _Slots(s, prog)
+                assert _refuting_tasks(slots) == refuting_tasks_oracle(slots)
+                checked += 1
+    assert checked > 50
 
 
 def _full_product(a, f, ev):
@@ -345,6 +401,14 @@ def test_deep_chain_naive_engine():
     assert h is not g and h == g and hash(h) == hash(g)
     assert h in {g} and {g, h} == {g} and {g: 1}[h] == 1
     assert and_(g, TOP) != and_(h, BOT) and and_(g, TOP) in {and_(h, TOP)}
+    # substitution moves p1, p2, p3 of the chain to p6, p8, p10, and
+    # normalize_variables moves them back
+    want = var(5)
+    for i in range(1, 5001):
+        want = and_(want, var(2 * (i % 3) + 5))
+    moved = substitute(g, {v: var(2 * v + 5) for v in range(3)})
+    assert moved == want and variables(moved) == (5, 7, 9)
+    assert normalize_variables(moved) == (g, (5, 7, 9))
 
 
 def test_naive_engine_many_variables_on_one_element():
