@@ -172,28 +172,29 @@ def variables(f):
 def substitute(f, mapping):
     """Simultaneous substitution of formulas for variables.
 
-    Iterative, so formulas of any depth substitute: a node is rebuilt once
-    its children are, each node object once, so shared subterms stay
-    shared; a node whose children all come back unchanged is kept.
+    Iterative, so formulas of any depth substitute: the first pass lists
+    the nodes root first, right subtree before left, so that its reverse is
+    the left-to-right post-order; the second rebuilds each node from the
+    images of its children, taken from the top of a stack.
     """
-    done, todo = {}, [f]  # id(node) -> its image; every node stays alive
+    order, todo = [], [f]
     while todo:
-        g = todo[-1]
-        if id(g) in done:
-            todo.pop()
-        elif g.kind == "var":
-            done[id(g)] = mapping.get(g.args[0], g)
-            todo.pop()
+        g = todo.pop()
+        order.append(g)
+        if g.kind != "var":
+            todo.extend(g.args)
+    images = []
+    for g in reversed(order):
+        if g.kind == "var":
+            images.append(mapping.get(g.args[0], g))
+        elif g.args:
+            n = len(g.args)
+            args = tuple(images[-n:])
+            del images[-n:]
+            images.append(Formula(g.kind, args))
         else:
-            pending = [a for a in g.args if id(a) not in done]
-            if pending:
-                todo += pending
-                continue
-            todo.pop()
-            args = tuple(done[id(a)] for a in g.args)
-            same = all(x is y for x, y in zip(args, g.args))
-            done[id(g)] = g if same else Formula(g.kind, args)
-    return done[id(f)]
+            images.append(g)
+    return images[0]
 
 
 def normalize_variables(f):
@@ -588,22 +589,25 @@ class _Slots:
         for s in sorted(leaves):
             d = max((pos[u] for u in _bits(svars[s])), default=-1)
             (ground if d < 0 else at_depth[d]).append(s)
-        levels, done = [], set()
+        levels, done = [], set()  # slots that earlier steps compute
         for x, here in zip(order, at_depth):
-            pre, checks, computed = set(), [], set()
+            pre, checks, owns = [], [], []
             for s in here:
                 own, todo = set(), [s]
                 while todo:
                     t = todo.pop()
                     op, a, b = code[t]
-                    if (t in own or t in pre or t in done or op == "var"
-                            or not svars[t]):
+                    if t in own or t in done or op == "var" or not svars[t]:
                         continue
-                    (own if svars[t] >> x & 1 else pre).add(t)
+                    if svars[t] >> x & 1:
+                        own.add(t)
+                    else:
+                        pre.append(t)
+                        done.add(t)
                     todo += (a,) if b is None else (a, b)
                 checks.append((self._steps(own), s))
-                computed |= own
-            done |= computed | pre
+                owns.append(own)
+            done.update(*owns)
             levels.append((x, self.var_slot.get(x), self._steps(pre), checks))
         got = self._layouts[key] = (levels, ground)
         return got
