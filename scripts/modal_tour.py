@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""A tour of the modal diagrams and presentations: over the spans of every
+Heyting algebra up to 5 elements, their open-generated parts and every
+quotient by an open element, the sha256 of the pretty-printed diagram of
+each, and for each s.i. one the sha256 of its modal characteristic formula
+under both connectives.  Then the `check_defines` verdict of the GMT
+presentation of each algebra's diagram over the spans.
+
+Its output is compared with tests/golden/modal_tour.txt, so any change to
+a diagram, a characteristic formula or a verdict shows:
+
+    PYTHONPATH=src python3 scripts/modal_tour.py | diff - tests/golden/modal_tour.txt
+"""
+
+import hashlib
+
+from charform.catalog import all_algebras
+from charform.formula import pretty
+from charform.jankov import diagram_formula
+from charform.modal import (gmt_presentation, is_si_modal,
+                            modal_characteristic_formula, open_generated,
+                            quotient_by_open, span)
+from charform.presentation import check_defines, diagram_presentation
+
+
+def digest(f):
+    return hashlib.sha256(pretty(f).encode()).hexdigest()
+
+
+def main():
+    heyting = all_algebras(5)
+    spans = [span(a)[0] for a in heyting]
+    for i, s in enumerate(spans):
+        parts = [("span", s), ("open-generated", open_generated(s))]
+        parts += [(f"quotient by {o}", quotient_by_open(s, o)) for o in s.opens]
+        for name, b in parts:
+            print(f"span {i} {name}: {b.atoms} atoms, box {list(b.box)}")
+            print(f"  diagram {digest(diagram_formula(b)[0])}")
+            if is_si_modal(b):
+                mp = diagram_presentation(b)
+                for connective in ("box-imp", "imp"):
+                    chi = modal_characteristic_formula(mp, connective)
+                    print(f"  chi {connective} {digest(chi)}")
+    for i, a in enumerate(heyting):
+        v = check_defines(gmt_presentation(diagram_presentation(a)), spans)
+        where = ("" if v.witness_algebra is None
+                 else f" on span {spans.index(v.witness_algebra)}")
+        print(f"gmt(diagram {i}, size {a.size}): {v}{where}")
+
+
+if __name__ == "__main__":
+    main()

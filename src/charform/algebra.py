@@ -39,7 +39,6 @@ class NoSuchAlgebra(AlgebraError):
     pass
 
 
-DEFAULT_FILTER_LIMIT = 20
 DEFAULT_SH_LIMIT = 40
 
 
@@ -503,14 +502,12 @@ def principal_filter(a, x):
     return Filter(a, a.up[x])
 
 
-def enumerate_filters(a, limit=DEFAULT_FILTER_LIMIT):
+def enumerate_filters(a):
     """All filters of a, ordered by member bitmask ascending.
 
     Every filter of a finite lattice is principal, so there are exactly
-    a.size of them; the limit is kept as a guard for oversized inputs.
+    a.size of them.
     """
-    if a.size > limit:
-        raise SizeLimit(f"filter enumeration capped at {limit} elements")
     return [Filter(a, m) for m in sorted(a.up)]
 
 
@@ -752,7 +749,7 @@ def in_sh(a, b, size_limit=DEFAULT_SH_LIMIT):
     """
     if b.size > size_limit:
         raise SizeLimit(f"in_sh target exceeds {size_limit} elements")
-    for filt in enumerate_filters(b, limit=size_limit):
+    for filt in enumerate_filters(b):
         q, _ = quotient(b, filt)
         if a.size > q.size:
             continue

@@ -4,14 +4,21 @@ Grammar: constructors Z(n) (one-generated ladder quotient), C(n) (chain),
 B(n) (Boolean with n atoms), product `x`, concatenation `+` (binding looser
 than `x`), quotient `expr / nabla(i)` by the principal filter of element i,
 and truncations trunc(name, k) for the built-ins Zinf, Zprime, Zstar, KG.
+
+Sizes are capped before any table is built.  Z(n) and C(n) past n = 64,
+and a product or concatenation past 1024 elements (the size of B(10)),
+raise `SizeLimit`; B(n) past n = 10 is an `ExprError`.
 """
 
 from __future__ import annotations
 
 import re
 
-from .algebra import concat, principal_filter, product, quotient
+from .algebra import SizeLimit, concat, principal_filter, product, quotient
 from .rn import boolean, chain, rn_algebra, trunc
+
+MAX_CHAIN = 64
+MAX_ELEMENTS = 1 << 10
 
 
 class ExprError(ValueError):
@@ -60,14 +67,18 @@ def parse_algebra_expr(text):
         a = parse_product()
         while peek() == "+":
             take()
-            a = concat(a, parse_product())
+            b = parse_product()
+            _check_size(a.size + b.size - 1, "concatenation")
+            a = concat(a, b)
         return a
 
     def parse_product():
         a = parse_quot()
         while peek() == "x":
             take()
-            a = product(a, parse_quot())
+            b = parse_quot()
+            _check_size(a.size * b.size, "product")
+            a = product(a, b)
         return a
 
     def parse_quot():
@@ -100,6 +111,9 @@ def parse_algebra_expr(text):
             if tok == "C":
                 if n < 1:
                     raise ExprError("C(n) needs n >= 1", p)
+                if n > MAX_CHAIN:
+                    raise SizeLimit(f"chains are capped at {MAX_CHAIN} "
+                                    "elements")
                 return chain(n)
             if n > 10:
                 raise ExprError("B(n) capped at n = 10", p)
@@ -120,3 +134,9 @@ def parse_algebra_expr(text):
     if i < len(tokens):
         raise ExprError(f"unexpected token {tokens[i][0]!r}", tokens[i][1])
     return a
+
+
+def _check_size(n, what):
+    if n > MAX_ELEMENTS:
+        raise SizeLimit(f"a {what} of {n} elements exceeds the cap of "
+                        f"{MAX_ELEMENTS}")

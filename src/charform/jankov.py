@@ -1,17 +1,16 @@
 """Diagram, Jankov, de Jongh-style and characteristic formulas.
 
-The diagram of a finite algebra writes out its operation tables as one big
-conjunction of biconditionals; the Jankov formula is the diagram implying
-the variable of the opremum.  Characteristic formulas generalize this to an
-arbitrary finite presentation of the algebra.
+The diagram of a finite Heyting or interior algebra writes out the
+operation tables of its `signature` as one big conjunction of
+biconditionals; the Jankov formula is the diagram implying the variable of
+the opremum.  Characteristic formulas generalize this to an arbitrary
+finite presentation of the algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import is_si, opremum
-from .formula import Formula, and_, conj, iff, imp, neg, or_, var
+from .formula import Formula, and_, conj, iff, imp, neg, var
 
 
 class NotSI(ValueError):
@@ -22,32 +21,31 @@ class NotGenerated(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DiagramAssignment:
-    """Generators with their variables, and a defining term per element."""
-
-    algebra: object
-    generators: tuple
-    terms: dict
+def _diagram_conjuncts(algebra, term):
+    """One biconditional op(term[x], term[y]) <-> term[op(x, y)] per entry
+    of the algebra's operation tables, read from its `signature`: each
+    binary operation row by row, then each unary one, in signature order."""
+    binary, unary = algebra.signature
+    every = range(algebra.size)
+    for kind, row, _ in binary:
+        for x in every:
+            tx = term[x]
+            for y, z in zip(every, row(algebra, x, every)):
+                yield iff(Formula(kind, (tx, term[y])), term[z])
+    for kind, op in unary:
+        for x in every:
+            yield iff(Formula(kind, (term[x],)), term[op(algebra, x)])
 
 
 def diagram_formula(algebra):
     """Diagram of the algebra and its identity valuation.
 
-    One biconditional per entry of the meet, join and imp tables (row-major,
-    in that order) plus one per negation-table entry: 3n^2 + n conjuncts.
+    One conjunct per table entry (`_diagram_conjuncts` over the variables):
+    3n^2 + n for a Heyting algebra, 3n^2 + 2n with box for an interior one.
     """
     n = algebra.size
-    conjuncts = []
-    for make, tab in (((lambda x, y: and_(var(x), var(y))), algebra.meet),
-                      ((lambda x, y: or_(var(x), var(y))), algebra.join),
-                      ((lambda x, y: imp(var(x), var(y))), algebra.imp)):
-        for x in range(n):
-            for y in range(n):
-                conjuncts.append(iff(make(x, y), var(tab[x][y])))
-    for x in range(n):
-        conjuncts.append(iff(neg(var(x)), var(algebra.neg[x])))
-    return conj(conjuncts), {i: i for i in range(n)}
+    return (conj(_diagram_conjuncts(algebra, [var(x) for x in range(n)])),
+            {x: x for x in range(n)})
 
 
 def jankov_formula(algebra):
@@ -119,19 +117,13 @@ def term_for_element(algebra, gens, target):
     return known[target]
 
 
-def diagram_assignment(algebra, generators):
-    terms = terms_for_all(algebra, generators)
-    if len(terms) != algebra.size:
-        raise NotGenerated("generators do not generate the algebra")
-    return DiagramAssignment(algebra, tuple(generators), terms)
-
-
 def dejongh_formula(algebra):
     """Reduced-diagram variant over the join-irreducible generators.
 
     Generators are the join-irreducible elements distinct from top (bottom
     is excluded as the empty join); every element is replaced by a defining
-    term and syntactically duplicate conjuncts are dropped.
+    term.  Distinct elements have distinct terms, as the terms take their
+    elements' values at the generators, so no conjunct repeats.
     """
     if not is_si(algebra):
         raise NotSI("de Jongh formula needs a subdirectly irreducible algebra")
@@ -140,26 +132,10 @@ def dejongh_formula(algebra):
         # the two-element algebra has no generators below top; its
         # characteristic formula is the contradiction
         return and_(var(0), neg(var(0)))
-    assignment = diagram_assignment(algebra, [(i, g) for i, g in enumerate(gens)])
-    terms = assignment.terms
-    n = algebra.size
-    conjuncts = []
-    seen = set()
-
-    def add(f):
-        if f not in seen:
-            seen.add(f)
-            conjuncts.append(f)
-
-    for make, tab in (((lambda a, b: and_(terms[a], terms[b])), algebra.meet),
-                      ((lambda a, b: or_(terms[a], terms[b])), algebra.join),
-                      ((lambda a, b: imp(terms[a], terms[b])), algebra.imp)):
-        for x in range(n):
-            for y in range(n):
-                add(iff(make(x, y), terms[tab[x][y]]))
-    for x in range(n):
-        add(iff(neg(terms[x]), terms[algebra.neg[x]]))
-    return imp(conj(conjuncts), terms[opremum(algebra)])
+    # the join-irreducibles generate every element, as joins
+    terms = terms_for_all(algebra, list(enumerate(gens)))
+    return imp(conj(_diagram_conjuncts(algebra, terms)),
+               terms[opremum(algebra)])
 
 
 def characteristic_formula(presentation):

@@ -13,24 +13,26 @@ bitwise on masks, box a lookup in the interior table.  `evaluate_modal` is
 in one numpy batch (`formula.first_refutation`); when every variable occurs
 boxed the batch ranges over open values only.  `modal_refutable` runs the
 propagation engine of `formula` on the algebra itself.
+
+Diagrams, presentations and `check_defines` are those of `jankov` and
+`presentation`, which read an algebra's `signature` and so serve interior
+algebras with box as they serve Heyting algebras; `gmt_presentation`
+carries a Heyting presentation over to the span as a `Presentation`.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .algebra import (HeytingAlgebra, SizeLimit, is_si, opremum,
-                      subalgebra_closure, _Trusted, _bits)
-from .formula import (Formula, _CSP, _Slots, _refuting_tasks, and_, box,
+from .algebra import HeytingAlgebra, SizeLimit, is_si, opremum, _Trusted, _bits
+from .formula import (Formula, _CSP, _Slots, _refuting_tasks, box,
                       compile_formula, conj, evaluate, first_refutation, iff,
-                      imp, neg, or_, var)
+                      imp, neg, var)
 from .jankov import NotSI, term_for_element
-from .presentation import GenerationPlan, _check_extensions
+from .presentation import Presentation
 
 
 class NotS4(ValueError):
@@ -387,52 +389,7 @@ def in_sh_modal(a, b):
     return False, None
 
 
-# -- modal diagrams, presentations, characteristic formulas -----------------------
-
-
-@dataclass(frozen=True)
-class ModalPresentation:
-    formula: Formula
-    target: InteriorAlgebra
-    valuation: dict
-    name: str = ""
-
-    def __post_init__(self):
-        if evaluate_modal(self.formula, self.target, self.valuation) != self.target.full:
-            raise ValueError("modal presentation formula is not top")
-        gens = set(self.valuation.values())
-        if len(subalgebra_closure(self.target, gens)) != self.target.size:
-            raise ValueError("valuation image does not generate the target")
-
-    @cached_property
-    def plan(self):
-        """The `GenerationPlan` of the target from the valuation image, in
-        ascending variable order; built on first use."""
-        return GenerationPlan(self.target,
-                              [self.valuation[v] for v in sorted(self.valuation)])
-
-
-def modal_diagram_formula(b):
-    """Operation-table diagram with box conjuncts, identity valuation."""
-    n = b.size
-    conjuncts = []
-    for make, val in (((lambda x, y: and_(var(x), var(y))), lambda x, y: x & y),
-                      ((lambda x, y: or_(var(x), var(y))), lambda x, y: x | y),
-                      ((lambda x, y: imp(var(x), var(y))),
-                       lambda x, y: (~x & b.full) | y)):
-        for x in range(n):
-            for y in range(n):
-                conjuncts.append(iff(make(x, y), var(val(x, y))))
-    for x in range(n):
-        conjuncts.append(iff(neg(var(x)), var(x ^ b.full)))
-    for x in range(n):
-        conjuncts.append(iff(box(var(x)), var(b.box[x])))
-    return conj(conjuncts), {i: i for i in range(n)}
-
-
-def modal_diagram_presentation(b, name="modal-diagram"):
-    d, v = modal_diagram_formula(b)
-    return ModalPresentation(d, b, v, name)
+# -- GMT presentations and modal characteristic formulas -----------------------
 
 
 def gmt_presentation(p, span_pair=None):
@@ -448,7 +405,7 @@ def gmt_presentation(p, span_pair=None):
     open_conjs = [iff(box(var(v)), var(v)) for v in sorted(p.valuation)]
     formula = conj([t] + open_conjs)
     valuation = {v: embed[e] for v, e in p.valuation.items()}
-    return ModalPresentation(formula, s, valuation, name=f"gmt({p.name})")
+    return Presentation(formula, s, valuation, name=f"gmt({p.name})")
 
 
 def modal_characteristic_formula(p, connective="box-imp"):
@@ -467,11 +424,6 @@ def modal_characteristic_formula(p, connective="box-imp"):
     if connective == "imp":
         return imp(p.formula, bterm)
     raise ValueError(f"unknown connective {connective!r}")
-
-
-def check_defines_modal(p, corpus):
-    """Extension criterion for a modal presentation over interior algebras."""
-    return _check_extensions(p, corpus)
 
 
 # -- the interior operator the long way ------------------------------------------

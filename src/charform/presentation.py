@@ -4,7 +4,9 @@ A presentation claims that a formula plus a valuation defines its target
 algebra over a variety.  `check_defines` tests the homomorphism-extension
 criterion against every s.i. member of a finite corpus of the variety and
 returns an explicit refutation or a verified-up-to-bound verdict, never an
-unconditional yes.
+unconditional yes.  The target may be a Heyting or an interior algebra
+(`modal`): presentations, plans and `check_defines` read only its
+`signature` and its operations, so one layer serves both kinds.
 
 The criterion runs on a `GenerationPlan`, built once per presentation and
 cached on it: how the valuation image generates the target (the steps of
@@ -24,12 +26,12 @@ import re
 
 import numpy as np
 
-from .algebra import (HeytingAlgebra, Poset, canonical_key, close_set, concat,
+from .algebra import (Poset, canonical_key, close_set, concat,
                       concat_embedding, enumerate_filters, induced_subalgebra,
                       is_si, principal_filter, quotient, subalgebra_closure,
                       _bits)
 from .formula import (Formula, and_, compile_formula, conj, evaluate,
-                      enumerate_top_valuations, iff, imp, is_valid, parse,
+                      enumerate_top_valuations, iff, is_valid, parse,
                       pretty, run_program, variables)
 from .jankov import diagram_formula, generation_steps
 from .rn import TruncationTooSmall, trunc_zprime
@@ -46,10 +48,11 @@ class BadAnchor(ValueError):
 @dataclass(frozen=True)
 class Presentation:
     """A formula, a valuation into the target, and the claim that the pair
-    defines the target over the variety."""
+    defines the target over the variety.  The target is a Heyting or an
+    interior algebra."""
 
     formula: Formula
-    target: HeytingAlgebra
+    target: object
     valuation: dict
     variety: "VarietyHandle | None" = None
     name: str = ""
@@ -71,7 +74,8 @@ class Presentation:
 
 
 def diagram_presentation(algebra, variety=None, name=""):
-    """The trivial presentation: diagram formula with identity valuation."""
+    """The trivial presentation: diagram formula with identity valuation,
+    of a Heyting or an interior algebra."""
     d, val = diagram_formula(algebra)
     return Presentation(d, algebra, val, variety, name or "diagram")
 
@@ -117,7 +121,7 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
     found, keys = {}, {}  # keys: canonical_key of each order by up masks
     if handle.generators:
         for gi, g in enumerate(handle.generators):
-            for filt in enumerate_filters(g, limit=max(g.size, 20)):
+            for filt in enumerate_filters(g):
                 q, _ = quotient(g, filt)
                 for carrier in _bounded_subalgebras(q, bound):
                     order = _si_order(q, carrier)
@@ -200,7 +204,7 @@ class Verdict:
 
     kind: str  # "refuted" | "verified-up-to-bound"
     bound: int = 0
-    witness_algebra: HeytingAlgebra | None = None
+    witness_algebra: object = None
     witness_tuple: tuple = ()
 
     @property
@@ -308,23 +312,18 @@ def extends_to_homomorphism(source, target, pairs):
 
 
 def check_defines(presentation, corpus=None, size_bound=None):
-    """Homomorphism-extension check of a presentation over a corpus.
+    """Homomorphism-extension check of a presentation over a corpus, for
+    Heyting and for interior algebras.
 
     For every corpus algebra B and every tuple b with A(b) = top, the map
     generator_i -> b_i must extend to a homomorphism; the first failure is
-    returned as a refutation.
+    returned as a refutation.  Each corpus algebra is one batch check of
+    all its top tuples against the presentation's cached plan.
     """
     if corpus is None:
         if presentation.variety is None:
             raise ValueError("no corpus and no variety handle")
         corpus = build_corpus(presentation.variety, size_bound)
-    return _check_extensions(presentation, corpus)
-
-
-def _check_extensions(presentation, corpus):
-    """The loop of check_defines, for Heyting and for interior algebras:
-    one batch check per corpus algebra of all its top tuples, against the
-    presentation's cached plan."""
     vars_ = sorted(presentation.valuation)
     bound = max((b.size for b in corpus), default=0)
     for b in corpus:

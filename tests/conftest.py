@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
-from charform.algebra import (HeytingAlgebra, _bits, close_set,
+from charform.algebra import (HeytingAlgebra, _bits, close_set, opremum,
                               subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
-                              UnboundVariable, _conjuncts,
-                              enumerate_top_valuations, var)
+                              UnboundVariable, _conjuncts, and_, box, conj,
+                              enumerate_top_valuations, iff, imp, neg, or_,
+                              var)
+from charform.jankov import terms_for_all
 from charform.modal import InteriorAlgebra
 
 
@@ -114,6 +116,87 @@ def evaluate_oracle():
 @pytest.fixture(scope="session")
 def evaluate_modal_oracle():
     return _evaluate_modal
+
+
+# -- slow oracles: the table loops the one diagram generator replaced ---------
+
+
+def _diagram_formula(algebra):
+    """Heyting diagram and identity valuation: the meet, join and imp
+    tables row by row, then the negation table."""
+    n = algebra.size
+    conjuncts = []
+    for make, tab in (((lambda x, y: and_(var(x), var(y))), algebra.meet),
+                      ((lambda x, y: or_(var(x), var(y))), algebra.join),
+                      ((lambda x, y: imp(var(x), var(y))), algebra.imp)):
+        for x in range(n):
+            for y in range(n):
+                conjuncts.append(iff(make(x, y), var(tab[x][y])))
+    for x in range(n):
+        conjuncts.append(iff(neg(var(x)), var(algebra.neg[x])))
+    return conj(conjuncts), {i: i for i in range(n)}
+
+
+def _modal_diagram_formula(b):
+    """Interior diagram and identity valuation: the Boolean tables computed
+    on masks, then negation, then box."""
+    n = b.size
+    conjuncts = []
+    for make, val in (((lambda x, y: and_(var(x), var(y))), lambda x, y: x & y),
+                      ((lambda x, y: or_(var(x), var(y))), lambda x, y: x | y),
+                      ((lambda x, y: imp(var(x), var(y))),
+                       lambda x, y: (~x & b.full) | y)):
+        for x in range(n):
+            for y in range(n):
+                conjuncts.append(iff(make(x, y), var(val(x, y))))
+    for x in range(n):
+        conjuncts.append(iff(neg(var(x)), var(x ^ b.full)))
+    for x in range(n):
+        conjuncts.append(iff(box(var(x)), var(b.box[x])))
+    return conj(conjuncts), {i: i for i in range(n)}
+
+
+def _dejongh_formula(algebra):
+    """The de Jongh formula of a s.i. algebra by its own table loop over
+    the terms of the join-irreducibles below top, duplicates dropped."""
+    gens = [x for x in algebra.join_irreducibles() if x != algebra.top]
+    if not gens:
+        return and_(var(0), neg(var(0)))
+    terms = terms_for_all(algebra, list(enumerate(gens)))
+    assert len(terms) == algebra.size
+    n = algebra.size
+    conjuncts = []
+    seen = set()
+
+    def add(f):
+        if f not in seen:
+            seen.add(f)
+            conjuncts.append(f)
+
+    for make, tab in (((lambda a, b: and_(terms[a], terms[b])), algebra.meet),
+                      ((lambda a, b: or_(terms[a], terms[b])), algebra.join),
+                      ((lambda a, b: imp(terms[a], terms[b])), algebra.imp)):
+        for x in range(n):
+            for y in range(n):
+                add(iff(make(x, y), terms[tab[x][y]]))
+    for x in range(n):
+        add(iff(neg(terms[x]), terms[algebra.neg[x]]))
+    return imp(conj(conjuncts), terms[opremum(algebra)])
+
+
+@pytest.fixture(scope="session")
+def diagram_oracle():
+    return _diagram_formula
+
+
+@pytest.fixture(scope="session")
+def modal_diagram_oracle():
+    return _modal_diagram_formula
+
+
+@pytest.fixture(scope="session")
+def dejongh_oracle():
+    return _dejongh_formula
 
 
 # -- slow oracle: the closure-based extension check the batched plan replaced --

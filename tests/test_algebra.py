@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charform.algebra import (Filter, HeytingAlgebra, NotALattice,
-                              NotResiduated, Poset, SizeLimit,
+                              NotResiduated, Poset,
                               algebra_from_json, algebra_to_json,
                               canonical_key, concat, concat_embedding,
                               dense_elements,
@@ -208,11 +208,6 @@ def test_filter_counts():
     assert len(enumerate_filters(Z2)) == 2
     assert len(enumerate_filters(chain(3))) == 3
     assert len(enumerate_filters(SQUARE)) == 4
-
-
-def test_filter_limit():
-    with pytest.raises(SizeLimit):
-        enumerate_filters(chain(10), limit=5)
 
 
 def test_quotient_examples():

@@ -47,6 +47,15 @@ def test_show(capsys):
     assert code == 2
 
 
+def test_show_size_caps(capsys):
+    # C(n) is capped as Z(n) is, and x and + are capped on the size of
+    # their result before any table is built
+    for expr in ("C(65)", "C(40) x C(40)"):
+        code = main(["show", expr])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("size limit:")
+
+
 def test_show_notation_note(capsys):
     _, out = run(capsys, "show", "Z(8)")
     assert "note:" in out

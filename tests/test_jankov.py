@@ -1,10 +1,12 @@
 import pytest
 
 from charform.algebra import concat, homomorphism_search, in_sh, opremum
+from charform.catalog import si_algebras
 from charform.formula import evaluate, is_valid, pretty, var, variables
 from charform.jankov import (NotGenerated, NotSI, characteristic_formula,
                              dejongh_formula, diagram_formula, jankov_formula,
                              term_for_element, terms_for_all)
+from charform.modal import open_generated, quotient_by_open, span
 from charform.presentation import diagram_presentation, zprime_presentation
 from charform.rn import boolean, rn_algebra, trunc_zprime
 
@@ -22,6 +24,27 @@ def test_diagram_conjunct_count():
         d, _ = diagram_formula(a)
         # each of the 3n^2 + n biconditionals expands to two implications
         assert len(_conjuncts(d)) == 2 * (3 * n * n + n)
+
+
+def test_diagram_formula_matches_oracles(all6, diagram_oracle,
+                                         modal_diagram_oracle):
+    # the one generator against the old Heyting and interior table loops,
+    # on all_algebras(6), their spans, open-generated parts and quotients
+    # by open elements
+    interior = 0
+    for a in all6:
+        assert diagram_formula(a) == diagram_oracle(a)
+        s, _ = span(a)
+        for b in [s, open_generated(s)] + [quotient_by_open(s, o)
+                                           for o in s.opens]:
+            assert diagram_formula(b) == modal_diagram_oracle(b)
+            interior += 1
+    assert interior > 2 * len(all6)
+
+
+def test_dejongh_formula_matches_oracle(dejongh_oracle):
+    for a in si_algebras(7):
+        assert dejongh_formula(a) == dejongh_oracle(a)
 
 
 def test_diagram_identity_valuation(si6):

@@ -10,16 +10,15 @@ from charform.formula import (Formula, UnboundVariable, box, compile_formula,
                               conj, imp, is_valid, parse, pretty,
                               random_formula, substitute, var, variables)
 from charform.jankov import NotSI
-from charform.modal import (InteriorAlgebra, ModalPresentation, NotS4,
-                            box_from_meet_of_arrows, check_defines_modal,
+from charform.modal import (InteriorAlgebra, NotS4, box_from_meet_of_arrows,
                             evaluate_modal, gmt_presentation, gmt_translate,
                             heyting_carcass, in_sh_modal, interior_from_json,
                             interior_to_json, is_si_modal,
-                            modal_characteristic_formula,
-                            modal_diagram_presentation, modal_refutable,
+                            modal_characteristic_formula, modal_refutable,
                             modal_validity, open_generated, quotient_by_open,
                             span)
-from charform.presentation import diagram_presentation
+from charform.presentation import (Presentation, check_defines,
+                                   diagram_presentation)
 from charform.rn import boolean, chain, rn_algebra
 
 
@@ -348,13 +347,13 @@ def test_in_sh_modal():
 
 def test_modal_characteristic_formula():
     s3, _ = span(rn_algebra(3))
-    mp = modal_diagram_presentation(s3)
+    mp = diagram_presentation(s3)
     chi = modal_characteristic_formula(mp)
     assert evaluate_modal(chi, s3, mp.valuation) != s3.full
     s2, _ = span(rn_algebra(2))
     assert not modal_refutable(s2, chi)
     with pytest.raises(NotSI):
-        modal_characteristic_formula(modal_diagram_presentation(span(boolean(2))[0]))
+        modal_characteristic_formula(diagram_presentation(span(boolean(2))[0]))
 
 
 def test_modal_characteristic_connectives():
@@ -367,7 +366,7 @@ def test_modal_characteristic_connectives():
     witnessed_difference = False
     for a in (rn_algebra(3), chain(4)):
         s, _ = span(a)
-        mp = modal_diagram_presentation(s)
+        mp = diagram_presentation(s)
         chi_box = modal_characteristic_formula(mp, "box-imp")
         chi_plain = modal_characteristic_formula(mp, "imp")
         assert evaluate_modal(chi_box, s, mp.valuation) != s.full
@@ -389,7 +388,7 @@ def test_theorem_shadow_refutation_implies_sub_hom():
     spans = [span(a)[0] for a in small]
     for a in sis:
         sa, _ = span(a)
-        chi = modal_characteristic_formula(modal_diagram_presentation(sa))
+        chi = modal_characteristic_formula(diagram_presentation(sa))
         for sb in spans:
             if modal_refutable(sb, chi):
                 assert in_sh_modal(sa, sb)[0]
@@ -398,26 +397,24 @@ def test_theorem_shadow_refutation_implies_sub_hom():
 def test_translf_shadow():
     corpus_h = [rn_algebra(2), rn_algebra(3), chain(4), boolean(2), rn_algebra(5)]
     corpus_m = [span(a)[0] for a in corpus_h]
-    from charform.presentation import Presentation, check_defines
     for a in (rn_algebra(3), chain(4), rn_algebra(5)):
         hp = diagram_presentation(a)
         mp = gmt_presentation(hp)
         hv = check_defines(hp, [c for c in corpus_h if is_si(c)])
-        mv = check_defines_modal(mp, corpus_m)
+        mv = check_defines(mp, corpus_m)
         assert not hv.refuted and not mv.refuted
     # a presentation that fails on the Heyting side fails on the modal side
     z2 = rn_algebra(2)
     hp = Presentation(parse("~~p1 -> p1"), z2, {0: z2.top})
     mp = gmt_presentation(hp)
     hv = check_defines(hp, [c for c in corpus_h if is_si(c)])
-    mv = check_defines_modal(mp, corpus_m)
+    mv = check_defines(mp, corpus_m)
     assert hv.refuted and mv.refuted
 
 
 def test_check_defines_modal_matches_oracle_loop(check_defines_oracle):
     # GMT presentations over the spans of all_algebras(5), one member at a
     # time, so every refutation is compared
-    from charform.presentation import Presentation
     spans = [span(a)[0] for a in all_algebras(5)]
     c3, z2 = rn_algebra(3), rn_algebra(2)
     g = c3.element_by_label("g")
@@ -430,7 +427,7 @@ def test_check_defines_modal_matches_oracle_loop(check_defines_oracle):
     for hp in heyting:
         mp = gmt_presentation(hp)
         for b in spans:
-            v = check_defines_modal(mp, [b])
+            v = check_defines(mp, [b])
             assert ((v.kind, v.bound, v.witness_algebra, v.witness_tuple)
                     == check_defines_oracle(mp, [b]))
             kinds.add(v.kind)
@@ -463,15 +460,15 @@ def test_modal_closure_matches_naive_fixpoint(all6):
 
 def test_modal_trivial_source_has_no_extension():
     trivial = InteriorAlgebra(0, [0])
-    p = ModalPresentation(parse("p1"), trivial, {0: 0})
-    v = check_defines_modal(p, [span(rn_algebra(2))[0]])
+    p = Presentation(parse("p1"), trivial, {0: 0})
+    v = check_defines(p, [span(rn_algebra(2))[0]])
     assert str(v) == "REFUTED(tuple=(1,))"
 
 
 def test_modal_presentation_validation():
     s3, _ = span(rn_algebra(3))
     with pytest.raises(ValueError):
-        ModalPresentation(parse("p1 & ~p1"), s3, {0: s3.full})
+        Presentation(parse("p1 & ~p1"), s3, {0: s3.full})
 
 
 def test_interior_json_round_trip():
