@@ -4,7 +4,9 @@ Elements are integers 0..size-1.  The order and all element subsets are
 bitmasks, so kernel operations reduce to table lookups and mask arithmetic.
 Algebras are immutable after construction.  The public constructors check
 their input in full at any size; the library's own constructions, correct
-by construction, build through the private `_trusted` classmethod.
+by construction, skip the check: every derived Heyting algebra is built by
+`_from_tables` from its operation tables, through the private `_trusted`
+classmethod.
 
 `close_set` and the generation search in `jankov` work on any algebra that
 lists its operations as a `signature`; interior algebras (`modal`) give
@@ -47,6 +49,16 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _transpose(up):
+    """The down masks of an order given by its up masks: i is in down[j]
+    iff j is in up[i]."""
+    down = [0] * len(up)
+    for i, m in enumerate(up):
+        for j in _bits(m):
+            down[j] |= 1 << i
+    return down
 
 
 class _Trusted:
@@ -171,11 +183,7 @@ class HeytingAlgebra(_Trusted):
     def _fill(self, up, meet, join, imp, bottom, top, labels=None):
         self.size = len(up)
         self.up = tuple(up)
-        down = [0] * self.size
-        for i in range(self.size):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
-        self.down = tuple(down)
+        self.down = tuple(_transpose(up))
         self.meet = tuple(tuple(r) for r in meet)
         self.join = tuple(tuple(r) for r in join)
         self.imp = tuple(tuple(r) for r in imp)
@@ -291,10 +299,7 @@ def make_algebra(leq_rows, labels=None):
     poset = Poset.from_leq(leq_rows)
     n = poset.size
     up = poset.up
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
+    down = _transpose(up)
 
     def _extreme(common, sets, kind):
         # the element of `common` whose `sets` mask covers all of common
@@ -329,65 +334,70 @@ def make_algebra(leq_rows, labels=None):
     return HeytingAlgebra(up, meet, join, imp, bottom, top, labels=labels)
 
 
+def _from_tables(meet, join, imp, labels=None):
+    """The algebra on operation tables the library derived.  The order is
+    read off the meet table (x <= y iff x & y = x), and bottom and top off
+    the order."""
+    up = [sum(1 << y for y, m in enumerate(row) if m == x)
+          for x, row in enumerate(meet)]
+    bottom = up.index((1 << len(up)) - 1)
+    top = next(x for x, m in enumerate(up) if m == 1 << x)
+    return HeytingAlgebra._trusted(up, meet, join, imp, bottom, top, labels)
+
+
+def _image(a, elems, img, labels=None):
+    """The algebra on `elems`, listed in their new index order, with a's
+    operations read through `img`, which maps each element of a to its new
+    index; labels default to a's labels of `elems`."""
+    def read(table):
+        rows = [table[x] for x in elems]
+        return [[img[r[y]] for y in elems] for r in rows]
+
+    if labels is None and a.labels:
+        labels = [a.label(x) for x in elems]
+    return _from_tables(read(a.meet), read(a.join), read(a.imp), labels)
+
+
+def _set_algebra(sets, interior):
+    """The algebra on `sets`, ascending bitmasks closed under & and |, with
+    u -> v = interior(~u | v); the last set is the whole carrier."""
+    idx = {s: i for i, s in enumerate(sets)}
+    full = sets[-1]
+    meet = [[idx[u & v] for v in sets] for u in sets]
+    join = [[idx[u | v] for v in sets] for u in sets]
+    imp = [[idx[interior((u ^ full) | v)] for v in sets] for u in sets]
+    return _from_tables(meet, join, imp)
+
+
 def upset_algebra(poset):
-    """Heyting algebra of up-closed subsets of a poset, ordered by inclusion."""
-    masks = poset.upset_masks()
-    idx = {m: i for i, m in enumerate(masks)}
-    n = len(masks)
-    pup = poset.up
+    """Heyting algebra of up-closed subsets of a poset, ordered by inclusion;
+    the interior of a set is the complement of the down-closure of its
+    complement."""
     full = (1 << poset.size) - 1
-    up = [0] * n
-    for i, u in enumerate(masks):
-        for j, v in enumerate(masks):
-            if u & ~v == 0:
-                up[i] |= 1 << j
-    meet = [[idx[u & v] for v in masks] for u in masks]
-    join = [[idx[u | v] for v in masks] for u in masks]
-    imp = [[0] * n for _ in range(n)]
-    for i, u in enumerate(masks):
-        for j, v in enumerate(masks):
-            w = 0
-            for x in range(poset.size):
-                if pup[x] & u & ~v == 0:
-                    w |= 1 << x
-            imp[i][j] = idx[w]
-    return HeytingAlgebra._trusted(up, meet, join, imp, idx[0], idx[full])
+    down = _transpose(poset.up)
+
+    def interior(w):
+        below = 0
+        for x in _bits(full ^ w):
+            below |= down[x]
+        return full ^ below
+
+    return _set_algebra(poset.upset_masks(), interior)
 
 
 def product(a, b):
     """Direct product; element (i, j) has index i*b.size + j."""
-    na, nb = a.size, b.size
-    n = na * nb
+    nb = b.size
 
-    def pid(i, j):
-        return i * nb + j
+    def cross(ta, tb):
+        return [[x * nb + y for x in ra for y in rb] for ra in ta for rb in tb]
 
-    up = [0] * n
-    for i in range(na):
-        for j in range(nb):
-            m = 0
-            for i2 in _bits(a.up[i]):
-                base = i2 * nb
-                for j2 in _bits(b.up[j]):
-                    m |= 1 << (base + j2)
-            up[pid(i, j)] = m
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    imp = [[0] * n for _ in range(n)]
-    for i in range(na):
-        for j in range(nb):
-            x = pid(i, j)
-            for k in range(na):
-                for l in range(nb):
-                    y = pid(k, l)
-                    meet[x][y] = pid(a.meet[i][k], b.meet[j][l])
-                    join[x][y] = pid(a.join[i][k], b.join[j][l])
-                    imp[x][y] = pid(a.imp[i][k], b.imp[j][l])
     labels = None
-    if n <= 4096:
-        labels = [f"⟨{a.label(i)},{b.label(j)}⟩" for i in range(na) for j in range(nb)]
-    return HeytingAlgebra._trusted(up, meet, join, imp, pid(a.bottom, b.bottom),
-                                   pid(a.top, b.top), labels=labels)
+    if a.size * nb <= 4096:
+        labels = [f"⟨{a.label(i)},{b.label(j)}⟩" for i in range(a.size)
+                  for j in range(nb)]
+    return _from_tables(cross(a.meet, b.meet), cross(a.join, b.join),
+                        cross(a.imp, b.imp), labels)
 
 
 def concat_embedding(a, b):
@@ -417,16 +427,6 @@ def concat(a, b):
     brest = [x for x in range(b.size) if x != b.bottom]
     bmap = concat_embedding(a, b)
     n = na + len(brest)
-    bpart_mask = sum(1 << bmap[x] for x in brest)
-
-    up = [0] * n
-    for i in range(na):
-        up[i] = a.up[i] | bpart_mask
-    for x in brest:
-        m = 0
-        for y in _bits(b.up[x]):
-            m |= 1 << bmap[y]
-        up[bmap[x]] = m
 
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
@@ -453,7 +453,7 @@ def concat(a, b):
     for x in range(na):
         if x == a.top:
             continue
-        for y in _bits(bpart_mask):
+        for y in range(na, n):
             meet[x][y] = meet[y][x] = x
             join[x][y] = join[y][x] = y
             imp[x][y] = top
@@ -465,8 +465,7 @@ def concat(a, b):
             l += "'"
         seen.add(l)
         labels[i] = l
-    return HeytingAlgebra._trusted(up, meet, join, imp, a.bottom, top,
-                                   labels=labels)
+    return _from_tables(meet, join, imp, labels)
 
 
 # -- filters, quotients, subalgebras --------------------------------------
@@ -550,30 +549,16 @@ def quotient(a, filt):
         raise ValueError("filter belongs to a different algebra")
     n = a.size
     fm = filt.members
-    rep = [-1] * n
-    reps = []
+    img, reps = [-1] * n, []
     for x in range(n):
-        if rep[x] != -1:
+        if img[x] != -1:
             continue
-        rep[x] = x
+        for y in range(x, n):
+            if img[y] == -1 and (fm >> a.imp[x][y]) & 1 and (fm >> a.imp[y][x]) & 1:
+                img[y] = len(reps)
         reps.append(x)
-        for y in range(x + 1, n):
-            if rep[y] == -1 and (fm >> a.imp[x][y]) & 1 and (fm >> a.imp[y][x]) & 1:
-                rep[y] = x
-    pos = {r: i for i, r in enumerate(reps)}
-    m = len(reps)
-    up = [0] * m
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            if (fm >> a.imp[x][y]) & 1:
-                up[i] |= 1 << j
-    meet = [[pos[rep[a.meet[x][y]]] for y in reps] for x in reps]
-    join = [[pos[rep[a.join[x][y]]] for y in reps] for x in reps]
-    imp = [[pos[rep[a.imp[x][y]]] for y in reps] for x in reps]
-    labels = [a.label(x) for x in reps] if a.labels else None
-    q = HeytingAlgebra._trusted(up, meet, join, imp, pos[rep[a.bottom]],
-                                pos[rep[a.top]], labels=labels)
-    surj = Homomorphism(a, q, tuple(pos[rep[x]] for x in range(n)))
+    q = _image(a, reps, img)
+    surj = Homomorphism(a, q, tuple(img))
     return q, surj
 
 
@@ -585,21 +570,7 @@ def induced_subalgebra(a, carrier):
     is the k-th smallest member of the carrier.
     """
     elems = sorted(carrier)
-    pos = {x: i for i, x in enumerate(elems)}
-    m = len(elems)
-    up = [0] * m
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if a.leq(x, y):
-                up[i] |= 1 << j
-    meet = [[pos[a.meet[x][y]] for y in elems] for x in elems]
-    join = [[pos[a.join[x][y]] for y in elems] for x in elems]
-    imp = [[pos[a.imp[x][y]] for y in elems] for x in elems]
-    labels = [a.label(x) for x in elems] if a.labels else None
-    bot = next(x for x in elems if all(a.leq(x, y) for y in elems))
-    topx = next(x for x in elems if all(a.leq(y, x) for y in elems))
-    sub = HeytingAlgebra._trusted(up, meet, join, imp, pos[bot], pos[topx],
-                                  labels=labels)
+    sub = _image(a, elems, {x: i for i, x in enumerate(elems)})
     return elems, sub
 
 
@@ -648,19 +619,7 @@ def generated_subalgebra(a, gens):
 
 def relabel_algebra(a, order, labels=None):
     """Permuted copy: new element k is old element order[k]."""
-    pos = {x: k for k, x in enumerate(order)}
-    n = a.size
-    up = [0] * n
-    for k, x in enumerate(order):
-        for y in _bits(a.up[x]):
-            up[k] |= 1 << pos[y]
-    meet = [[pos[a.meet[x][y]] for y in order] for x in order]
-    join = [[pos[a.join[x][y]] for y in order] for x in order]
-    imp = [[pos[a.imp[x][y]] for y in order] for x in order]
-    if labels is None and a.labels:
-        labels = [a.label(x) for x in order]
-    return HeytingAlgebra._trusted(up, meet, join, imp, pos[a.bottom],
-                                   pos[a.top], labels=labels)
+    return _image(a, order, {x: k for k, x in enumerate(order)}, labels)
 
 
 # -- searches --------------------------------------------------------------
@@ -877,10 +836,7 @@ def canonical_key(a):
     """
     n = a.size
     up = a.up
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
+    down = _transpose(up)
     colour = _refine_profile(up, down, n)
     best = None
     order = sorted(range(n), key=lambda x: (colour[x], x))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (Poset, canonical_key, concat, product, upset_algebra,
-                      _bits)
+                      _bits, _transpose)
 from .rn import boolean, chain, rn_algebra
 
 
@@ -20,12 +20,8 @@ def _extend_posets(posets, max_upsets):
     out = {}
     for p in posets:
         n = p.size
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(p.up[i]):
-                down[j] |= 1 << i
         # downsets of p = upsets of the dual
-        downsets = Poset._trusted(down).upset_masks()
+        downsets = Poset._trusted(_transpose(p.up)).upset_masks()
         for d in downsets:
             up = list(p.up)
             for i in _bits(d):

@@ -6,8 +6,8 @@ than `x`), quotient `expr / nabla(i)` by the principal filter of element i,
 and truncations trunc(name, k) for the built-ins Zinf, Zprime, Zstar, KG.
 
 Sizes are capped before any table is built.  Z(n) and C(n) past n = 64,
-and a product or concatenation past 1024 elements (the size of B(10)),
-raise `SizeLimit`; B(n) past n = 10 is an `ExprError`.
+B(n) past n = 10, and a product or concatenation past 1024 elements (the
+size of B(10)) raise `SizeLimit`.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def parse_algebra_expr(text):
                                     "elements")
                 return chain(n)
             if n > 10:
-                raise ExprError("B(n) capped at n = 10", p)
+                raise SizeLimit("Boolean algebras are capped at 10 atoms")
             return boolean(n)
         if tok == "trunc":
             take("(")

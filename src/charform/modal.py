@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .algebra import HeytingAlgebra, SizeLimit, is_si, opremum, _Trusted, _bits
+from .algebra import SizeLimit, is_si, opremum, _Trusted, _bits, _set_algebra
 from .formula import (Formula, _CSP, _Slots, _refuting_tasks, box,
                       compile_formula, conj, evaluate, first_refutation, iff,
                       imp, neg, var)
@@ -186,18 +186,27 @@ def span(algebra):
 
 def heyting_carcass(b):
     """Heyting algebra of the open elements, with x -> y = box(~x | y)."""
-    opens = list(b.opens)
-    idx = {o: i for i, o in enumerate(opens)}
-    n = len(opens)
-    up = [0] * n
-    for i, u in enumerate(opens):
-        for j, v in enumerate(opens):
-            if u & ~v == 0:
-                up[i] |= 1 << j
-    meet = [[idx[u & v] for v in opens] for u in opens]
-    join = [[idx[u | v] for v in opens] for u in opens]
-    impt = [[idx[b.box[(~u & b.full) | v]] for v in opens] for u in opens]
-    return HeytingAlgebra._trusted(up, meet, join, impt, idx[0], idx[b.full])
+    return _set_algebra(b.opens, b.box.__getitem__)
+
+
+def _on_blocks(b, blocks):
+    """The interior algebra whose atoms are `blocks`, disjoint lists of b's
+    atoms such that box maps unions of blocks to unions of blocks.  A set
+    of blocks stands for its union, and a mask of b for the blocks whose
+    first atom it holds."""
+    expand = [0]
+    for blk in blocks:
+        m = sum(1 << a for a in blk)
+        expand += [e | m for e in expand]
+
+    def collapse(mask):
+        return sum(1 << i for i, blk in enumerate(blocks) if (mask >> blk[0]) & 1)
+
+    box_table = [collapse(b.box[e]) for e in expand]
+    labels = None
+    if b.atom_labels:
+        labels = ["+".join(b.atom_labels[a] for a in blk) for blk in blocks]
+    return InteriorAlgebra._trusted(len(blocks), box_table, atom_labels=labels)
 
 
 def open_generated(b):
@@ -211,28 +220,7 @@ def open_generated(b):
     for a in range(b.atoms):
         key = tuple((o >> a) & 1 for o in b.opens)
         sig.setdefault(key, []).append(a)
-    blocks = sorted(sig.values(), key=min)
-    k = len(blocks)
-    expand = []
-    for t in range(1 << k):
-        mask = 0
-        for i in _bits(t):
-            for a in blocks[i]:
-                mask |= 1 << a
-        expand.append(mask)
-
-    def collapse(mask):
-        t = 0
-        for i, blk in enumerate(blocks):
-            if (mask >> blk[0]) & 1:
-                t |= 1 << i
-        return t
-
-    box_table = [collapse(b.box[expand[t]]) for t in range(1 << k)]
-    labels = None
-    if b.atom_labels:
-        labels = ["+".join(b.atom_labels[a] for a in blk) for blk in blocks]
-    return InteriorAlgebra._trusted(k, box_table, atom_labels=labels)
+    return _on_blocks(b, sorted(sig.values(), key=min))
 
 
 # -- Goedel-McKinsey-Tarski translation ----------------------------------------
@@ -313,28 +301,9 @@ def is_si_modal(b):
 
 
 def quotient_by_open(b, o):
-    """Quotient by the filter of an open element, on the atoms inside it."""
-    keep = [a for a in range(b.atoms) if (o >> a) & 1]
-    pos = {a: i for i, a in enumerate(keep)}
-    k = len(keep)
-
-    def restrict(mask):
-        t = 0
-        for a in keep:
-            if (mask >> a) & 1:
-                t |= 1 << pos[a]
-        return t
-
-    def expand(t):
-        mask = 0
-        for a in keep:
-            if (t >> pos[a]) & 1:
-                mask |= 1 << a
-        return mask
-
-    box_table = [restrict(b.box[expand(t)] & o) for t in range(1 << k)]
-    labels = [b.atom_labels[a] for a in keep] if b.atom_labels else None
-    return InteriorAlgebra._trusted(k, box_table, atom_labels=labels)
+    """Quotient by the filter of an open element, on the atoms inside it:
+    the interior of a set inside o is inside o."""
+    return _on_blocks(b, [[a] for a in _bits(o)])
 
 
 def _atom_neighborhoods(b):

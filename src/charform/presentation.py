@@ -533,9 +533,22 @@ def presentation_from_json(text):
             and {"formula", "target", "vars", "valuation"} <= doc.keys()):
         raise ValueError("a presentation needs formula, target, vars and "
                          "valuation")
+    vdoc = doc.get("variety") or {}
+    if not isinstance(vdoc, dict):
+        raise ValueError("variety is not an object")
+    exprs, bound = vdoc.get("generators") or [], vdoc.get("bound", 8)
+    names, values = doc["vars"], doc["valuation"]
+    if not all(isinstance(x, list) for x in (names, values, exprs)):
+        raise ValueError("vars, valuation and generators must be lists")
+    for what, value in (("formula", doc["formula"]),
+                        ("target", doc["target"]),
+                        *(("generator", e) for e in exprs)):
+        if not isinstance(value, str):
+            raise ValueError(f"{what} {value!r} is not a string")
+    if type(bound) is not int or bound < 1:
+        raise ValueError(f"bound {bound!r} is not an integer >= 1")
     formula = parse(doc["formula"])
     target = parse_algebra_expr(doc["target"])
-    names, values = doc["vars"], doc["valuation"]
     if len(names) != len(values):
         raise ValueError(f"{len(names)} vars but {len(values)} valuation "
                          "entries")
@@ -549,9 +562,8 @@ def presentation_from_json(text):
             raise ValueError(f"valuation entry {v!r} is not an element "
                              f"index 0..{target.size - 1}")
     valuation = {int(name[1:]) - 1: v for name, v in zip(names, values)}
-    vdoc = doc.get("variety") or {}
     handle = None
-    if vdoc.get("generators"):
-        gens = tuple(parse_algebra_expr(e) for e in vdoc["generators"])
-        handle = VarietyHandle.generated(gens, vdoc.get("bound", 8))
+    if exprs:
+        gens = tuple(parse_algebra_expr(e) for e in exprs)
+        handle = VarietyHandle.generated(gens, bound)
     return Presentation(formula, target, valuation, handle)

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 from .algebra import (NoSuchAlgebra, Poset, concat,
                       generated_subalgebra, make_algebra, principal_filter,
-                      product, quotient, relabel_algebra, upset_algebra)
+                      product, quotient, relabel_algebra, upset_algebra,
+                      _transpose)
 
 
 class TruncationTooSmall(Exception):
@@ -33,15 +34,16 @@ def universal_frame(rounds):
 
     def antichains():
         n = len(up)
+        down = _transpose(up)
         out = [(i,) for i in range(n)]
-        stack = [((i,), up[i] | _down_mask(up, i)) for i in range(n)]
+        stack = [((i,), up[i] | down[i]) for i in range(n)]
         while stack:
             chain, excl = stack.pop()
             for j in range(chain[-1] + 1, n):
                 if not (excl >> j) & 1:
                     ext = chain + (j,)
                     out.append(ext)
-                    stack.append((ext, excl | up[j] | _down_mask(up, j)))
+                    stack.append((ext, excl | up[j] | down[j]))
         return sorted(out)
 
     for _ in range(rounds - 1):
@@ -62,14 +64,6 @@ def universal_frame(rounds):
             up.append(mask)
             val.append(sigma)
     return Poset._trusted(up), 0
-
-
-def _down_mask(up, i):
-    m = 0
-    for j in range(len(up)):
-        if (up[j] >> i) & 1:
-            m |= 1 << j
-    return m
 
 
 def _ladder_subalgebra(rounds):

@@ -17,6 +17,7 @@ from charform.algebra import (Filter, HeytingAlgebra, NotALattice,
                               regular_elements, relabel_algebra,
                               subalgebra_closure, upset_algebra, _bits)
 from charform.catalog import _posets_with_few_upsets, all_algebras
+from charform.modal import heyting_carcass, span
 from charform.presentation import _bounded_subalgebras, _si_order
 from charform.rn import chain, rn_algebra, trunc, universal_frame
 
@@ -122,6 +123,8 @@ def test_derived_algebras_pass_the_full_check(recheck):
         order = list(range(a.size))
         random.Random(7).shuffle(order)
         recheck(relabel_algebra(a, order))
+    for a in algebras:
+        recheck(heyting_carcass(span(a)[0]))
     for p in _posets_with_few_upsets(7):
         Poset(p.up)
     Poset(universal_frame(6)[0].up)

@@ -50,7 +50,7 @@ def test_show(capsys):
 def test_show_size_caps(capsys):
     # C(n) is capped as Z(n) is, and x and + are capped on the size of
     # their result before any table is built
-    for expr in ("C(65)", "C(40) x C(40)"):
+    for expr in ("C(65)", "C(40) x C(40)", "B(11)"):
         code = main(["show", expr])
         assert code == 3
         assert capsys.readouterr().err.startswith("size limit:")
@@ -167,6 +167,19 @@ def test_present_verify_mutated_file(tmp_path, capsys):
     ("vars", ["p0", "p2"], "variable 'p0' is not p<n> with n >= 1"),
     ("vars", ["p1", "p1"], "a variable is listed twice"),
     ("vars", None, "a presentation needs formula, target, vars and valuation"),
+    ("vars", 5, "vars, valuation and generators must be lists"),
+    ("formula", 5, "formula 5 is not a string"),
+    ("target", 5, "target 5 is not a string"),
+    ("variety", [1], "variety is not an object"),
+    ("variety", {"generators": [3]}, "generator 3 is not a string"),
+    ("variety", {"generators": "Z(3)"},
+     "vars, valuation and generators must be lists"),
+    ("variety", {"generators": ["Z(3)"], "bound": "x"},
+     "bound 'x' is not an integer >= 1"),
+    ("variety", {"generators": ["Z(3)"], "bound": True},
+     "bound True is not an integer >= 1"),
+    ("variety", {"generators": ["Z(3)"], "bound": 0},
+     "bound 0 is not an integer >= 1"),
 ])
 def test_present_verify_rejects_bad_file(tmp_path, capsys, field, value,
                                          message):
