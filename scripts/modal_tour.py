@@ -4,27 +4,50 @@ Heyting algebra up to 5 elements, their open-generated parts and every
 quotient by an open element, the sha256 of the pretty-printed diagram of
 each, and for each s.i. one the sha256 of its modal characteristic formula
 under both connectives.  Then the `check_defines` verdict of the GMT
-presentation of each algebra's diagram over the spans.
+presentation of each algebra's diagram over the spans.  Last, the transfer:
+for seeded random formulas and each Heyting algebra up to 5 elements, the
+Heyting verdict and least counter-valuation of the formula, then the modal
+verdict and least counter-valuation of its GMT translation on the span.
 
 Its output is compared with tests/golden/modal_tour.txt, so any change to
-a diagram, a characteristic formula or a verdict shows:
+a diagram, a characteristic formula, a verdict or a witness shows:
 
     PYTHONPATH=src python3 scripts/modal_tour.py | diff - tests/golden/modal_tour.txt
 """
 
 import hashlib
+import random
 
 from charform.catalog import all_algebras
-from charform.formula import pretty
+from charform.formula import is_valid, pretty, random_formula
 from charform.jankov import diagram_formula
-from charform.modal import (gmt_presentation, is_si_modal,
-                            modal_characteristic_formula, open_generated,
-                            quotient_by_open, span)
+from charform.modal import (gmt_presentation, gmt_translate, is_si_modal,
+                            modal_characteristic_formula, modal_validity,
+                            open_generated, quotient_by_open, span)
 from charform.presentation import check_defines, diagram_presentation
 
 
 def digest(f):
     return hashlib.sha256(pretty(f).encode()).hexdigest()
+
+
+def verdict(result):
+    ok, witness = result
+    if ok:
+        return "valid"
+    return "refuted at " + " ".join(f"p{v + 1}={e}"
+                                   for v, e in sorted(witness.items()))
+
+
+def transfer(heyting, spans, count=40, seed=2025):
+    rng = random.Random(seed)
+    for i in range(count):
+        f = random_formula(rng, 5, 3)
+        t = gmt_translate(f)
+        print(f"transfer {i}: {pretty(f)}")
+        for j, (a, s) in enumerate(zip(heyting, spans)):
+            print(f"  algebra {j}: heyting {verdict(is_valid(a, f))}; "
+                  f"modal {verdict(modal_validity(s, t))}")
 
 
 def main():
@@ -46,6 +69,7 @@ def main():
         where = ("" if v.witness_algebra is None
                  else f" on span {spans.index(v.witness_algebra)}")
         print(f"gmt(diagram {i}, size {a.size}): {v}{where}")
+    transfer(heyting, spans)
 
 
 if __name__ == "__main__":
