@@ -146,21 +146,22 @@ def cmd_embeds(args):
 
 
 def cmd_present_verify(args):
+    # without --bound, the built-in uses 8 and a file its variety's bound
+    if args.bound is not None and args.bound < 1:
+        raise ValueError(f"--bound {args.bound} is not an integer >= 1")
     if args.builtin:
         if args.builtin != "zprime":
             raise ExprError(f"unknown built-in presentation {args.builtin!r}", 0)
         p = zprime_presentation(args.k)
-        handle = VarietyHandle.generated((trunc_zstar(args.k),),
-                                         bound=args.bound)
-        corpus = build_corpus(handle)
+        variety = VarietyHandle.generated((trunc_zstar(args.k),), bound=8)
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             p = presentation_from_json(fh.read())
         if p.variety is None:
             print("presentation file has no variety", file=sys.stderr)
             return EXIT_INPUT
-        corpus = build_corpus(p.variety, args.bound or None)
-    verdict = check_defines(p, corpus)
+        variety = p.variety
+    verdict = check_defines(p, build_corpus(variety, args.bound))
     print(str(verdict))
     return EXIT_OK if not verdict.refuted else EXIT_FAIL
 
@@ -243,7 +244,7 @@ def build_parser():
     p.add_argument("file", nargs="?", default="")
     p.add_argument("--builtin", default="")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=int)
     p.set_defaults(fn=cmd_present_verify)
 
     p = sub.add_parser("gmt", help="modal translation of a formula")

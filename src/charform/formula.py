@@ -13,7 +13,11 @@ operations and one box gather in an interior algebra), or at one valuation
 with `scalar_ops`, which is all `evaluate` does, for both algebra kinds.
 `first_refutation` scans every valuation over a domain in one batch and
 returns the lexicographically least refuting one; the naive engine here
-and `modal.modal_validity` are built on it.
+and `modal.modal_validity` are built on it.  The grid of base-m digits that
+orders the batch depends only on the domain size m and the variable count
+k, so it is built once per (m, k) and kept, read-only, in a small bounded
+cache (grids above 65,536 digits are built per call); each call gathers its
+own domain's elements through it.
 
 Validity has two engines: the batch enumeration over all valuations, and a
 constraint-propagation engine that splits the goal into constraints on the
@@ -35,6 +39,7 @@ one, so the engines agree witness-for-witness.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -480,17 +485,33 @@ def evaluate(f, algebra, valuation):
     return run_program(prog, _scalar_ops(algebra, prog), valuation)
 
 
+# grids of at most this many digits are kept, read-only, by `_digits`
+_GRID_CACHE_CELLS = 1 << 16
+
+
+@functools.lru_cache(maxsize=64)
+def _digits(m, k):
+    """The k x m**k grid whose column r holds the base-m digits of r, most
+    significant first; read-only, since the cached grid is shared."""
+    weights = m ** np.arange(k - 1, -1, -1)
+    grid = np.arange(m ** k) // weights[:, None] % m
+    grid.flags.writeable = False
+    return grid
+
+
 def first_refutation(prog, ops, domain, top):
     """Lexicographically least valuation of prog.vars over domain whose value
     is not top, as {variable: element}, or None when there is none.
 
     All len(domain)**k valuations are one batch: row r of column pos holds
     the pos-th base-len(domain) digit of r, so the rows are in lexicographic
-    order and the first refuting row is the least refuting valuation.
+    order and the first refuting row is the least refuting valuation.  The
+    digit grid depends only on (len(domain), k) and is cached when small;
+    the domain's elements are gathered through it on every call.
     """
     m, k = len(domain), len(prog.vars)
-    weights = m ** np.arange(k - 1, -1, -1)
-    digits = np.arange(m ** k) // weights[:, None] % m
+    cached = m ** k * k <= _GRID_CACHE_CELLS
+    digits = (_digits if cached else _digits.__wrapped__)(m, k)
     cols = np.asarray(domain, dtype=np.int32)[digits]
     bad = run_program(prog, ops, dict(zip(prog.vars, cols))) != top
     if not np.any(bad):

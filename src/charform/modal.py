@@ -14,6 +14,10 @@ in one numpy batch (`formula.first_refutation`); when every variable occurs
 boxed the batch ranges over open values only.  `modal_refutable` runs the
 propagation engine of `formula` on the algebra itself.
 
+The GMT translation of a formula is kept on the formula object, as its
+compiled program is, so a formula checked on many spans is translated,
+and its translation compiled, once.
+
 Diagrams, presentations and `check_defines` are those of `jankov` and
 `presentation`, which read an algebra's `signature` and so serve interior
 algebras with box as they serve Heyting algebras; `gmt_presentation`
@@ -233,8 +237,19 @@ def gmt_translate(f):
     Two iterative passes, as in `formula.compile_formula`, so formulas of
     any depth translate: the first lists the nodes root first, right
     subtree before left; the second builds the translations in the reverse
-    of that order with a stack of translated children.
+    of that order with a stack of translated children.  The translation is
+    kept on f as a private attribute outside the dataclass fields, so
+    equality and hashing ignore it, each formula object is translated once,
+    and the translation, being the same object every time, compiles once.
     """
+    t = f.__dict__.get("_gmt")
+    if t is None:
+        t = _translate(f)
+        object.__setattr__(f, "_gmt", t)  # f is frozen
+    return t
+
+
+def _translate(f):
     order, todo = [], [f]
     while todo:
         g = todo.pop()

@@ -118,6 +118,44 @@ def evaluate_modal_oracle():
     return _evaluate_modal
 
 
+# -- oracle: the GMT translation without the memo on the formula -------------
+
+
+def _gmt_translate(f):
+    """Boxed-implication translation, built afresh on every call in the two
+    iterative passes of `modal.gmt_translate`."""
+    order, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        order.append(g)
+        if g.kind != "var":
+            todo += g.args
+    done = []
+    for g in reversed(order):
+        k = g.kind
+        if k == "var":
+            t = box(g)
+        elif k in ("and", "or"):
+            r = done.pop()
+            t = Formula(k, (done.pop(), r))
+        elif k == "imp":
+            r = done.pop()
+            t = box(imp(done.pop(), r))
+        elif k == "neg":
+            t = box(neg(done.pop()))
+        elif k in ("top", "bot"):
+            t = g
+        else:
+            raise ValueError("formula is not assertoric")
+        done.append(t)
+    return done[0]
+
+
+@pytest.fixture(scope="session")
+def gmt_translate_oracle():
+    return _gmt_translate
+
+
 # -- slow oracles: the table loops the one diagram generator replaced ---------
 
 

@@ -157,6 +157,27 @@ def test_present_verify_mutated_file(tmp_path, capsys):
     assert code == 1 and out.startswith("REFUTED")
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_present_verify_rejects_bound_below_one(capsys, bound):
+    code = main(["present-verify", "--builtin", "zprime", "--k", "10",
+                 "--bound", bound])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"input error: --bound {bound} is not")
+
+
+def test_present_verify_file_bound(tmp_path, capsys):
+    # the file's own bound applies unless --bound is given
+    doc = presentation_to_json(zprime_presentation(10), "trunc(Zprime,10)",
+                               ["trunc(Zstar,10)"], 5)
+    f = tmp_path / "bound5.json"
+    f.write_text(doc, encoding="utf-8")
+    assert run(capsys, "present-verify", str(f)) == (
+        0, "VERIFIED-UP-TO-BOUND(5)\n")
+    assert run(capsys, "present-verify", str(f), "--bound", "6") == (
+        0, "VERIFIED-UP-TO-BOUND(6)\n")
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("valuation", [99, 0], "valuation entry 99 is not an element index"),
     ("valuation", [-1, 0], "valuation entry -1 is not an element index"),

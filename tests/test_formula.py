@@ -11,11 +11,12 @@ from charform.algebra import (SizeLimit, homomorphism_search, in_sh,
 from charform.catalog import all_algebras, si_algebras
 from charform.formula import (BOT, TOP, Formula, FormulaSyntaxError,
                               NotAssertoric, UnboundVariable, _CSP,
-                              _refuting_tasks, _Slots, and_, box,
+                              _digits, _refuting_tasks, _Slots, and_, box,
                               compile_formula,
                               conj, consequence_refute,
-                              enumerate_top_valuations, evaluate, iff, imp,
-                              is_valid, neg, normalize_variables, or_, parse,
+                              enumerate_top_valuations, evaluate,
+                              first_refutation, iff, imp, is_valid, neg,
+                              normalize_variables, or_, parse,
                               pretty, random_formula, run_program, substitute,
                               var, variables)
 from charform.jankov import jankov_formula
@@ -494,3 +495,49 @@ def test_validity_antitone_under_sub_hom(all6):
             for f in fs:
                 if is_valid(b, f)[0]:
                     assert is_valid(a, f)[0]
+
+
+def _product_scan(prog, ops, domain, top):
+    """Oracle for `first_refutation`: the first tuple of a lexicographic
+    `itertools.product` scan whose value is not top."""
+    for values in itertools.product(domain, repeat=len(prog.vars)):
+        valuation = dict(zip(prog.vars, values))
+        if run_program(prog, ops, valuation) != top:
+            return valuation
+    return None
+
+
+def test_first_refutation_matches_product_scan(random_test_formula):
+    # the digit grid is cached per (domain size, variable count), so equal
+    # length domains with different elements alternate, and each case runs
+    # twice, the second time on the cached grid
+    rng = random.Random(12)
+    alternated = 0
+    for a in all_algebras(5):
+        s = span(a)[0]
+        batch, scalar = s.batch_ops(), s.scalar_ops()
+        closed = sorted(s.full ^ o for o in s.opens)
+        alternated += closed != list(s.opens)
+        for k in range(4):
+            for _ in range(3):
+                prog = compile_formula(random_test_formula(rng, 4, k, True))
+                while len(prog.vars) != k:
+                    prog = compile_formula(random_test_formula(rng, 4, k, True))
+                for domain in (range(s.size), s.opens, closed, s.opens, closed):
+                    want = _product_scan(prog, scalar, domain, s.full)
+                    for _ in range(2):
+                        assert first_refutation(prog, batch, domain,
+                                                s.full) == want
+                assert not _digits(len(s.opens), k).flags.writeable
+                assert _digits(s.size, k) is _digits(s.size, k)
+    assert alternated
+
+
+def test_first_refutation_uncached_grid():
+    # 33**3 valuations of 3 variables exceed the cached grid size
+    c = chain(33)
+    f = parse("(p1 -> p2) | (p2 -> p3) | ~~p3 -> p1 | ~p1")
+    prog = compile_formula(f)
+    want = _product_scan(prog, c.scalar_ops(), range(c.size), c.top)
+    assert want is not None
+    assert first_refutation(prog, c.batch_ops(), range(c.size), c.top) == want

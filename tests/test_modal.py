@@ -130,6 +130,32 @@ def test_gmt_clauses():
     assert pretty(gmt_translate(parse("p1 & p2"))) == "[]p1 & []p2"
 
 
+def test_gmt_translate_memo(gmt_translate_oracle, random_test_formula):
+    rng = random.Random(31)
+    for _ in range(200):
+        f = random_test_formula(rng, 6, 3)
+        twin = parse(pretty(f))  # equal to f, built apart, never translated
+        t = gmt_translate(f)
+        assert t == gmt_translate_oracle(f)
+        assert gmt_translate(f) is t
+        # the kept translation is outside the fields equality and hash read
+        assert f == twin and twin == f and hash(f) == hash(twin)
+        assert gmt_translate(twin) == t
+    with pytest.raises(ValueError):
+        gmt_translate(box(var(0)))
+    with pytest.raises(ValueError):
+        gmt_translate(box(var(0)))
+
+
+def test_gmt_translate_deep_chain(gmt_translate_oracle):
+    f = var(0)
+    for i in range(5000):
+        f = imp(var(i % 3), f)
+    t = gmt_translate(f)
+    assert gmt_translate(f) is t
+    assert t == gmt_translate_oracle(f)
+
+
 def test_modal_validity_examples():
     s2, _ = span(rn_algebra(2))
     assert modal_validity(s2, parse("[]p1 -> p1"))[0]
