@@ -25,7 +25,8 @@ from .modal import (box_from_meet_of_arrows, heyting_carcass, modal_validity,
 from .presentation import (Presentation, VarietyHandle, _atom, _coatom,
                            build_corpus, check_defines,
                            concat_defining_formula, diagram_presentation,
-                           zprime_conjuncts, zprime_presentation)
+                           lemma_points, zprime_conjuncts,
+                           zprime_presentation)
 from .rn import boolean, chain, rn_algebra, trunc_zstar
 from .jankov import term_for_element
 
@@ -231,37 +232,22 @@ def sample_lemma_formulas(seed, count=500, max_attempts=40000):
     return p, out
 
 
-def lemma_shadow_failures(p, formulas, corpus):
-    """The three lemma properties; returns a list of failure strings."""
-    fails = []
-    pres = compile_formula(p.formula)
-    sidata = []
-    for c in corpus:
-        ops, pairs = c.scalar_ops(), []
-        if is_si(c):
-            for x in range(c.size):
-                for y in range(c.size):
-                    if (run_program(pres, ops, {0: x, 1: y}) == c.top
-                            and c.join[y][c.neg[y]] == c.top):
-                        pairs.append((x, y))
-        sidata.append((c, ops, pairs))
+def first_lemma_shadow_failure(p, formulas, corpus):
+    """The first failure of the three lemma properties, as a string, or
+    None.  Each formula, over p1 and p2 and not variable-free, runs once
+    per corpus algebra, over all its `lemma_points`."""
+    points = lemma_points(p, corpus)
     for i, f in enumerate(formulas):
         prog = compile_formula(f)
-        for c, ops, pairs in sidata:
-            for x in range(c.size):
-                if run_program(prog, ops, {0: x, 1: c.bottom}) != c.top:
-                    fails.append(f"substitution lemma fails: formula {i}, size {c.size}")
-                    break
-            for x, y in ((c.bottom, c.bottom), (c.bottom, c.top),
-                         (c.top, c.bottom)):
-                if run_program(prog, ops, {0: x, 1: y}) != c.top:
-                    fails.append(f"corner lemma fails: formula {i}, size {c.size}")
-            for x, y in pairs:
-                if run_program(prog, ops, {0: x, 1: y}) != c.top:
-                    fails.append(f"complemented-pair lemma fails: formula {i}, size {c.size}")
-        if fails:
-            break
-    return fails
+        for c, (xs, ys) in zip(corpus, points):
+            bad = run_program(prog, c.batch_ops(), {0: xs, 1: ys}) != c.top
+            if bad.any():
+                n = c.size
+                kind = ("substitution" if bad[:n].any()
+                        else "corner" if bad[n:n + 3].any()
+                        else "complemented-pair")
+                return f"{kind} lemma fails: formula {i}, size {n}"
+    return None
 
 
 def crit8(seed):
@@ -270,9 +256,9 @@ def crit8(seed):
     if len(formulas) < 500:
         return False, f"only {len(formulas)} satisfying samples"
     corpus = all_algebras(8)
-    fails = lemma_shadow_failures(p, formulas, corpus)
-    if fails:
-        return False, fails[0]
+    fail = first_lemma_shadow_failure(p, formulas, corpus)
+    if fail:
+        return False, fail
     return True, f"500 formulas x {len(corpus)} algebras, zero exceptions"
 
 

@@ -237,9 +237,6 @@ class HeytingAlgebra(_Trusted):
             raise KeyError(f"label {label!r} matches {len(hits)} elements")
         return hits[0]
 
-    def iff_val(self, a, b):
-        return self.meet[self.imp[a][b]][self.imp[b][a]]
-
     def scalar_ops(self):
         """The operations on single elements, for `formula.run_program` and
         the propagation engine: lookups in the operation tables."""
@@ -896,7 +893,11 @@ def algebra_from_json(text):
     doc = json.loads(text)
     if not (isinstance(doc, dict) and {"size", "leq"} <= doc.keys()):
         raise ValueError("an algebra needs size and leq")
-    rows = doc["leq"]
+    rows, labels = doc["leq"], doc.get("labels")
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValueError("leq is not a list of rows")
+    if not isinstance(labels, (list, type(None))):
+        raise ValueError("labels is not a list")
     if len(rows) != doc["size"]:
         raise ValueError("size does not match leq table")
-    return make_algebra(rows, labels=doc.get("labels"))
+    return make_algebra(rows, labels=labels)

@@ -32,6 +32,10 @@ EXIT_PRECOND = 4
 
 
 def _limits(args):
+    # 0, the default, keeps the engine's own budget
+    if args.size_limit < 0:
+        raise ValueError(f"--size-limit {args.size_limit} is not an integer "
+                         ">= 0")
     if args.size_limit:
         return EngineLimits(prop_max_vars=args.size_limit)
     return EngineLimits()

@@ -12,18 +12,20 @@ valuations with `batch_ops` (table gathers in a Heyting algebra, bitwise
 operations and one box gather in an interior algebra), or at one valuation
 with `scalar_ops`, which is all `evaluate` does, for both algebra kinds.
 `first_refutation` scans every valuation over a domain in one batch and
-returns the lexicographically least refuting one; the naive engine here
-and `modal.modal_validity` are built on it.  The grid of base-m digits that
-orders the batch depends only on the domain size m and the variable count
-k, so it is built once per (m, k) and kept, read-only, in a small bounded
-cache (grids above 65,536 digits are built per call); each call gathers its
-own domain's elements through it.
+returns the lexicographically least refuting one; the naive engine is built
+on it, and `modal.modal_validity` is that engine with a budget of its own.
+The grid of base-m digits that orders the batch depends only on the domain
+size m and the variable count k, so it is built once per (m, k) and kept,
+read-only, in a small bounded cache (grids above 65,536 digits are built
+per call); each call gathers its own domain's elements through it.
 
-Validity has two engines: the batch enumeration over all valuations, and a
-constraint-propagation engine that splits the goal into constraints on the
-values of program slots (mandatory above 6 variables).  Without a box the
-split depends on neither the algebra nor the join-irreducible element it
-is made for, so it is made once per program and kept on it.  The search
+Validity, `is_valid`, has two engines, and both serve Heyting and interior
+algebras: the batch enumeration over all valuations (over the opens only
+when every variable occurs boxed), and a constraint-propagation engine
+that splits the goal into constraints on the values of program slots
+(mandatory above 6 variables).  Without a box the split depends on neither
+the algebra nor the join-irreducible element it is made for, so it is made
+once per program and kept on it.  The search
 checks each constraint at the depth where its variables are all assigned:
 the slots that do not depend on that depth's variable are computed once
 per node, and each check runs, with the scalar operations, the rest of
@@ -31,10 +33,9 @@ its sub-program, so the checks are independent and the one that failed
 last runs first.  That layout depends only on the variable order and the
 set of constrained slots, so one validity check builds it once per such
 pair, on its `_Slots`, and its many constraint problems share it.  The
-same search enumerates the top valuations of a
-presentation formula and decides modal refutability.  Both engines are
-exhaustive; counter-valuations are always the lexicographically least
-one, so the engines agree witness-for-witness.
+same search enumerates the top valuations of a presentation formula.  Both
+engines are exhaustive; counter-valuations are always the lexicographically
+least one, so the engines agree witness-for-witness.
 """
 
 from __future__ import annotations
@@ -466,8 +467,9 @@ def run_program(prog, ops, cols):
     return vals[-1]
 
 
-def _scalar_ops(algebra, prog):
-    ops = algebra.scalar_ops()
+def _ops_for(prog, ops):
+    """ops, an algebra's `scalar_ops()` or `batch_ops()`, once checked to
+    hold every operation prog runs: a box needs an interior algebra."""
     if prog.has_box and "box" not in ops:
         raise NotAssertoric("box in a Heyting algebra")
     return ops
@@ -482,7 +484,7 @@ def evaluate(f, algebra, valuation):
     with its program and the algebra's `scalar_ops()`.
     """
     prog = compile_formula(f)
-    return run_program(prog, _scalar_ops(algebra, prog), valuation)
+    return run_program(prog, _ops_for(prog, algebra.scalar_ops()), valuation)
 
 
 # grids of at most this many digits are kept, read-only, by `_digits`
@@ -535,14 +537,26 @@ DEFAULT_LIMITS = EngineLimits()
 # -- naive engine -------------------------------------------------------------
 
 
+def _naive_domain(algebra, prog):
+    """The values the naive engine tries for each variable: the opens when
+    every variable occurs boxed, as only their open values matter (every
+    open o is the least mask whose interior is o, so the least refuting
+    open tuple is the least refuting one), else the carrier."""
+    boxed = prog.has_box and prog.boxed_only
+    return algebra.opens if boxed else range(algebra.size)
+
+
 def _naive_search(algebra, prog, budget):
-    """Batch enumeration of all valuations; returns (valid, witness)."""
+    """Batch enumeration of all valuations over `_naive_domain`; returns
+    (valid, witness).  SizeLimit is raised when the cells of the digit
+    grid, valuations times variables, exceed budget."""
+    ops = _ops_for(prog, algebra.batch_ops())
+    domain = _naive_domain(algebra, prog)
     k = len(prog.vars)
-    total = algebra.size ** k
+    total = len(domain) ** k
     if total * max(1, k) > budget:
         raise SizeLimit(f"naive search needs {total} valuations")
-    witness = first_refutation(prog, algebra.batch_ops(), range(algebra.size),
-                               algebra.top)
+    witness = first_refutation(prog, ops, domain, algebra.top)
     return witness is None, witness
 
 
@@ -563,7 +577,7 @@ class _Slots:
 
     def __init__(self, algebra, prog):
         self.algebra, self.prog = algebra, prog
-        self.ops = ops = _scalar_ops(algebra, prog)
+        self.ops = ops = _ops_for(prog, algebra.scalar_ops())
         self.full = (1 << algebra.size) - 1
         var_slot, svars, ground = {}, [], []
         for s, (op, a, b) in enumerate(prog.code):
@@ -865,9 +879,6 @@ class _CSP:
         finally:
             del rec  # rec refers to itself; free vals now, not at the next GC
 
-    def satisfiable(self, fixed=None):
-        return self.solve(fixed=fixed) is not None
-
     def lex_min(self):
         """Lexicographically least solution over ascending variable index.
 
@@ -960,21 +971,19 @@ def enumerate_top_valuations(algebra, f, vars_=None):
 
 
 def is_valid(algebra, f, engine="auto", limits=DEFAULT_LIMITS):
-    """Validity of an assertoric formula in a Heyting algebra.
+    """Validity of a formula in a Heyting algebra or, box allowed, in an
+    interior algebra; a box in a Heyting algebra raises NotAssertoric.
 
     Returns (verdict, counter-valuation or None); the counter-valuation is
     the lexicographically least refuting map variable -> element index.
     engine is one of auto, naive, propagate, both.
     """
     prog = compile_formula(f)
-    if prog.has_box:
-        raise NotAssertoric("modal formula passed to Heyting validity")
-    vars_ = prog.vars
-    if not vars_:
-        return _naive_search(algebra, prog, limits.naive_budget)
+    _ops_for(prog, algebra.batch_ops())  # before the box-aware sizing
     if engine == "auto":
-        k = len(vars_)
-        cells = algebra.size ** min(k, limits.naive_max_vars + 1) * max(1, k)
+        k = len(prog.vars)
+        m = len(_naive_domain(algebra, prog))
+        cells = m ** min(k, limits.naive_max_vars + 1) * max(1, k)
         if k <= limits.naive_max_vars and cells <= limits.naive_budget:
             engine = "naive"
         elif k <= limits.prop_max_vars:

@@ -9,10 +9,10 @@ whose opens realize it.
 Formulas are evaluated by their compiled programs, with the operations an
 interior algebra gives in `scalar_ops` and `batch_ops`: the Boolean ones
 bitwise on masks, box a lookup in the interior table.  `evaluate_modal` is
-`formula.evaluate`.  Modal validity runs the program over every valuation
-in one numpy batch (`formula.first_refutation`); when every variable occurs
-boxed the batch ranges over open values only.  `modal_refutable` runs the
-propagation engine of `formula` on the algebra itself.
+`formula.evaluate`, and validity is `formula.is_valid`, whose two engines
+serve both algebra kinds.  `modal_validity` is its naive engine with a
+budget of its own: the program runs over every valuation in one numpy
+batch, over open values only when every variable occurs boxed.
 
 The GMT translation of a formula is kept on the formula object, as its
 compiled program is, so a formula checked on many spans is translated,
@@ -32,9 +32,9 @@ import operator
 import numpy as np
 
 from .algebra import SizeLimit, is_si, opremum, _Trusted, _bits, _set_algebra
-from .formula import (Formula, _CSP, _Slots, _refuting_tasks, box,
-                      compile_formula, conj, evaluate, first_refutation, iff,
-                      imp, neg, var)
+from . import formula
+from .formula import (Formula, box, compile_formula, conj, evaluate, iff, imp,
+                      neg, var)
 from .jankov import NotSI, term_for_element
 from .presentation import Presentation
 
@@ -284,28 +284,9 @@ evaluate_modal = evaluate
 
 
 def modal_validity(b, f, budget=1_000_000):
-    """Exhaustive modal validity; returns (verdict, least counter-valuation).
-
-    When every variable occurs boxed, only the open values of the variables
-    matter, so the search runs over open tuples.  Every open o is the least
-    mask whose interior is o, so the least refuting open tuple is also the
-    least refuting carrier tuple.  SizeLimit is raised when the tuples
-    searched would exceed budget.
-    """
-    prog = compile_formula(f)
-    domain = b.opens if prog.boxed_only else range(b.size)
-    total = len(domain) ** len(prog.vars)
-    if total > budget:
-        raise SizeLimit(f"modal search needs {total} valuations")
-    witness = first_refutation(prog, b.batch_ops(), domain, b.full)
-    return witness is None, witness
-
-
-def modal_refutable(b, f):
-    """Propagation-engine decision: is f refutable in the interior algebra?"""
-    slots = _Slots(b, compile_formula(f))
-    return any(_CSP(slots, cvars, constraints).satisfiable()
-               for cvars, constraints in _refuting_tasks(slots))
+    """The naive engine of `formula.is_valid` with its own budget; returns
+    (verdict, least counter-valuation)."""
+    return formula._naive_search(b, compile_formula(f), budget)
 
 
 # -- modal subdirect irreducibility and Sub-Hom ----------------------------------
@@ -444,4 +425,7 @@ def interior_from_json(text):
     doc = json.loads(text)
     if not (isinstance(doc, dict) and {"atoms", "box"} <= doc.keys()):
         raise ValueError("an interior algebra needs atoms and box")
+    if not (isinstance(doc["box"], list)
+            and all(type(e) is int for e in doc["box"])):
+        raise ValueError("box is not a list of integers")
     return InteriorAlgebra(doc["atoms"], doc["box"])

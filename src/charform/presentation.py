@@ -31,8 +31,8 @@ from .algebra import (Poset, canonical_key, close_set, concat,
                       is_si, principal_filter, quotient, subalgebra_closure,
                       _bits)
 from .formula import (Formula, and_, compile_formula, conj, evaluate,
-                      enumerate_top_valuations, iff, is_valid, parse,
-                      pretty, run_program, variables)
+                      enumerate_top_valuations, iff, is_valid, neg, or_,
+                      parse, pretty, run_program, var, variables)
 from .jankov import diagram_formula, generation_steps
 from .rn import TruncationTooSmall, trunc_zprime
 
@@ -424,7 +424,27 @@ def zprime_conjuncts():
     ]
 
 
-# -- exhaustive lemma shadows over shallow formulas ----------------------------
+# -- lemma shadows ------------------------------------------------------------
+
+
+def lemma_points(p, corpus):
+    """The points at which the three lemma shadows evaluate a formula: per
+    corpus algebra c, int32 columns (xs, ys) of values of p1 and p2 holding
+    the substitution column (x, bottom) for every x, then the three corners
+    (0, 0), (0, 1) and (1, 0), then, when c is s.i., the complemented
+    satisfying pairs: the (x, y), in lexicographic order, at which p's
+    formula is top and y is complemented."""
+    pairs = compile_formula(and_(p.formula, or_(var(1), neg(var(1)))))
+    out = []
+    for c in corpus:
+        n, bot, top = c.size, c.bottom, c.top
+        gx, gy = np.divmod(np.arange(n * n, dtype=np.int32), n)
+        keep = is_si(c) & (run_program(pairs, c.batch_ops(),
+                                       {0: gx, 1: gy}) == top)
+        xs = np.r_[0:n, bot, bot, top, gx[keep]]
+        ys = np.r_[[bot] * n, bot, top, bot, gy[keep]]
+        out.append((xs.astype(np.int32), ys.astype(np.int32)))
+    return out
 
 
 def lemma_shadow_exhaustive(max_depth=3, trunc_k=12, corpus_bound=8):
@@ -432,83 +452,47 @@ def lemma_shadow_exhaustive(max_depth=3, trunc_k=12, corpus_bound=8):
     depth, exhaustively.
 
     The lemmas interrogate a formula only through its values at finitely many
-    evaluation points (the generator pair of the ladder presentation, the
-    per-algebra substitution column, the three Boolean corners, and the
-    complemented satisfying pairs), so formulas with equal value profiles are
+    evaluation points (the generator pair of the ladder presentation and the
+    `lemma_points` of the corpus), so formulas with equal value profiles are
     indistinguishable; the check enumerates profiles compositionally, which
-    covers all ~1.85e6 depth-3 syntax trees at once.  Returns (tree count,
-    distinct profile count, failure count).
+    covers all ~1.85e6 depth-3 syntax trees at once.  A profile is a tuple
+    of int32 columns, one per algebra, combined by each algebra's
+    `batch_ops`.  Returns (tree count, distinct profile count, failure
+    count).
     """
     from .catalog import all_algebras
 
     p = zprime_presentation(trunc_k)
     corpus = all_algebras(corpus_bound)
-    algebras = [p.target] + list(corpus)
-    flat_and, flat_or, flat_imp, flat_neg = [], [], [], []
-    starts, neg_starts = [], []
-    for a in algebras:
-        starts.append(len(flat_and))
-        neg_starts.append(len(flat_neg))
-        n = a.size
-        flat_and += [a.meet[i][j] for i in range(n) for j in range(n)]
-        flat_or += [a.join[i][j] for i in range(n) for j in range(n)]
-        flat_imp += [a.imp[i][j] for i in range(n) for j in range(n)]
-        flat_neg += list(a.neg)
+    ops = [a.batch_ops() for a in [p.target, *corpus]]
+    gens = np.asarray([[p.valuation[0]], [p.valuation[1]]], dtype=np.int32)
+    profiles = {}  # bytes of a profile -> (profile, least depth)
 
-    # evaluation points: (algebra index, value of p, value of q, must-be-top)
-    points = [(0, p.valuation[0], p.valuation[1], False)]
-    pres = compile_formula(p.formula)
-    for ai, c in enumerate(corpus, start=1):
-        for x in range(c.size):
-            points.append((ai, x, c.bottom, True))
-        for x, y in ((c.bottom, c.bottom), (c.bottom, c.top), (c.top, c.bottom)):
-            points.append((ai, x, y, True))
-        if is_si(c):
-            ops = c.scalar_ops()
-            for x in range(c.size):
-                for y in range(c.size):
-                    if (run_program(pres, ops, {0: x, 1: y}) == c.top
-                            and c.join[y][c.neg[y]] == c.top):
-                        points.append((ai, x, y, True))
+    def add(profile, d):
+        profiles.setdefault(b"".join(col.tobytes() for col in profile),
+                            (profile, d))
 
-    base = np.asarray([starts[ai] for ai, *_ in points], dtype=np.int64)
-    nbase = np.asarray([neg_starts[ai] for ai, *_ in points], dtype=np.int64)
-    stride = np.asarray([algebras[ai].size for ai, *_ in points], dtype=np.int64)
-    tops = np.asarray([algebras[ai].top for ai, *_ in points], dtype=np.int64)
-    must = np.asarray([m for *_, m in points], dtype=bool)
-    tand = np.asarray(flat_and, dtype=np.int64)
-    tor = np.asarray(flat_or, dtype=np.int64)
-    timp = np.asarray(flat_imp, dtype=np.int64)
-    tneg = np.asarray(flat_neg, dtype=np.int64)
-
-    prof_p = np.asarray([x for _, x, _, _ in points], dtype=np.int64)
-    prof_q = np.asarray([y for _, _, y, _ in points], dtype=np.int64)
-    profiles = {prof_p.tobytes(): (prof_p, 0), prof_q.tobytes(): (prof_q, 0)}
+    # the profiles of p1 and of p2: the generator, then the lemma points
+    for profile in zip(gens, *lemma_points(p, corpus)):
+        add(profile, 0)
     for d in range(1, max_depth + 1):
         items = list(profiles.values())
-        new = []
-        for tab in (tand, tor, timp):
-            for pa, da in items:
-                for pb, db in items:
-                    if max(da, db) != d - 1:
-                        continue
-                    new.append(tab[base + pa * stride + pb])
         for pa, da in items:
             if da == d - 1:
-                new.append(tneg[nbase + pa])
-        for arr in new:
-            key = arr.tobytes()
-            if key not in profiles:
-                profiles[key] = (arr, d)
-    trees = {0: 2}
-    for d in range(1, max_depth + 1):
-        trees[d] = 2 + trees[d - 1] + 3 * trees[d - 1] ** 2
-    failures = 0
-    filt_top = algebras[0].top
-    for arr, _ in profiles.values():
-        if arr[0] == filt_top and not np.all(arr[must] == tops[must]):
-            failures += 1
-    return trees[max_depth], len(profiles), failures
+                add(tuple(o["neg"](x) for o, x in zip(ops, pa)), d)
+            for op in ("and", "or", "imp"):
+                for pb, db in items:
+                    if max(da, db) == d - 1:
+                        add(tuple(o[op](x, y) for o, x, y in zip(ops, pa, pb)),
+                            d)
+    trees = 2
+    for _ in range(max_depth):
+        trees = 2 + trees + 3 * trees ** 2
+    failures = sum(
+        1 for prof, _ in profiles.values()
+        if prof[0][0] == p.target.top
+        and not all(np.all(col == c.top) for col, c in zip(prof[1:], corpus)))
+    return trees, len(profiles), failures
 
 
 # -- JSON ----------------------------------------------------------------------

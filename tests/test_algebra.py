@@ -99,6 +99,16 @@ def test_json_rejects_missing_keys(text):
         algebra_from_json(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"size": 2, "leq": 5}',
+    '{"size": 2, "leq": [[1, 0], 5]}',
+    '{"size": 2, "leq": [[1, 0], [1, 1]], "labels": 3}',
+])
+def test_json_rejects_wrongly_typed_fields(text):
+    with pytest.raises(ValueError, match="is not a list"):
+        algebra_from_json(text)
+
+
 def test_derived_algebras_pass_the_full_check(recheck):
     # the library's own constructions skip the check; the public
     # constructor re-runs it on each of them here, as an oracle

@@ -157,6 +157,17 @@ def test_present_verify_mutated_file(tmp_path, capsys):
     assert code == 1 and out.startswith("REFUTED")
 
 
+def test_size_limit_below_zero_is_an_input_error(capsys):
+    f = "(p1->p2)|(p2->p3)|(p3->p4)|(p4->p5)|(p5->p6)|(p6->p7)"
+    code = main(["--size-limit", "-1", "valid", "C(3)", f])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("input error: --size-limit -1 is not")
+    # 0 keeps the default budget
+    assert run(capsys, "--size-limit", "0", "valid", "C(3)", f) == (
+        0, "VALID\n")
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_present_verify_rejects_bound_below_one(capsys, bound):
     code = main(["present-verify", "--builtin", "zprime", "--k", "10",

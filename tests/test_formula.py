@@ -116,6 +116,14 @@ def test_validity_examples():
     assert is_valid(z3, parse("~p1 | ~~p1"))[0]
 
 
+@pytest.mark.parametrize("engine", ["auto", "naive", "propagate", "both"])
+def test_validity_rejects_box_in_heyting_algebra(engine):
+    # 13 variables exceed both engine budgets; the box is reported first
+    for f in (box(var(0)), conj([box(var(i)) for i in range(13)])):
+        with pytest.raises(NotAssertoric):
+            is_valid(rn_algebra(2), f, engine=engine)
+
+
 def test_engines_agree_with_witnesses(all6, random_test_formula):
     # constants and repeated subterms: constant slots and leaves that share
     # a slot in the propagation engine

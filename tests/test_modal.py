@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from charform import formula
 from charform.algebra import SizeLimit, is_isomorphic, is_si, subalgebra_closure
 from charform.catalog import all_algebras
 from charform.formula import (Formula, UnboundVariable, box, compile_formula,
@@ -14,9 +15,8 @@ from charform.modal import (InteriorAlgebra, NotS4, box_from_meet_of_arrows,
                             evaluate_modal, gmt_presentation, gmt_translate,
                             heyting_carcass, in_sh_modal, interior_from_json,
                             interior_to_json, is_si_modal,
-                            modal_characteristic_formula, modal_refutable,
-                            modal_validity, open_generated, quotient_by_open,
-                            span)
+                            modal_characteristic_formula, modal_validity,
+                            open_generated, quotient_by_open, span)
 from charform.presentation import (Presentation, check_defines,
                                    diagram_presentation)
 from charform.rn import boolean, chain, rn_algebra
@@ -66,6 +66,13 @@ def test_interior_constructor_rejects_malformed_tables(atoms, box, labels):
 @pytest.mark.parametrize("text", ['{}', '{"atoms": 1}', '[1, [0, 1]]'])
 def test_interior_json_rejects_missing_keys(text):
     with pytest.raises(ValueError, match="needs atoms and box"):
+        interior_from_json(text)
+
+
+@pytest.mark.parametrize("text", ['{"atoms": 1, "box": 3}',
+                                  '{"atoms": 1, "box": [0, 1.0]}'])
+def test_interior_json_rejects_wrongly_typed_fields(text):
+    with pytest.raises(ValueError, match="box is not a list of integers"):
         interior_from_json(text)
 
 
@@ -283,7 +290,9 @@ def test_modal_validity_matches_oracles(all6, random_test_formula,
     assert min(branches.values()) > 100
 
 
-def test_modal_refutable_matches_modal_validity(all6, random_test_formula):
+def test_engines_agree_on_interior_algebras(all6, random_test_formula):
+    # engine="both" raises unless the naive and the propagation engine give
+    # the same verdict and the same least witness
     rng = random.Random(37)
     algebras = _oracle_algebras(all6)
     refuted = 0
@@ -292,10 +301,24 @@ def test_modal_refutable_matches_modal_validity(all6, random_test_formula):
         f = random_test_formula(rng, 4, i % 4, modal=True)
         if i % 3 == 0:
             f = gmt_translate(random_formula(rng, 4, max(1, i % 4)))
-        got = modal_refutable(b, f)
-        assert got == (not modal_validity(b, f)[0])
-        refuted += got
+        got = is_valid(b, f, engine="both")
+        assert got == modal_validity(b, f)
+        refuted += not got[0]
     assert 100 < refuted < 500
+
+
+def test_auto_engine_sizes_boxed_formulas_by_the_opens(monkeypatch):
+    # 128 elements but 8 opens: the 8**3 open valuations fit the naive
+    # budget, the 128**3 carrier ones would not
+    s, _ = span(chain(8))
+    f = gmt_translate(parse("(p1 -> p2) | (p2 -> p3)"))
+    assert (s.size, len(s.opens)) == (128, 8)
+
+    def refuse(*args):
+        raise AssertionError("auto chose the propagation engine")
+
+    monkeypatch.setattr(formula, "_prop_search", refuse)
+    assert is_valid(s, f) == modal_validity(s, f)
 
 
 def test_boxed_search_has_a_budget():
@@ -377,7 +400,7 @@ def test_modal_characteristic_formula():
     chi = modal_characteristic_formula(mp)
     assert evaluate_modal(chi, s3, mp.valuation) != s3.full
     s2, _ = span(rn_algebra(2))
-    assert not modal_refutable(s2, chi)
+    assert is_valid(s2, chi, engine="propagate")[0]
     with pytest.raises(NotSI):
         modal_characteristic_formula(diagram_presentation(span(boolean(2))[0]))
 
@@ -398,12 +421,13 @@ def test_modal_characteristic_connectives():
         assert evaluate_modal(chi_box, s, mp.valuation) != s.full
         assert evaluate_modal(chi_plain, s, mp.valuation) != s.full
         for b in corpus:
-            if modal_refutable(b, chi_box):
-                assert modal_refutable(b, chi_plain)
-            # only the guarded variant stays inside the theorem
-            if modal_refutable(b, chi_box):
+            refutes_box = not is_valid(b, chi_box, engine="propagate")[0]
+            refutes_plain = not is_valid(b, chi_plain, engine="propagate")[0]
+            if refutes_box:
+                assert refutes_plain
+                # only the guarded variant stays inside the theorem
                 assert in_sh_modal(s, b)[0]
-            if modal_refutable(b, chi_plain) != modal_refutable(b, chi_box):
+            if refutes_plain != refutes_box:
                 witnessed_difference = True
     assert witnessed_difference
 
@@ -416,7 +440,7 @@ def test_theorem_shadow_refutation_implies_sub_hom():
         sa, _ = span(a)
         chi = modal_characteristic_formula(diagram_presentation(sa))
         for sb in spans:
-            if modal_refutable(sb, chi):
+            if not is_valid(sb, chi, engine="propagate")[0]:
                 assert in_sh_modal(sa, sb)[0]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from charform.algebra import (concat, enumerate_filters, generated_subalgebra,
@@ -18,7 +19,7 @@ from charform.presentation import (BadAnchor, GenerationPlan, Presentation,
                                    build_corpus, check_defines,
                                    concat_defining_formula,
                                    diagram_presentation,
-                                   extends_to_homomorphism,
+                                   extends_to_homomorphism, lemma_points,
                                    lemma_shadow_exhaustive,
                                    presentation_from_json,
                                    presentation_to_json, zprime_conjuncts,
@@ -325,8 +326,24 @@ def test_presentation_json_round_trip():
     assert q.variety is not None and q.variety.bound == 8
 
 
+def test_lemma_points_match_scalar_loops(all6):
+    # the per-point loops that lemma_points replaced, as the oracle; the
+    # second presentation formula is top everywhere, so on each s.i. algebra
+    # both complemented values of p2 give pairs
+    for p in (zprime_presentation(12),
+              Presentation(parse("p1 -> p1 | p2"), chain(2), {0: 0, 1: 1})):
+        for c, (xs, ys) in zip(all6, lemma_points(p, all6)):
+            bot, top = c.bottom, c.top
+            want = [(x, bot) for x in range(c.size)]
+            want += [(bot, bot), (bot, top), (top, bot)]
+            if is_si(c):
+                want += [(x, y) for x in range(c.size) for y in range(c.size)
+                         if evaluate(p.formula, c, {0: x, 1: y}) == top
+                         and c.join[y][c.neg[y]] == top]
+            assert xs.dtype == ys.dtype == np.int32
+            assert list(zip(xs.tolist(), ys.tolist())) == want
+
+
 def test_lemma_shadow_exhaustive_depth3():
-    trees, profiles, failures = lemma_shadow_exhaustive(max_depth=3)
-    assert trees == 1854176
-    assert failures == 0
-    assert profiles >= 12
+    assert lemma_shadow_exhaustive(max_depth=3) == (1854176, 17, 0)
+    assert lemma_shadow_exhaustive(max_depth=2) == (786, 12, 0)
