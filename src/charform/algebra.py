@@ -896,6 +896,9 @@ def algebra_from_json(text):
     rows, labels = doc["leq"], doc.get("labels")
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
         raise ValueError("leq is not a list of rows")
+    if not all(type(v) in (int, bool) and v in (0, 1)
+               for r in rows for v in r):
+        raise ValueError("leq entries must be 0, 1, true or false")
     if not isinstance(labels, (list, type(None))):
         raise ValueError("labels is not a list")
     if len(rows) != doc["size"]:

@@ -30,10 +30,13 @@ checks each constraint at the depth where its variables are all assigned:
 the slots that do not depend on that depth's variable are computed once
 per node, and each check runs, with the scalar operations, the rest of
 its sub-program, so the checks are independent and the one that failed
-last runs first.  That layout depends only on the variable order and the
-set of constrained slots, so one validity check builds it once per such
-pair, on its `_Slots`, and its many constraint problems share it.  The
-same search enumerates the top valuations of a presentation formula.  Both
+last runs first.  That plan depends only on the program, the variable
+order and the set of constrained slots, so it is built once per program
+and such pair, kept on the program and shared by every algebra; each
+algebra binds its operations to it once per search (`_Slots.layout`).  The
+greedy variable order reads no algebra either and is kept on the program
+too.  The same search enumerates the top valuations of a presentation
+formula.  Both
 engines are exhaustive; counter-valuations are always the lexicographically
 least one, so the engines agree witness-for-witness.
 """
@@ -569,89 +572,131 @@ def _naive_search(algebra, prog, budget):
 _BRANCH_CAP = 128
 
 
+def _kept(prog, name, make):
+    """The private attribute name of prog, made by make(prog) on first use
+    and kept outside the dataclass fields, so equality and hashing ignore
+    it."""
+    got = prog.__dict__.get(name)
+    if got is None:
+        got = make(prog)
+        object.__setattr__(prog, name, got)  # prog is frozen
+    return got
+
+
+def _reach(prog):
+    """The variables below each slot (a mask over variable indices) and the
+    slot of each variable."""
+    svars, var_slot = [], {}
+    for s, (op, a, b) in enumerate(prog.code):
+        if op == "var":
+            var_slot[a] = s
+            svars.append(1 << a)
+        elif a is None:
+            svars.append(0)
+        else:
+            svars.append(svars[a] if b is None else svars[a] | svars[b])
+    return svars, var_slot
+
+
+def _plan(prog, order, leaves):
+    """Search plan for a variable order and a frozenset of leaf slots:
+    (levels, ground leaves), built once per program and pair and kept on
+    the program, as it reads no algebra.
+
+    A leaf is checked at the depth that assigns the last of its variables.
+    levels[i] is (variable, its slot or None, pre steps, [(steps, leaf
+    slot)]) for depth i, the leaves by ascending slot.  The pre steps
+    compute, once per node and before any value of the variable is tried,
+    the slots that the leaves of depth i read, that do not depend on the
+    variable and that no shallower depth computes.  The steps of a check
+    compute every slot of its leaf's sub-program that depends on the
+    variable, so no check reads a slot that another check of its depth
+    computes, and the checks of a depth may run in any order.  A step is
+    (slot, operation name, argument slots); steps go by ascending slot.
+    The ground leaves are those without variables.
+    """
+    plans = _kept(prog, "_plans", lambda _: {})
+    key = (order, leaves)
+    got = plans.get(key)
+    if got is not None:
+        return got
+    code = prog.code
+    svars, var_slot = _kept(prog, "_reach", _reach)
+    pos = {v: i for i, v in enumerate(order)}
+    at_depth, ground = [[] for _ in order], []
+    for s in sorted(leaves):
+        d = max((pos[u] for u in _bits(svars[s])), default=-1)
+        (ground if d < 0 else at_depth[d]).append(s)
+    levels, done = [], set()  # slots that earlier steps compute
+    for x, here in zip(order, at_depth):
+        pre, checks, owns = [], [], []
+        for s in here:
+            own, todo = set(), [s]
+            while todo:
+                t = todo.pop()
+                op, a, b = code[t]
+                if t in own or t in done or op == "var" or not svars[t]:
+                    continue
+                if svars[t] >> x & 1:
+                    own.add(t)
+                else:
+                    pre.append(t)
+                    done.add(t)
+                todo += (a,) if b is None else (a, b)
+            checks.append(([(t, *code[t]) for t in sorted(own)], s))
+            owns.append(own)
+        done.update(*owns)
+        levels.append((x, var_slot.get(x),
+                       [(t, *code[t]) for t in sorted(pre)], checks))
+    got = plans[key] = (levels, ground)
+    return got
+
+
 class _Slots:
-    """A program read in one algebra: its scalar operations, the variables
-    below each slot (a mask over variable indices), the slot of each
-    variable and the value of each slot without variables (None for the
-    others)."""
+    """A program read in one algebra: its scalar operations, the value of
+    each slot without variables (None for the others) and the up-sets that
+    accept masks are made of.  The variables below each slot (`svars`) and
+    the slot of each variable (`var_slot`) read no algebra; they are the
+    program's, computed once per program."""
 
     def __init__(self, algebra, prog):
         self.algebra, self.prog = algebra, prog
         self.ops = ops = _ops_for(prog, algebra.scalar_ops())
         self.full = (1 << algebra.size) - 1
-        var_slot, svars, ground = {}, [], []
-        for s, (op, a, b) in enumerate(prog.code):
-            value = None
-            if op == "var":
-                var_slot[a] = s
-                vs = 1 << a
+        self.svars, self.var_slot = _kept(prog, "_reach", _reach)
+        ground = []
+        for (op, a, b), vs in zip(prog.code, self.svars):
+            if vs:
+                value = None
             elif a is None:
-                vs, value = 0, ops[op]
+                value = ops[op]
+            elif b is None:
+                value = ops[op](ground[a])
             else:
-                vs = svars[a] if b is None else svars[a] | svars[b]
-                if not vs:
-                    value = (ops[op](ground[a]) if b is None
-                             else ops[op](ground[a], ground[b]))
-            svars.append(vs)
+                value = ops[op](ground[a], ground[b])
             ground.append(value)
-        self.var_slot, self.svars, self.ground = var_slot, svars, ground
+        self.ground = ground
         self._ups = {}
         self._layouts = {}
 
     def layout(self, order, leaves):
-        """Search layout for a variable order and a frozenset of leaf slots,
-        built once per pair: (levels, ground leaves).
-
-        A leaf is checked at the depth that assigns the last of its
-        variables.  levels[i] is (variable, its slot or None, pre steps,
-        [(steps, leaf slot)]) for depth i, the leaves by ascending slot.
-        The pre steps compute, once per node and before any value of the
-        variable is tried, the slots that the leaves of depth i read, that
-        do not depend on the variable and that no shallower depth computes.
-        The steps of a check compute every slot of its leaf's sub-program
-        that depends on the variable, so no check reads a slot that another
-        check of its depth computes, and the checks of a depth may run in
-        any order.  A step is (slot, operation, argument slots); steps go by
-        ascending slot.  The ground leaves are those without variables.
-        """
+        """The program's `_plan` for a variable order and a frozenset of
+        leaf slots, its operation names bound to this algebra's operations:
+        (levels, ground leaves), a step being (slot, operation, argument
+        slots).  Bound once per pair."""
         key = (order, leaves)
         got = self._layouts.get(key)
-        if got is not None:
-            return got
-        code, svars = self.prog.code, self.svars
-        pos = {v: i for i, v in enumerate(order)}
-        at_depth, ground = [[] for _ in order], []
-        for s in sorted(leaves):
-            d = max((pos[u] for u in _bits(svars[s])), default=-1)
-            (ground if d < 0 else at_depth[d]).append(s)
-        levels, done = [], set()  # slots that earlier steps compute
-        for x, here in zip(order, at_depth):
-            pre, checks, owns = [], [], []
-            for s in here:
-                own, todo = set(), [s]
-                while todo:
-                    t = todo.pop()
-                    op, a, b = code[t]
-                    if t in own or t in done or op == "var" or not svars[t]:
-                        continue
-                    if svars[t] >> x & 1:
-                        own.add(t)
-                    else:
-                        pre.append(t)
-                        done.add(t)
-                    todo += (a,) if b is None else (a, b)
-                checks.append((self._steps(own), s))
-                owns.append(own)
-            done.update(*owns)
-            levels.append((x, self.var_slot.get(x), self._steps(pre), checks))
-        got = self._layouts[key] = (levels, ground)
-        return got
+        if got is None:
+            ops = self.ops
 
-    def _steps(self, slots):
-        """(slot, operation, argument slots) of each slot, ascending."""
-        code, ops = self.prog.code, self.ops
-        return [(t, ops[code[t][0]], code[t][1], code[t][2])
-                for t in sorted(slots)]
+            def bind(steps):
+                return [(t, ops[op], a, b) for t, op, a, b in steps]
+
+            levels, ground = _plan(self.prog, order, leaves)
+            got = self._layouts[key] = (
+                [(x, xs, bind(pre), [(bind(steps), s) for steps, s in checks])
+                 for x, xs, pre, checks in levels], ground)
+        return got
 
     def accept(self, c, want):
         """Mask of the elements e with (c <= e) == want."""
@@ -739,13 +784,9 @@ def _pushed(prog):
     """Each conjunct of a program without box with its refuting branches of
     (slot, want) pairs, which serve every c; pushed once per program and
     kept on it."""
-    got = getattr(prog, "_pushed", None)
-    if got is None:
-        got = [(s, _refuting_branches(prog.code, s, None,
-                                      lambda c, want: want))
-               for s in _conjuncts(prog.code, ("and",))]
-        object.__setattr__(prog, "_pushed", got)  # prog is frozen
-    return got
+    return _kept(prog, "_pushed", lambda _: [
+        (s, _refuting_branches(prog.code, s, None, lambda c, want: want))
+        for s in _conjuncts(prog.code, ("and",))])
 
 
 def _conjuncts(code, through):
@@ -778,11 +819,13 @@ class _CSP:
     to reject them.  The search tree, the solutions and their order do not
     depend on the order of the checks; only the checks run per value do.
 
-    The layout of the search depends only on the variable order and the set
-    of leaf slots, and many CSPs of one search share both, so the layout is
-    built once per such pair and cached on the `_Slots` (see
-    `_Slots.layout`); a CSP adds its own accept masks, and its own check
-    order per depth.
+    The plan of the search depends only on the program, the variable order
+    and the set of leaf slots, so it is built once per program and such
+    pair and kept on the program (`_plan`), for every algebra; the `_Slots`
+    of a search binds its algebra's operations to each plan it uses, once
+    (`_Slots.layout`).  A CSP adds its own accept masks, and its own check
+    order per depth.  The frozenset of its leaf slots is built once, in
+    `_prepare`, and keys both the order and the plan.
     """
 
     def __init__(self, slots, vars_, constraints):
@@ -801,29 +844,42 @@ class _CSP:
                          and all(self.leafs.values()))
         self._levels = None
 
-    def _order(self):
+    def _order(self, leaves):
         """Greedy variable order: next the variable that is the last open
         one of the most leaves, then the one with the least domain, then the
         least index.  The leaves are counted by their masks of open
-        variables."""
-        open_masks = Counter(self.slots.svars[s] for s in self.leafs)
+        variables.  The order reads only the leaf set, the variables and
+        their domain sizes, so it is kept on the program, by leaf set first
+        and then by variables and domain sizes."""
+        orders = _kept(self.slots.prog, "_orders", lambda _: {})
+        by_vars = orders.get(leaves)
+        if by_vars is None:
+            by_vars = orders[leaves] = {}
+        sizes = tuple(len(self.domains[v]) for v in self.vars)
+        key = (tuple(self.vars), sizes)
+        got = by_vars.get(key)
+        if got is not None:
+            return got
+        size = dict(zip(self.vars, sizes))
+        open_masks = Counter(self.slots.svars[s] for s in leaves)
         remaining, order = set(self.vars), []
         while remaining:
             pick = min(remaining, key=lambda v: (-open_masks[1 << v],
-                                                 len(self.domains[v]), v))
+                                                 size[v], v))
             order.append(pick)
             remaining.discard(pick)
             keep, left = ~(1 << pick), Counter()
             for m, n in open_masks.items():
                 left[m & keep] += n
             open_masks = left
-        return tuple(order)
+        got = by_vars[key] = tuple(order)
+        return got
 
     def _prepare(self):
         if self._levels is not None:
             return
-        leafs = self.leafs
-        levels, ground = self.slots.layout(self._order(), frozenset(leafs))
+        leafs, leaves = self.leafs, frozenset(self.leafs)
+        levels, ground = self.slots.layout(self._order(leaves), leaves)
         self._ground_ok = all(leafs[s] >> self.slots.ground[s] & 1
                               for s in ground)
         self._levels = [(x, xs, pre,

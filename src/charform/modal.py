@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -80,8 +81,12 @@ class InteriorAlgebra(_Trusted):
                   ("box", lambda b, x: b.box[x])))
 
     def __init__(self, atoms, box_table, atom_labels=None):
-        """Check a caller-given box table: ValueError on a wrong length,
-        entry or label count, `NotS4` on a broken law."""
+        """Check a caller-given box table: ValueError on a table that is not
+        a sequence of ints, a wrong length, entry or label count, `NotS4` on
+        a broken law."""
+        if not (isinstance(box_table, Sequence)
+                and all(type(e) is int for e in box_table)):
+            raise ValueError("box is not a list of integers")
         if (type(atoms) is not int
                 or not 0 <= atoms <= len(box_table).bit_length()):
             raise ValueError(f"atom count {atoms!r} does not fit "
@@ -425,7 +430,4 @@ def interior_from_json(text):
     doc = json.loads(text)
     if not (isinstance(doc, dict) and {"atoms", "box"} <= doc.keys()):
         raise ValueError("an interior algebra needs atoms and box")
-    if not (isinstance(doc["box"], list)
-            and all(type(e) is int for e in doc["box"])):
-        raise ValueError("box is not a list of integers")
     return InteriorAlgebra(doc["atoms"], doc["box"])

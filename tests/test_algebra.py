@@ -109,6 +109,15 @@ def test_json_rejects_wrongly_typed_fields(text):
         algebra_from_json(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"size": 2, "leq": [[1, "x"], [0, 1]]}',
+    '{"size": 2, "leq": [[1, 0.5], [null, true]]}',
+])
+def test_json_rejects_leq_entries_other_than_0_1_or_bool(text):
+    with pytest.raises(ValueError, match="leq entries must be 0, 1"):
+        algebra_from_json(text)
+
+
 def test_derived_algebras_pass_the_full_check(recheck):
     # the library's own constructions skip the check; the public
     # constructor re-runs it on each of them here, as an oracle

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charform.acceptance import KG_AXIOM, pretrue_formula
-from charform.algebra import (SizeLimit, homomorphism_search, in_sh,
-                              make_algebra, relabel_algebra)
+from charform.algebra import (SizeLimit, concat, homomorphism_search,
+                              in_sh, make_algebra, relabel_algebra)
 from charform.catalog import all_algebras, si_algebras
 from charform.formula import (BOT, TOP, Formula, FormulaSyntaxError,
                               NotAssertoric, UnboundVariable, _CSP,
-                              _digits, _refuting_tasks, _Slots, and_, box,
-                              compile_formula,
+                              _digits, _prop_search, _refuting_tasks,
+                              _Slots, and_, box, compile_formula,
                               conj, consequence_refute,
                               enumerate_top_valuations, evaluate,
                               first_refutation, iff, imp, is_valid, neg,
@@ -181,8 +181,9 @@ def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle):
     variable order, the same least solution, no more solves and, when the
     task is feasible, the same solutions in the same order (the first 200:
     some random formulas have millions); one layout per
-    distinct (order, leaf set); and the verdict and least witness of
-    `is_valid` equal to those the oracle's solutions give."""
+    distinct (order, leaf set), each running this algebra's operations; and
+    the verdict and least witness of `is_valid` equal to those the oracle's
+    solutions give."""
     prog = compile_formula(f)
     slots = _Slots(a, prog)
     tasks = _refuting_tasks(slots)
@@ -195,13 +196,18 @@ def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle):
         want, old_calls = _lex_min_counting(old)
         assert got == want and calls <= old_calls
         if csp.feasible:
-            assert csp._order() == old._order()
+            assert csp._order(frozenset(csp.leafs)) == old._order()
             keys.add((old._order(), frozenset(old.leafs)))
             assert _first_solutions(csp) == _first_solutions(old)
         if want is not None:
             full = tuple(want.get(v, 0) for v in prog.vars)
             best = full if best is None else min(best, full)
     assert len(slots._layouts) == len(keys)
+    for levels, _ in slots._layouts.values():
+        for _, _, pre, checks in levels:
+            for steps in (pre, *(steps for steps, _ in checks)):
+                assert all(f is slots.ops[prog.code[t][0]]
+                           for t, f, _, _ in steps)
     verdict = (True, None) if best is None else (False,
                                                  dict(zip(prog.vars, best)))
     assert is_valid(a, f, engine="propagate") == verdict
@@ -271,6 +277,30 @@ def test_refuting_tasks_with_box_match_oracle(random_test_formula,
                 assert _refuting_tasks(slots) == refuting_tasks_oracle(slots)
                 checked += 1
     assert checked > 50
+
+
+def test_plans_shared_across_algebras_and_bound_per_algebra(oracle_csp):
+    # fresh formulas, so that their programs hold the plans of this test only
+    chi = substitute(jankov_formula(chain(3)), {})
+    lin = parse("[]([]p1 -> []p2) | []([]p2 -> []p1)")
+    heyting = [chain(4), concat(boolean(2), chain(2)), boolean(3)]
+    assert len({a.size for a in heyting}) == 3
+    spans = [span(a)[0] for a in heyting]
+    for f, algebras in ((chi, heyting + spans), (lin, spans)):
+        keys, verdicts = set(), set()
+        for a in algebras:
+            got = is_valid(a, f, engine="both")
+            # the same formula compiled apart: a program with no plans yet
+            alone = compile_formula(substitute(f, {}))
+            assert _prop_search(a, alone) == got
+            verdicts.add(got[0])
+            slots = _Slots(a, alone)
+            for cvars, constraints in _refuting_tasks(slots):
+                old = oracle_csp(slots, cvars, constraints)
+                if old.feasible:
+                    keys.add((old._order(), frozenset(old.leafs)))
+        assert verdicts == {True, False}
+        assert set(compile_formula(f)._plans) == keys
 
 
 def _full_product(a, f, ev):

@@ -54,13 +54,15 @@ def test_not_s4():
     (-1, (0,), None),               # negative atom count
     ("1", (0, 1), None),            # atom count not an int
     (10**9, (0, 1), None),          # atom count far beyond the table
+    (1, 3, None),                   # box table not a sequence
+    (1, (0, 1.0), None),            # entry not an int
 ])
 def test_interior_constructor_rejects_malformed_tables(atoms, box, labels):
     with pytest.raises(ValueError):
         InteriorAlgebra(atoms, box, labels)
     if labels is None:
         with pytest.raises(ValueError):
-            interior_from_json(json.dumps({"atoms": atoms, "box": list(box)}))
+            interior_from_json(json.dumps({"atoms": atoms, "box": box}))
 
 
 @pytest.mark.parametrize("text", ['{}', '{"atoms": 1}', '[1, [0, 1]]'])
