@@ -206,8 +206,8 @@ def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle):
     for levels, _ in slots._layouts.values():
         for _, _, pre, checks in levels:
             for steps in (pre, *(steps for steps, _ in checks)):
-                assert all(f is slots.ops[prog.code[t][0]]
-                           for t, f, _, _ in steps)
+                assert all(op is slots.ops[prog.code[t][0]]
+                           for t, op, _, _ in steps)
     verdict = (True, None) if best is None else (False,
                                                  dict(zip(prog.vars, best)))
     assert is_valid(a, f, engine="propagate") == verdict
