@@ -8,6 +8,9 @@ presentation of each algebra's diagram over the spans.  Last, the transfer:
 for seeded random formulas and each Heyting algebra up to 5 elements, the
 Heyting verdict and least counter-valuation of the formula, then the modal
 verdict and least counter-valuation of its GMT translation on the span.
+Then Sub-Hom: for each ordered pair of those spans, whether the first
+embeds into a quotient of the second, with the least open of the second
+whose quotient takes it.
 
 Its output is compared with tests/golden/modal_tour.txt, so any change to
 a diagram, a characteristic formula, a verdict or a witness shows:
@@ -21,9 +24,10 @@ import random
 from charform.catalog import all_algebras
 from charform.formula import is_valid, pretty, random_formula
 from charform.jankov import diagram_formula
-from charform.modal import (gmt_presentation, gmt_translate, is_si_modal,
-                            modal_characteristic_formula, modal_validity,
-                            open_generated, quotient_by_open, span)
+from charform.modal import (gmt_presentation, gmt_translate, in_sh_modal,
+                            is_si_modal, modal_characteristic_formula,
+                            modal_validity, open_generated, quotient_by_open,
+                            span)
 from charform.presentation import check_defines, diagram_presentation
 
 
@@ -50,6 +54,14 @@ def transfer(heyting, spans, count=40, seed=2025):
                   f"modal {verdict(modal_validity(s, t))}")
 
 
+def sub_hom(spans):
+    for i, sa in enumerate(spans):
+        for j, sb in enumerate(spans):
+            ok, witness = in_sh_modal(sa, sb)
+            print(f"sub-hom span {i} into span {j}: "
+                  + (f"yes at open {witness[0]}" if ok else "no"))
+
+
 def main():
     heyting = all_algebras(5)
     spans = [span(a)[0] for a in heyting]
@@ -70,6 +82,7 @@ def main():
                  else f" on span {spans.index(v.witness_algebra)}")
         print(f"gmt(diagram {i}, size {a.size}): {v}{where}")
     transfer(heyting, spans)
+    sub_hom(spans)
 
 
 if __name__ == "__main__":
