@@ -21,13 +21,13 @@ a diagram, a characteristic formula, a verdict or a witness shows:
 import hashlib
 import random
 
+from charform.algebra import in_sh
 from charform.catalog import all_algebras
 from charform.formula import is_valid, pretty, random_formula
 from charform.jankov import diagram_formula
-from charform.modal import (gmt_presentation, gmt_translate, in_sh_modal,
-                            is_si_modal, modal_characteristic_formula,
-                            modal_validity, open_generated, quotient_by_open,
-                            span)
+from charform.modal import (gmt_presentation, gmt_translate, is_si_modal,
+                            modal_characteristic_formula, modal_validity,
+                            open_generated, quotient_by_open, span)
 from charform.presentation import check_defines, diagram_presentation
 
 
@@ -57,7 +57,7 @@ def transfer(heyting, spans, count=40, seed=2025):
 def sub_hom(spans):
     for i, sa in enumerate(spans):
         for j, sb in enumerate(spans):
-            ok, witness = in_sh_modal(sa, sb)
+            ok, witness = in_sh(sa, sb)
             print(f"sub-hom span {i} into span {j}: "
                   + (f"yes at open {witness[0]}" if ok else "no"))
 

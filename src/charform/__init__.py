@@ -18,7 +18,7 @@ from .jankov import (NotGenerated, NotSI, characteristic_formula,
                      dejongh_formula, diagram_formula, jankov_formula,
                      term_for_element)
 from .modal import (InteriorAlgebra, NotS4, evaluate_modal, gmt_translate,
-                    heyting_carcass, in_sh_modal, modal_characteristic_formula,
+                    heyting_carcass, modal_characteristic_formula,
                     modal_validity, open_generated, span)
 from .presentation import (BadAnchor, Presentation, VariableClash, VarietyHandle,
                            Verdict, build_corpus, check_defines,

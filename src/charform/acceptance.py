@@ -296,10 +296,8 @@ def crit9(seed):
             continue
         checked += 1
         valid = is_valid(b, pre, engine="propagate")[0]
-        emb1 = bool(homomorphism_search(a1, b, injective=True, first_only=True)) \
-            if a1.size <= b.size else False
-        emb2 = bool(homomorphism_search(a2, b, injective=True, first_only=True)) \
-            if a2.size <= b.size else False
+        emb1 = bool(homomorphism_search(a1, b, injective=True, first_only=True))
+        emb2 = bool(homomorphism_search(a2, b, injective=True, first_only=True))
         if valid != (not emb1 and not emb2):
             return False, f"fails on size {b.size}"
     return True, (f"{checked} KG-validating algebras; pre-true realized as "

@@ -8,9 +8,11 @@ by construction, skip the check: every derived Heyting algebra is built by
 `_from_tables` from its operation tables, through the private `_trusted`
 classmethod.
 
-`close_set` and the generation search in `jankov` work on any algebra that
-lists its operations as a `signature`; interior algebras (`modal`) give
-theirs too, so both kinds share one closure and one generation search.
+`close_set`, the generation search in `jankov` and `homomorphism_search`
+work on any algebra that lists its operations as a `signature`; interior
+algebras (`modal`) give theirs too, so both kinds share one closure, one
+generation search and one homomorphism search, which `in_sh`, over the
+quotients an algebra lists in `quotients`, and `is_isomorphic` run too.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class SizeLimit(AlgebraError):
 
 class NoSuchAlgebra(AlgebraError):
     pass
-
-
-DEFAULT_SH_LIMIT = 40
 
 
 def _bits(mask):
@@ -280,6 +279,12 @@ class HeytingAlgebra(_Trusted):
             lower[j] += 1
         return [x for x in range(self.size) if x != self.bottom and lower[x] == 1]
 
+    def quotients(self):
+        """Each congruence with its quotient, for `in_sh`: the filters, by
+        member bitmask ascending, and the quotients by them."""
+        for filt in enumerate_filters(self):
+            yield filt, quotient(self, filt)[0]
+
     def __repr__(self):
         return f"HeytingAlgebra(size={self.size})"
 
@@ -479,12 +484,14 @@ class Filter:
         a, m = self.algebra, self.members
         if not (m >> a.top) & 1:
             raise ValueError("filter must contain top")
+        least = a.top
         for x in _bits(m):
             if a.up[x] & ~m:
                 raise ValueError("filter not upward closed")
-            for y in _bits(m):
-                if not (m >> a.meet[x][y]) & 1:
-                    raise ValueError("filter not meet-closed")
+            least = a.meet[least][x]
+        # an up-set is meet-closed iff it holds the meet of all its members
+        if not (m >> least) & 1:
+            raise ValueError("filter not meet-closed")
 
     def elements(self):
         return tuple(_bits(self.members))
@@ -508,12 +515,17 @@ def enumerate_filters(a):
 
 
 @dataclass(frozen=True)
-class Homomorphism:
-    """Map preserving bottom, top and the three binary operations."""
+class Homomorphism(_Trusted):
+    """Map preserving bottom, top and the operations of the source's
+    `signature`."""
 
     source: HeytingAlgebra
     target: HeytingAlgebra
     map: tuple
+
+    def _fill(self, *fields):
+        for name, value in zip(("source", "target", "map"), fields):
+            object.__setattr__(self, name, value)   # the dataclass is frozen
 
     def __post_init__(self):
         s, t, m = self.source, self.target, self.map
@@ -521,12 +533,15 @@ class Homomorphism:
             raise ValueError("map has wrong length")
         if m[s.bottom] != t.bottom or m[s.top] != t.top:
             raise ValueError("map does not preserve bounds")
-        for x in range(s.size):
-            for y in range(s.size):
-                if (m[s.meet[x][y]] != t.meet[m[x]][m[y]]
-                        or m[s.join[x][y]] != t.join[m[x]][m[y]]
-                        or m[s.imp[x][y]] != t.imp[m[x]][m[y]]):
-                    raise ValueError(f"operations not preserved at {x},{y}")
+        binary, unary = s.signature
+        xs = range(s.size)
+        for x in xs:
+            for kind, row, _ in binary:
+                if [m[z] for z in row(s, x, xs)] != list(row(t, m[x], m)):
+                    raise ValueError(f"{kind} not preserved at {x}")
+            for kind, op in unary:
+                if m[op(s, x)] != op(t, m[x]):
+                    raise ValueError(f"{kind} not preserved at {x}")
 
     @property
     def is_embedding(self):
@@ -555,7 +570,7 @@ def quotient(a, filt):
                 img[y] = len(reps)
         reps.append(x)
     q = _image(a, reps, img)
-    surj = Homomorphism(a, q, tuple(img))
+    surj = Homomorphism._trusted(a, q, tuple(img))
     return q, surj
 
 
@@ -621,98 +636,113 @@ def relabel_algebra(a, order, labels=None):
 
 # -- searches --------------------------------------------------------------
 
+# The work budget of one call of `homomorphism_search`, `in_sh` or
+# `is_isomorphic`: an element assigned costs the pairs it forms with those
+# assigned, and a quotient `in_sh` builds costs its size times b's size.
+# Sub-Hom between spans of all_algebras(8) spends at most 174,428.
+SEARCH_BUDGET = 2_000_000
 
-def homomorphism_search(a, b, partial=None, injective=False, first_only=False,
-                        limit=DEFAULT_SH_LIMIT):
-    """All homomorphisms a -> b extending `partial`, in lexicographic order.
 
-    Backtracking over elements in index order with forward checking on the
-    operation tables; with injective=True only embeddings are returned.
+def _spend(work, amount):
+    """Take amount from the budget left in work[0]; SizeLimit past it."""
+    work[0] -= amount
+    if work[0] < 0:
+        raise SizeLimit("structure-map search exceeds its budget")
+
+
+def _homomorphisms(a, b, partial, injective, first_only, work):
+    """The homomorphisms a -> b extending `partial`, in lexicographic order,
+    for either algebra kind: the free element of least index takes each
+    value of b in ascending order, and each assignment is closed under the
+    operations of a's `signature`, so forced images are never tried.  The
+    elements below the free one are all assigned, which keeps the output
+    lexicographic; `work` holds what is left of the budget.
     """
-    if a.size > limit or b.size > limit:
-        raise SizeLimit("homomorphism search size limit exceeded")
-    n = a.size
-    m = [-1] * n
-    m[a.bottom] = b.bottom
-    if m[a.top] == -1:
-        m[a.top] = b.top
-    elif m[a.top] != b.top:
+    if injective and a.size > b.size:
         return []
-    if partial:
-        for x, v in partial.items():
-            if m[x] != -1 and m[x] != v:
-                return []
+    binary, unary = a.signature
+    m = [-1] * a.size
+    used = [False] * b.size
+    trail, vals = [], []    # assigned elements of a and their images
+
+    def close(x, v):
+        # assign x -> v and all it forces; False on a conflict, with the
+        # assignments made so far left on the trail
+        todo = [(x, v)]
+        while todo:
+            x, v = todo.pop()
+            if m[x] == v:
+                continue
+            if m[x] != -1 or injective and used[v]:
+                return False
             m[x] = v
-    if injective and len({v for v in m if v != -1}) != len([v for v in m if v != -1]):
-        return []
-    fixed = [x for x in range(n) if m[x] != -1]
-    free = [x for x in range(n) if m[x] == -1]
-    used = 0
-    for v in m:
-        if v != -1:
-            used |= 1 << v
-
-    tables_a = (a.meet, a.join, a.imp)
-    tables_b = (b.meet, b.join, b.imp)
-
-    def consistent(x):
-        assigned = [y for y in range(n) if m[y] != -1]
-        for y in assigned:
-            if a.leq(x, y) and not b.leq(m[x], m[y]):
-                return False
-            if a.leq(y, x) and not b.leq(m[y], m[x]):
-                return False
-            for ta, tb in zip(tables_a, tables_b):
-                for (p, q) in ((x, y), (y, x)):
-                    z = ta[p][q]
-                    if m[z] != -1 and tb[m[p]][m[q]] != m[z]:
-                        return False
+            used[v] = True
+            trail.append(x)
+            vals.append(v)
+            _spend(work, len(trail))
+            pairs = [[(op(a, x), op(b, v)) for _, op in unary]]
+            for _, row, col in binary:
+                pairs.append(zip(row(a, x, trail), row(b, v, vals)))
+                if col is not None:
+                    pairs.append(zip(col(a, x, trail), col(b, v, vals)))
+            for zs in pairs:
+                for z, w in zs:
+                    if m[z] != w:
+                        if m[z] != -1:
+                            return False
+                        todo.append((z, w))
         return True
 
-    for x in fixed:
-        if not consistent(x):
-            return []
-
+    seeds = [(a.bottom, b.bottom), (a.top, b.top), *(partial or {}).items()]
+    if not all(close(x, v) for x, v in seeds):
+        return []
     out = []
+    choices = []    # [free element, trail length before it, next value]
+    x = 0
+    while True:
+        while x < a.size and m[x] != -1:
+            x += 1
+        if x == a.size:   # closed under every operation: a homomorphism
+            out.append(Homomorphism._trusted(a, b, tuple(m)))
+            if first_only:
+                return out
+        else:
+            choices.append([x, len(trail), 0])
+        while choices:
+            x, mark, v = choices[-1]
+            while len(trail) > mark:
+                m[trail.pop()] = -1
+                used[vals.pop()] = False
+            if v == b.size:
+                choices.pop()
+            else:
+                choices[-1][2] = v + 1
+                if not (injective and used[v]) and close(x, v):
+                    break
+        else:
+            return out
 
-    def backtrack(k, used):
-        if k == len(free):
-            try:    # the Homomorphism constructor checks every operation
-                out.append(Homomorphism(a, b, tuple(m)))
-            except ValueError:
-                return False
-            return first_only
-        x = free[k]
-        for v in range(b.size):
-            if injective and (used >> v) & 1:
-                continue
-            m[x] = v
-            if consistent(x):
-                if backtrack(k + 1, used | (1 << v)):
-                    return True
-            m[x] = -1
-        return False
 
-    backtrack(0, used)
-    return out
+def homomorphism_search(a, b, partial=None, injective=False, first_only=False):
+    """All homomorphisms a -> b extending `partial`, in lexicographic order;
+    with injective=True only embeddings.  Serves Heyting and interior
+    algebras alike; SizeLimit when the search exceeds `SEARCH_BUDGET`."""
+    return _homomorphisms(a, b, partial, injective, first_only, [SEARCH_BUDGET])
 
 
-def in_sh(a, b, size_limit=DEFAULT_SH_LIMIT):
+def in_sh(a, b):
     """Is a embeddable into some quotient of b (the Sub-Hom quasi-order)?
 
-    Returns (verdict, witness); the witness is the first (filter, embedding)
-    pair in deterministic order (filters by member bitmask ascending).
+    Both algebra kinds, through b's `quotients` (filters by member mask
+    ascending, or opens ascending) and one `SEARCH_BUDGET`; returns
+    (verdict, the first (congruence, least embedding) pair or None).
     """
-    if b.size > size_limit:
-        raise SizeLimit(f"in_sh target exceeds {size_limit} elements")
-    for filt in enumerate_filters(b):
-        q, _ = quotient(b, filt)
-        if a.size > q.size:
-            continue
-        found = homomorphism_search(a, q, injective=True, first_only=True,
-                                    limit=size_limit)
+    work = [SEARCH_BUDGET]
+    for congruence, q in b.quotients():
+        _spend(work, q.size * b.size)
+        found = _homomorphisms(a, q, None, True, True, work)
         if found:
-            return True, (filt, found[0])
+            return True, (congruence, found[0])
     return False, None
 
 
@@ -773,9 +803,10 @@ def _refine_profile(up, down, size):
 
 
 def is_isomorphic(a, b):
-    """Isomorphism test: invariant prefiltering, then backtracking.
-
-    Returns (verdict, map a-index -> b-index or None).
+    """Isomorphism test: the `_refine_profile` colours as a prefilter, then
+    the least embedding a -> b, which between algebras of one size is an
+    isomorphism.  Returns (verdict, the lexicographically least isomorphism
+    as a map a-index -> b-index, or None); SizeLimit past `SEARCH_BUDGET`.
     """
     if a.size != b.size:
         return False, None
@@ -783,45 +814,8 @@ def is_isomorphic(a, b):
     cb = _refine_profile(b.up, b.down, b.size)
     if sorted(ca) != sorted(cb):
         return False, None
-    n = a.size
-    cand = [[y for y in range(n) if cb[y] == ca[x]] for x in range(n)]
-    order = sorted(range(n), key=lambda x: len(cand[x]))
-    m = [-1] * n
-    used = [False] * n
-
-    def ok(x, y):
-        for x2 in range(n):
-            if m[x2] == -1:
-                continue
-            if a.leq(x, x2) != b.leq(y, m[x2]) or a.leq(x2, x) != b.leq(m[x2], y):
-                return False
-        return True
-
-    def backtrack(k):
-        if k == n:
-            return True
-        x = order[k]
-        for y in cand[x]:
-            if used[y]:
-                continue
-            if ok(x, y):
-                m[x] = y
-                used[y] = True
-                if backtrack(k + 1):
-                    return True
-                m[x] = -1
-                used[y] = False
-        return False
-
-    if not backtrack(0):
-        return False, None
-    # an order isomorphism of Heyting algebras preserves all operations,
-    # but verify the tables anyway
-    for x in range(n):
-        for y in range(n):
-            if m[a.imp[x][y]] != b.imp[m[x]][m[y]]:
-                return False, None
-    return True, tuple(m)
+    found = _homomorphisms(a, b, None, True, True, [SEARCH_BUDGET])
+    return (True, found[0].map) if found else (False, None)
 
 
 def canonical_key(a):

@@ -527,11 +527,14 @@ def first_refutation(prog, ops, domain, top):
 # -- engine limits ------------------------------------------------------------
 
 
+# the naive engine's variable cap and its budget of digit-grid cells
+NAIVE_MAX_VARS = 6
+NAIVE_BUDGET = 4_000_000
+
+
 @dataclass(frozen=True)
 class EngineLimits:
-    naive_max_vars: int = 6
     prop_max_vars: int = 12
-    naive_budget: int = 4_000_000
 
 
 DEFAULT_LIMITS = EngineLimits()
@@ -1039,19 +1042,19 @@ def is_valid(algebra, f, engine="auto", limits=DEFAULT_LIMITS):
     if engine == "auto":
         k = len(prog.vars)
         m = len(_naive_domain(algebra, prog))
-        cells = m ** min(k, limits.naive_max_vars + 1) * max(1, k)
-        if k <= limits.naive_max_vars and cells <= limits.naive_budget:
+        cells = m ** min(k, NAIVE_MAX_VARS + 1) * max(1, k)
+        if k <= NAIVE_MAX_VARS and cells <= NAIVE_BUDGET:
             engine = "naive"
         elif k <= limits.prop_max_vars:
             engine = "propagate"
         else:
             raise SizeLimit(f"{k} variables exceed both engine budgets")
     if engine == "naive":
-        return _naive_search(algebra, prog, limits.naive_budget)
+        return _naive_search(algebra, prog, NAIVE_BUDGET)
     if engine == "propagate":
         return _prop_search(algebra, prog)
     if engine == "both":
-        rn = _naive_search(algebra, prog, limits.naive_budget)
+        rn = _naive_search(algebra, prog, NAIVE_BUDGET)
         rp = _prop_search(algebra, prog)
         if rn != rp:
             raise AssertionError(f"engines disagree: naive={rn} propagate={rp}")

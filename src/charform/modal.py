@@ -18,10 +18,11 @@ The GMT translation of a formula is kept on the formula object, as its
 compiled program is, so a formula checked on many spans is translated,
 and its translation compiled, once.
 
-Diagrams, presentations and `check_defines` are those of `jankov` and
-`presentation`, which read an algebra's `signature` and so serve interior
-algebras with box as they serve Heyting algebras; `gmt_presentation`
-carries a Heyting presentation over to the span as a `Presentation`.
+Diagrams, presentations, `check_defines` and Sub-Hom (`algebra.in_sh`, over
+the quotients by opens that `quotients` lists) read an algebra's
+`signature`, so they serve interior algebras as they serve Heyting algebras;
+`gmt_presentation` carries a Heyting presentation over to the span as a
+`Presentation`.
 """
 
 from __future__ import annotations
@@ -151,6 +152,12 @@ class InteriorAlgebra(_Trusted):
     def join_irreducibles(self):
         """The atoms, as masks."""
         return [1 << i for i in range(self.atoms)]
+
+    def quotients(self):
+        """Each congruence with its quotient, for `algebra.in_sh`: the opens,
+        ascending, and the quotients by their filters."""
+        for o in self.opens:
+            yield o, quotient_by_open(self, o)
 
     def box_floor(self, c):
         """Least open element containing c."""
@@ -294,7 +301,7 @@ def modal_validity(b, f, budget=1_000_000):
     return formula._naive_search(b, compile_formula(f), budget)
 
 
-# -- modal subdirect irreducibility and Sub-Hom ----------------------------------
+# -- modal subdirect irreducibility and quotients --------------------------------
 
 
 def is_si_modal(b):
@@ -305,58 +312,6 @@ def quotient_by_open(b, o):
     """Quotient by the filter of an open element, on the atoms inside it:
     the interior of a set inside o is inside o."""
     return _on_blocks(b, [[a] for a in _bits(o)])
-
-
-def _atom_neighborhoods(b):
-    return [b.box_floor(1 << a) for a in range(b.atoms)]
-
-
-def in_sh_modal(a, b):
-    """Is a embeddable into a quotient of b (interior algebras)?
-
-    Modal congruences are the filters of open elements; embeddings are
-    inverse images of surjective bounded morphisms between the atom frames.
-    Returns (verdict, (open element, atom map) or None).
-    """
-    na = _atom_neighborhoods(a)
-    for o in sorted(b.opens):
-        q = quotient_by_open(b, o)
-        if a.atoms > q.atoms:
-            continue
-        nq = _atom_neighborhoods(q)
-        f = [-1] * q.atoms
-
-        def ok(y):
-            # f(R[y]) must equal R[f(y)] for all assigned atoms
-            img = 0
-            for z in _bits(nq[y]):
-                if f[z] == -1:
-                    return True  # defer until the neighborhood is assigned
-                img |= 1 << f[z]
-            return img == na[f[y]]
-
-        def full_ok():
-            for y in range(q.atoms):
-                img = 0
-                for z in _bits(nq[y]):
-                    img |= 1 << f[z]
-                if img != na[f[y]]:
-                    return False
-            return len(set(f)) == a.atoms
-
-        def rec(y):
-            if y == q.atoms:
-                return full_ok()
-            for x in range(a.atoms):
-                f[y] = x
-                if ok(y) and rec(y + 1):
-                    return True
-            f[y] = -1
-            return False
-
-        if rec(0):
-            return True, (o, tuple(f))
-    return False, None
 
 
 # -- GMT presentations and modal characteristic formulas -----------------------

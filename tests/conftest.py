@@ -10,7 +10,7 @@ from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               enumerate_top_valuations, iff, imp, neg, or_,
                               var)
 from charform.jankov import terms_for_all
-from charform.modal import InteriorAlgebra
+from charform.modal import InteriorAlgebra, quotient_by_open
 
 
 @pytest.fixture(scope="session")
@@ -568,3 +568,119 @@ def recheck():
 @pytest.fixture(scope="session")
 def recheck_interior():
     return _recheck_interior
+
+
+# -- slow oracles: the structure-map searches the one homomorphism search
+# -- replaced -------------------------------------------------------------------
+
+
+def _preserves(source, target, m):
+    """Does the map m preserve bottom, top and every operation of the
+    source's `signature`?  Element by element, through `scalar_ops`."""
+    if m[source.bottom] != target.bottom or m[source.top] != target.top:
+        return False
+    ops, tops = source.scalar_ops(), target.scalar_ops()
+    binary, unary = source.signature
+    xs = range(source.size)
+    return (all(m[ops[k](x, y)] == tops[k](m[x], m[y])
+                for k, _, _ in binary for x in xs for y in xs)
+            and all(m[ops[k](x)] == tops[k](m[x]) for k, _ in unary for x in xs))
+
+
+def _homomorphisms_product(source, target):
+    """Every map source -> target that preserves the operations, in
+    lexicographic order: `itertools.product` over the images of the
+    elements other than bottom and top, which can only go to target's
+    bottom and top."""
+    free = [x for x in range(source.size) if x not in (source.bottom, source.top)]
+    out = []
+    for images in itertools.product(range(target.size), repeat=len(free)):
+        m = [None] * source.size
+        m[source.bottom], m[source.top] = target.bottom, target.top
+        for x, v in zip(free, images):
+            m[x] = v
+        if _preserves(source, target, m):
+            out.append(tuple(m))
+    return out
+
+
+@pytest.fixture(scope="session")
+def homomorphisms_oracle():
+    return _homomorphisms_product
+
+
+@pytest.fixture(scope="session")
+def preserves_oracle():
+    return _preserves
+
+
+def _atom_neighborhoods(b):
+    return [b.box_floor(1 << a) for a in range(b.atoms)]
+
+
+def _in_sh_frames(a, b):
+    """Sub-Hom on interior algebras through atom frames: a embeds into the
+    quotient of b by an open o iff a surjective bounded morphism maps the
+    atom frame of that quotient onto a's.  Opens ascending; returns
+    (verdict, (open, atom map) or None)."""
+    na = _atom_neighborhoods(a)
+    for o in sorted(b.opens):
+        q = quotient_by_open(b, o)
+        if a.atoms > q.atoms:
+            continue
+        nq = _atom_neighborhoods(q)
+        f = [-1] * q.atoms
+
+        def ok(y):
+            # f(R[y]) must equal R[f(y)] for all assigned atoms
+            img = 0
+            for z in _bits(nq[y]):
+                if f[z] == -1:
+                    return True  # defer until the neighborhood is assigned
+                img |= 1 << f[z]
+            return img == na[f[y]]
+
+        def full_ok():
+            for y in range(q.atoms):
+                img = 0
+                for z in _bits(nq[y]):
+                    img |= 1 << f[z]
+                if img != na[f[y]]:
+                    return False
+            return len(set(f)) == a.atoms
+
+        def rec(y):
+            if y == q.atoms:
+                return full_ok()
+            for x in range(a.atoms):
+                f[y] = x
+                if ok(y) and rec(y + 1):
+                    return True
+            f[y] = -1
+            return False
+
+        if rec(0):
+            return True, (o, tuple(f))
+    return False, None
+
+
+@pytest.fixture(scope="session")
+def in_sh_frames_oracle():
+    return _in_sh_frames
+
+
+def _least_isomorphism(a, b):
+    """The lexicographically least order isomorphism a -> b, or None: every
+    permutation in turn."""
+    if a.size != b.size:
+        return None
+    for p in itertools.permutations(range(b.size)):
+        if all(((a.up[x] >> y) & 1) == ((b.up[p[x]] >> p[y]) & 1)
+               for x in range(a.size) for y in range(a.size)):
+            return p
+    return None
+
+
+@pytest.fixture(scope="session")
+def least_isomorphism_oracle():
+    return _least_isomorphism

@@ -1,12 +1,13 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charform.algebra import (Filter, HeytingAlgebra, NotALattice,
-                              NotResiduated, Poset,
+from charform.algebra import (Filter, HeytingAlgebra, Homomorphism,
+                              NotALattice, NotResiduated, Poset, SizeLimit,
                               algebra_from_json, algebra_to_json,
                               canonical_key, concat, concat_embedding,
                               dense_elements,
@@ -15,8 +16,10 @@ from charform.algebra import (Filter, HeytingAlgebra, NotALattice,
                               is_isomorphic, is_si, make_algebra, opremum,
                               principal_filter, product, quotient,
                               regular_elements, relabel_algebra,
-                              subalgebra_closure, upset_algebra, _bits)
+                              subalgebra_closure, upset_algebra, _bits,
+                              _from_tables)
 from charform.catalog import _posets_with_few_upsets, all_algebras
+from charform.exprs import parse_algebra_expr
 from charform.modal import heyting_carcass, span
 from charform.presentation import _bounded_subalgebras, _si_order
 from charform.rn import chain, rn_algebra, trunc, universal_frame
@@ -316,6 +319,87 @@ def test_homomorphism_search_partial():
     assert len(pinned) < len(homomorphism_search(chain(3), c4, injective=True)) + 1
 
 
+def _check_search_against_product(a, b, expected):
+    """homomorphism_search, all, injective, first_only and with every
+    one-element partial map, against the product oracle's maps."""
+    def got(**kw):
+        return [h.map for h in homomorphism_search(a, b, **kw)]
+
+    embeddings = [m for m in expected if len(set(m)) == len(m)]
+    assert got() == expected
+    assert got(injective=True) == embeddings
+    assert got(first_only=True) == expected[:1]
+    assert got(injective=True, first_only=True) == embeddings[:1]
+    for x in range(a.size):
+        for v in range(b.size):
+            assert got(partial={x: v}) == [m for m in expected if m[x] == v]
+            assert got(partial={x: v}, injective=True) == [
+                m for m in embeddings if m[x] == v]
+
+
+def test_homomorphism_search_matches_product_oracle(homomorphisms_oracle):
+    algebras = all_algebras(5)
+    for a in algebras:
+        for b in algebras:
+            _check_search_against_product(a, b, homomorphisms_oracle(a, b))
+
+
+def test_homomorphism_search_matches_product_oracle_on_spans(
+        homomorphisms_oracle):
+    spans = [span(a)[0] for a in all_algebras(4)]
+    for a in spans:
+        for b in spans:
+            _check_search_against_product(a, b, homomorphisms_oracle(a, b))
+
+
+def test_filter_check_matches_pairwise_definition():
+    # every member mask of every small algebra: top, up-closed and closed
+    # under the meet of each pair of members
+    for a in all_algebras(5):
+        for m in range(1 << a.size):
+            members = list(_bits(m))
+            is_filter = ((m >> a.top) & 1
+                         and all(a.up[x] & ~m == 0 for x in members)
+                         and all((m >> a.meet[x][y]) & 1
+                                 for x in members for y in members))
+            try:
+                Filter(a, m)
+            except ValueError:
+                assert not is_filter
+            else:
+                assert is_filter
+
+
+def test_homomorphism_checks_every_operation(preserves_oracle):
+    # every map that keeps bottom and top, between small Heyting algebras
+    # and between their spans (where only box can fail for some maps)
+    pairs = [(a, b) for a in all_algebras(4) for b in all_algebras(4)]
+    spans = [s for s in (span(a)[0] for a in all_algebras(4)) if s.size <= 4]
+    pairs += [(a, b) for a in spans for b in spans]
+    for a, b in pairs:
+        for m in itertools.product(range(b.size), repeat=a.size):
+            if m[a.bottom] != b.bottom or m[a.top] != b.top:
+                continue
+            try:
+                Homomorphism(a, b, m)
+            except ValueError:
+                assert not preserves_oracle(a, b, m)
+            else:
+                assert preserves_oracle(a, b, m)
+
+
+def test_homomorphism_search_keeps_no_frame_per_element():
+    # the chain's 1,048 free elements outnumber Python's default recursion
+    # limit; the search walks them with a list of choices
+    n = 1050
+    rows = range(n)
+    c = _from_tables([[min(x, y) for y in rows] for x in rows],
+                     [[max(x, y) for y in rows] for x in rows],
+                     [[n - 1 if x <= y else y for y in rows] for x in rows])
+    found = homomorphism_search(c, c, injective=True, first_only=True)
+    assert found[0].map == tuple(rows)
+
+
 def test_injective_is_a_filter_of_all(si6):
     for a in [Z2, chain(3)]:
         for b in si6[:5]:
@@ -373,6 +457,32 @@ def test_is_isomorphic_examples():
     assert is_isomorphic(SQUARE, SQUARE)[0]
     assert is_isomorphic(concat(Z2, Z2), rn_algebra(3))[0]
     assert not is_isomorphic(product(chain(3), Z2), chain(6))[0]
+
+
+def test_is_isomorphic_is_the_least_isomorphism(all6,
+                                                least_isomorphism_oracle):
+    rng = random.Random(11)
+    for a in all6:
+        for _ in range(3):
+            order = list(range(a.size))
+            rng.shuffle(order)
+            b = relabel_algebra(a, order)
+            want = least_isomorphism_oracle(a, b)
+            assert want is not None
+            assert is_isomorphic(a, b) == (True, want)
+        for c in all6:
+            if c is not a and c.size == a.size:
+                assert least_isomorphism_oracle(a, c) is None
+                assert is_isomorphic(a, c) == (False, None)
+
+
+def test_search_budget_ends_a_hard_negative():
+    a = parse_algebra_expr("C(6) x C(6)")
+    b = parse_algebra_expr("C(4) x C(4) x C(8)")
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit):
+        in_sh(a, b)
+    assert time.perf_counter() - start < 3
 
 
 def test_canonical_key_invariance(all6):

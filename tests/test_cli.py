@@ -140,6 +140,12 @@ def test_embeds(capsys):
     assert code == 1 and out.strip() == "NO"
 
 
+def test_embeds_past_the_search_budget(capsys):
+    code = main(["embeds", "C(6) x C(6)", "C(4) x C(4) x C(8)"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("size limit:")
+
+
 def test_present_verify_builtin(capsys):
     code, out = run(capsys, "present-verify", "--builtin", "zprime", "--k", "10")
     assert code == 0 and out.strip().startswith("VERIFIED-UP-TO-BOUND")

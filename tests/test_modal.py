@@ -5,7 +5,8 @@ import random
 import pytest
 
 from charform import formula
-from charform.algebra import SizeLimit, is_isomorphic, is_si, subalgebra_closure
+from charform.algebra import (SizeLimit, in_sh, is_isomorphic, is_si,
+                              subalgebra_closure)
 from charform.catalog import all_algebras
 from charform.formula import (Formula, UnboundVariable, box, compile_formula,
                               conj, imp, is_valid, parse, pretty,
@@ -13,7 +14,7 @@ from charform.formula import (Formula, UnboundVariable, box, compile_formula,
 from charform.jankov import NotSI
 from charform.modal import (InteriorAlgebra, NotS4, box_from_meet_of_arrows,
                             evaluate_modal, gmt_presentation, gmt_translate,
-                            heyting_carcass, in_sh_modal, interior_from_json,
+                            heyting_carcass, interior_from_json,
                             interior_to_json, is_si_modal,
                             modal_characteristic_formula, modal_validity,
                             open_generated, quotient_by_open, span)
@@ -391,9 +392,37 @@ def test_modal_si_and_quotients():
 def test_in_sh_modal():
     s2, _ = span(rn_algebra(2))
     s3, _ = span(rn_algebra(3))
-    assert in_sh_modal(s3, s3)[0]
-    assert in_sh_modal(s2, s3)[0]
-    assert not in_sh_modal(s3, s2)[0]
+    assert in_sh(s3, s3)[0]
+    assert in_sh(s2, s3)[0]
+    assert not in_sh(s3, s2)[0]
+
+
+def test_in_sh_matches_frame_oracle(all6, in_sh_frames_oracle,
+                                    preserves_oracle):
+    spans = [span(a)[0] for a in all6]
+    targets = spans + [quotient_by_open(s, o) for s in spans for o in s.opens]
+    for a in spans:
+        for b in targets:
+            ok, witness = in_sh(a, b)
+            want_ok, want = in_sh_frames_oracle(a, b)
+            assert ok == want_ok
+            if ok:
+                o, emb = witness
+                assert o == want[0]
+                q = quotient_by_open(b, o)
+                assert emb.target.box == q.box
+                assert len(set(emb.map)) == a.size
+                assert preserves_oracle(a, q, emb.map)
+
+
+def test_sub_hom_answers_on_spans_of_all8(all8, in_sh_frames_oracle):
+    # within the search budget: no SizeLimit, and the oracle's answer
+    spans = [span(a)[0] for a in all8]
+    for a in spans:
+        for b in spans:
+            ok, witness = in_sh(a, b)
+            want_ok, want = in_sh_frames_oracle(a, b)
+            assert ok == want_ok and (not ok or witness[0] == want[0])
 
 
 def test_modal_characteristic_formula():
@@ -428,13 +457,13 @@ def test_modal_characteristic_connectives():
             if refutes_box:
                 assert refutes_plain
                 # only the guarded variant stays inside the theorem
-                assert in_sh_modal(s, b)[0]
+                assert in_sh(s, b)[0]
             if refutes_plain != refutes_box:
                 witnessed_difference = True
     assert witnessed_difference
 
 
-def test_theorem_shadow_refutation_implies_sub_hom():
+def test_theorem_shadow_refutation_iff_sub_hom():
     small = [rn_algebra(n) for n in (2, 3, 4, 5)] + [chain(4), boolean(2)]
     sis = [a for a in small if is_si(a)]
     spans = [span(a)[0] for a in small]
@@ -442,8 +471,8 @@ def test_theorem_shadow_refutation_implies_sub_hom():
         sa, _ = span(a)
         chi = modal_characteristic_formula(diagram_presentation(sa))
         for sb in spans:
-            if not is_valid(sb, chi, engine="propagate")[0]:
-                assert in_sh_modal(sa, sb)[0]
+            refuted = not is_valid(sb, chi, engine="propagate")[0]
+            assert refuted == in_sh(sa, sb)[0]
 
 
 def test_translf_shadow():
