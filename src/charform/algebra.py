@@ -484,14 +484,12 @@ class Filter:
         a, m = self.algebra, self.members
         if not (m >> a.top) & 1:
             raise ValueError("filter must contain top")
-        least = a.top
         for x in _bits(m):
             if a.up[x] & ~m:
                 raise ValueError("filter not upward closed")
-            least = a.meet[least][x]
-        # an up-set is meet-closed iff it holds the meet of all its members
-        if not (m >> least) & 1:
-            raise ValueError("filter not meet-closed")
+            for y in _bits(m):
+                if not (m >> a.meet[x][y]) & 1:
+                    raise ValueError("filter not meet-closed")
 
     def elements(self):
         return tuple(_bits(self.members))
@@ -531,17 +529,11 @@ class Homomorphism(_Trusted):
         s, t, m = self.source, self.target, self.map
         if len(m) != s.size:
             raise ValueError("map has wrong length")
-        if m[s.bottom] != t.bottom or m[s.top] != t.top:
-            raise ValueError("map does not preserve bounds")
-        binary, unary = s.signature
-        xs = range(s.size)
-        for x in xs:
-            for kind, row, _ in binary:
-                if [m[z] for z in row(s, x, xs)] != list(row(t, m[x], m)):
-                    raise ValueError(f"{kind} not preserved at {x}")
-            for kind, op in unary:
-                if m[op(s, x)] != op(t, m[x]):
-                    raise ValueError(f"{kind} not preserved at {x}")
+        # the search with each element held to its image finds m iff m
+        # preserves the bounds and every operation of s's signature
+        held = [1 << v for v in m]
+        if not _homomorphisms(s, t, held, False, True, [SEARCH_BUDGET]):
+            raise ValueError("map does not preserve the operations")
 
     @property
     def is_embedding(self):
@@ -650,13 +642,13 @@ def _spend(work, amount):
         raise SizeLimit("structure-map search exceeds its budget")
 
 
-def _homomorphisms(a, b, partial, injective, first_only, work):
-    """The homomorphisms a -> b extending `partial`, in lexicographic order,
-    for either algebra kind: the free element of least index takes each
-    value of b in ascending order, and each assignment is closed under the
-    operations of a's `signature`, so forced images are never tried.  The
-    elements below the free one are all assigned, which keeps the output
-    lexicographic; `work` holds what is left of the budget.
+def _homomorphisms(a, b, allowed, injective, first_only, work):
+    """The homomorphisms a -> b that send each x into the bitmask allowed[x],
+    in lexicographic order, for either algebra kind: the free element of
+    least index takes each value of b in ascending order, and each
+    assignment is closed under a's `signature`, so forced images are never
+    tried.  The elements below the free one are all assigned, which keeps
+    the output lexicographic; `work` holds what is left of the budget.
     """
     if injective and a.size > b.size:
         return []
@@ -673,7 +665,8 @@ def _homomorphisms(a, b, partial, injective, first_only, work):
             x, v = todo.pop()
             if m[x] == v:
                 continue
-            if m[x] != -1 or injective and used[v]:
+            if (m[x] != -1 or injective and used[v]
+                    or not allowed[x] >> v & 1):
                 return False
             m[x] = v
             used[v] = True
@@ -693,7 +686,7 @@ def _homomorphisms(a, b, partial, injective, first_only, work):
                         todo.append((z, w))
         return True
 
-    seeds = [(a.bottom, b.bottom), (a.top, b.top), *(partial or {}).items()]
+    seeds = [(a.bottom, b.bottom), (a.top, b.top)]
     if not all(close(x, v) for x, v in seeds):
         return []
     out = []
@@ -717,7 +710,7 @@ def _homomorphisms(a, b, partial, injective, first_only, work):
                 choices.pop()
             else:
                 choices[-1][2] = v + 1
-                if not (injective and used[v]) and close(x, v):
+                if close(x, v):
                     break
         else:
             return out
@@ -727,7 +720,9 @@ def homomorphism_search(a, b, partial=None, injective=False, first_only=False):
     """All homomorphisms a -> b extending `partial`, in lexicographic order;
     with injective=True only embeddings.  Serves Heyting and interior
     algebras alike; SizeLimit when the search exceeds `SEARCH_BUDGET`."""
-    return _homomorphisms(a, b, partial, injective, first_only, [SEARCH_BUDGET])
+    partial = partial or {}
+    allowed = [1 << partial[x] if x in partial else -1 for x in range(a.size)]
+    return _homomorphisms(a, b, allowed, injective, first_only, [SEARCH_BUDGET])
 
 
 def in_sh(a, b):
@@ -740,7 +735,7 @@ def in_sh(a, b):
     work = [SEARCH_BUDGET]
     for congruence, q in b.quotients():
         _spend(work, q.size * b.size)
-        found = _homomorphisms(a, q, None, True, True, work)
+        found = _homomorphisms(a, q, [-1] * a.size, True, True, work)
         if found:
             return True, (congruence, found[0])
     return False, None
@@ -803,10 +798,10 @@ def _refine_profile(up, down, size):
 
 
 def is_isomorphic(a, b):
-    """Isomorphism test: the `_refine_profile` colours as a prefilter, then
-    the least embedding a -> b, which between algebras of one size is an
-    isomorphism.  Returns (verdict, the lexicographically least isomorphism
-    as a map a-index -> b-index, or None); SizeLimit past `SEARCH_BUDGET`.
+    """Isomorphism test: the least embedding a -> b keeping each element in
+    its `_refine_profile` colour class (an isomorphism keeps colours).
+    Returns (verdict, the lexicographically least isomorphism as a map
+    a-index -> b-index, or None); SizeLimit past `SEARCH_BUDGET`.
     """
     if a.size != b.size:
         return False, None
@@ -814,7 +809,11 @@ def is_isomorphic(a, b):
     cb = _refine_profile(b.up, b.down, b.size)
     if sorted(ca) != sorted(cb):
         return False, None
-    found = _homomorphisms(a, b, None, True, True, [SEARCH_BUDGET])
+    classes = {}
+    for y, c in enumerate(cb):
+        classes[c] = classes.get(c, 0) | 1 << y
+    allowed = [classes[c] for c in ca]
+    found = _homomorphisms(a, b, allowed, True, True, [SEARCH_BUDGET])
     return (True, found[0].map) if found else (False, None)
 
 

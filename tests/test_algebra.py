@@ -352,24 +352,6 @@ def test_homomorphism_search_matches_product_oracle_on_spans(
             _check_search_against_product(a, b, homomorphisms_oracle(a, b))
 
 
-def test_filter_check_matches_pairwise_definition():
-    # every member mask of every small algebra: top, up-closed and closed
-    # under the meet of each pair of members
-    for a in all_algebras(5):
-        for m in range(1 << a.size):
-            members = list(_bits(m))
-            is_filter = ((m >> a.top) & 1
-                         and all(a.up[x] & ~m == 0 for x in members)
-                         and all((m >> a.meet[x][y]) & 1
-                                 for x in members for y in members))
-            try:
-                Filter(a, m)
-            except ValueError:
-                assert not is_filter
-            else:
-                assert is_filter
-
-
 def test_homomorphism_checks_every_operation(preserves_oracle):
     # every map that keeps bottom and top, between small Heyting algebras
     # and between their spans (where only box can fail for some maps)
@@ -474,6 +456,21 @@ def test_is_isomorphic_is_the_least_isomorphism(all6,
             if c is not a and c.size == a.size:
                 assert least_isomorphism_oracle(a, c) is None
                 assert is_isomorphic(a, c) == (False, None)
+
+
+def test_is_isomorphic_on_large_relabellings():
+    # each free element takes values of its colour class only, so an atom
+    # of a Boolean algebra is never sent to an element of higher rank
+    rng = random.Random(5)
+    for expr in ["B(8)", "B(10)", "C(60)", "C(8) x C(12)", "B(3) x C(16)"]:
+        a = parse_algebra_expr(expr)
+        order = list(range(a.size))
+        rng.shuffle(order)
+        b = relabel_algebra(a, order)
+        ok, m = is_isomorphic(a, b)
+        assert ok and sorted(m) == list(range(a.size))
+        for x in range(a.size):
+            assert sum(1 << m[y] for y in _bits(a.up[x])) == b.up[m[x]]
 
 
 def test_search_budget_ends_a_hard_negative():
