@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Work counts of the propagation engine and of Sub-Hom over the tasks of
+the `validity` benchmark workload: the CSPs the engine builds, how many of
+them are feasible (no domain or leaf mask empty) and how many have a
+solution, the calls of the scalar operations the engine runs, and the
+quotients `in_sh` builds.
+
+    python3 scripts/search_counts.py [--seed 2025]
+
+Run it from the root of a checkout: the library is imported from ./src and
+the tasks from ./perfbench/workloads.py.  The counts are made from outside
+the library, by wrapping its functions after the workload is set up and
+before its tasks run, so two checkouts can be compared with the same
+script.  They are deterministic: one line per count, then the same counts
+as one JSON object.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from charform import algebra, formula  # noqa: E402
+import workloads  # noqa: E402
+
+
+def install(counts):
+    """Wrap the counted functions; counts fills in as the tasks run.  The
+    tasks of `validity` search Heyting algebras only."""
+    init = formula._CSP.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        counts["csps"] += 1
+        counts["feasible_csps"] += bool(self.feasible)
+
+    lex_min = formula._CSP.lex_min
+
+    def counted_lex_min(self):
+        got = lex_min(self)
+        counts["solved_csps"] += got is not None
+        return got
+
+    formula._CSP.__init__ = counted_init
+    formula._CSP.lex_min = counted_lex_min
+
+    def counted_op(op):
+        def call(*args):
+            counts["scalar_op_calls"] += 1
+            return op(*args)
+        return call if callable(op) else op
+
+    scalar_ops = algebra.HeytingAlgebra.scalar_ops
+    algebra.HeytingAlgebra.scalar_ops = lambda self: {
+        k: counted_op(op) for k, op in scalar_ops(self).items()}
+
+    in_sh, quotient, inside = algebra.in_sh, algebra.quotient, [0]
+
+    def counted_in_sh(*args):
+        inside[0] += 1
+        try:
+            return in_sh(*args)
+        finally:
+            inside[0] -= 1
+
+    def counted_quotient(*args):
+        counts["in_sh_quotients"] += inside[0] > 0
+        return quotient(*args)
+
+    algebra.in_sh, algebra.quotient = counted_in_sh, counted_quotient
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    args = ap.parse_args(argv)
+    tasks = workloads.ValidityWorkload(args.seed, "full").tasks()
+    counts = dict.fromkeys(("csps", "feasible_csps", "solved_csps",
+                            "scalar_op_calls", "in_sh_quotients"), 0)
+    install(counts)
+    for task in tasks:
+        task.call()
+    for name, value in counts.items():
+        print(f"{name} {value}")
+    print(json.dumps(dict(counts, seed=args.seed, tasks=len(tasks))))
+
+
+if __name__ == "__main__":
+    main()

@@ -279,11 +279,14 @@ class HeytingAlgebra(_Trusted):
             lower[j] += 1
         return [x for x in range(self.size) if x != self.bottom and lower[x] == 1]
 
-    def quotients(self):
+    def quotients(self, least):
         """Each congruence with its quotient, for `in_sh`: the filters, by
-        member bitmask ascending, and the quotients by them."""
+        member bitmask ascending, and the quotients by them, those with
+        fewer than `least` elements skipped unbuilt.  The quotient by the
+        filter above f has an element for each element below f."""
         for filt in enumerate_filters(self):
-            yield filt, quotient(self, filt)[0]
+            if self.down[self.up.index(filt.members)].bit_count() >= least:
+                yield filt, quotient(self, filt)[0]
 
     def __repr__(self):
         return f"HeytingAlgebra(size={self.size})"
@@ -631,7 +634,7 @@ def relabel_algebra(a, order, labels=None):
 # The work budget of one call of `homomorphism_search`, `in_sh` or
 # `is_isomorphic`: an element assigned costs the pairs it forms with those
 # assigned, and a quotient `in_sh` builds costs its size times b's size.
-# Sub-Hom between spans of all_algebras(8) spends at most 174,428.
+# Sub-Hom between spans of all_algebras(8) spends at most 166,364.
 SEARCH_BUDGET = 2_000_000
 
 
@@ -730,10 +733,12 @@ def in_sh(a, b):
 
     Both algebra kinds, through b's `quotients` (filters by member mask
     ascending, or opens ascending) and one `SEARCH_BUDGET`; returns
-    (verdict, the first (congruence, least embedding) pair or None).
+    (verdict, the first (congruence, least embedding) pair or None).  A
+    quotient with fewer elements than a holds no embedding of a, so it is
+    neither built nor searched, and spends no budget.
     """
     work = [SEARCH_BUDGET]
-    for congruence, q in b.quotients():
+    for congruence, q in b.quotients(a.size):
         _spend(work, q.size * b.size)
         found = _homomorphisms(a, q, [-1] * a.size, True, True, work)
         if found:

@@ -24,8 +24,10 @@ algebras: the batch enumeration over all valuations (over the opens only
 when every variable occurs boxed), and a constraint-propagation engine
 that splits the goal into constraints on the values of program slots
 (mandatory above 6 variables).  Without a box the split depends on neither
-the algebra nor the join-irreducible element it is made for, so it is made
-once per program and kept on it.  The search
+the algebra nor the join-irreducible element c it is made for, so it is made
+once per program and kept on it, and the search for c runs in the s.i.
+quotient below c: each variable takes one value per class of x -> x & c,
+the least.  The search
 checks each constraint at the depth where its variables are all assigned:
 the slots that do not depend on that depth's variable are computed once
 per node, and each check runs, with the scalar operations, the rest of
@@ -784,12 +786,40 @@ def _refuting_branches(code, s, c, accept, box_floor=None):
 
 
 def _pushed(prog):
-    """Each conjunct of a program without box with its refuting branches of
-    (slot, want) pairs, which serve every c; pushed once per program and
-    kept on it."""
-    return _kept(prog, "_pushed", lambda _: [
-        (s, _refuting_branches(prog.code, s, None, lambda c, want: want))
-        for s in _conjuncts(prog.code, ("and",))])
+    """Each conjunct of a program without box, as its variables and its
+    refuting branches fixed for every c (`_fixed`); pushed once per program
+    and kept on it."""
+    def push(_):
+        code, svars, out = prog.code, _kept(prog, "_reach", _reach)[0], []
+        for s in _conjuncts(code, ("and",)):
+            cvars = tuple(_bits(svars[s]))
+            branches = _refuting_branches(code, s, None, lambda c, want: want)
+            out.append((cvars, [_fixed(code, cvars, br) for br in branches]))
+        return out
+
+    return _kept(prog, "_pushed", push)
+
+
+def _fixed(code, cvars, branch):
+    """A branch of (slot, want) pairs of a program without box, read once
+    for every c: (the leaf slots, that is the constrained slots that are not
+    variables, as a frozenset; those slots grouped by want code; the want
+    code of each variable of cvars).  A want code is 0 for not below c, 1
+    for below c, 2 for both, which no element satisfies, and 3 for a
+    variable left free."""
+    wants = {}
+    for t, want in branch:
+        w = int(want)
+        wants[t] = w if wants.get(t, w) == w else 2
+    groups, var_wants = ([], [], []), {}
+    for t, w in wants.items():
+        op, x, _ = code[t]
+        if op == "var":
+            var_wants[x] = w
+        else:
+            groups[w].append(t)
+    return (frozenset().union(*groups), groups,
+            tuple(var_wants.get(v, 3) for v in cvars))
 
 
 def _conjuncts(code, through):
@@ -827,38 +857,52 @@ class _CSP:
     pair and kept on the program (`_plan`), for every algebra; the `_Slots`
     of a search binds its algebra's operations to each plan it uses, once
     (`_Slots.layout`).  A CSP adds its own accept masks, and its own check
-    order per depth.  The frozenset of its leaf slots is built once, in
-    `_prepare`, and keys both the order and the plan.
+    order per depth.  The frozenset of its leaf slots keys both the order
+    and the plan; for a program without box it is fixed once per refuting
+    branch, on the program (`_pushed`).
     """
 
-    def __init__(self, slots, vars_, constraints):
+    def __init__(self, slots, vars_, domains, leafs, leaves, sizes):
+        """A search over the variables vars_: domains maps each to the
+        ascending list of its values, leafs maps each leaf slot to its
+        accept mask, leaves is the frozenset of the leaf slots and sizes the
+        domain size of each variable as the variable order reads it."""
         self.slots = slots
         self.vars = list(vars_)
-        self.domains = {v: list(range(slots.algebra.size)) for v in self.vars}
-        self.leafs = {}  # slot -> accept mask, constraints on it conjoined
+        self.domains, self.leafs = domains, leafs
+        self.leaves, self.sizes = leaves, sizes
+        self.feasible = all(domains.values()) and all(leafs.values())
+        self._levels = None
+
+    @classmethod
+    def of_constraints(cls, slots, vars_, constraints):
+        """The CSP of a list of constraints (slot, accept): those on a slot
+        are conjoined, and those on a variable slot make its domain."""
+        domains = {v: list(range(slots.algebra.size)) for v in vars_}
+        leafs = {}  # slot -> accept mask, constraints on it conjoined
         code = slots.prog.code
         for s, accept in constraints:
             op, x, _ = code[s]
             if op == "var":
-                self.domains[x] = [e for e in self.domains[x] if accept >> e & 1]
+                domains[x] = [e for e in domains[x] if accept >> e & 1]
             else:
-                self.leafs[s] = self.leafs.get(s, -1) & accept
-        self.feasible = (all(self.domains.values())
-                         and all(self.leafs.values()))
-        self._levels = None
+                leafs[s] = leafs.get(s, -1) & accept
+        return cls(slots, vars_, domains, leafs, frozenset(leafs),
+                   tuple(len(domains[v]) for v in vars_))
 
-    def _order(self, leaves):
+    def _order(self):
         """Greedy variable order: next the variable that is the last open
         one of the most leaves, then the one with the least domain, then the
         least index.  The leaves are counted by their masks of open
         variables.  The order reads only the leaf set, the variables and
-        their domain sizes, so it is kept on the program, by leaf set first
-        and then by variables and domain sizes."""
+        their domain sizes (`sizes`, which for domains cut to class
+        representatives are those of the full domains), so it is kept on
+        the program, by leaf set first and then by variables and sizes."""
+        leaves, sizes = self.leaves, self.sizes
         orders = _kept(self.slots.prog, "_orders", lambda _: {})
         by_vars = orders.get(leaves)
         if by_vars is None:
             by_vars = orders[leaves] = {}
-        sizes = tuple(len(self.domains[v]) for v in self.vars)
         key = (tuple(self.vars), sizes)
         got = by_vars.get(key)
         if got is not None:
@@ -881,8 +925,8 @@ class _CSP:
     def _prepare(self):
         if self._levels is not None:
             return
-        leafs, leaves = self.leafs, frozenset(self.leafs)
-        levels, ground = self.slots.layout(self._order(leaves), leaves)
+        leafs, leaves = self.leafs, self.leaves
+        levels, ground = self.slots.layout(self._order(), leaves)
         self._ground_ok = all(leafs[s] >> self.slots.ground[s] & 1
                               for s in ground)
         self._levels = [(x, xs, pre,
@@ -964,31 +1008,58 @@ class _CSP:
 
 
 def _refuting_tasks(slots):
-    """(vars, constraints) tasks whose solutions are exactly the
-    refutations of the program: for each conjunct, in program order, and
-    each join-irreducible c, ascending, one task per refuting branch (see
-    `_refuting_branches`).
+    """The CSPs whose solutions are exactly the refutations of the program:
+    for each conjunct, in program order, and each join-irreducible c,
+    ascending, one CSP per refuting branch (see `_refuting_branches`).
 
     A box moves c, so a program with box pushes each conjunct for each c.
     A program without box pushes each conjunct once (`_pushed`), and each c
-    only turns every want of the branches into its mask accept(c, want).
+    fills in the masks accept(c, want) and the domains of the variables.
+    There c is read only through c <= v(s), that is v(s) & c == c, and
+    x -> x & c is a homomorphism onto the algebra below c, which is the
+    s.i. quotient of the algebra by the filter above c.  So the outcome of
+    a task depends only on the class of each variable's value under it, and
+    each variable takes only the least element of each class.  A solution
+    with each value replaced by the least element of its class is a
+    solution no larger componentwise, so the first solution, `lex_min` and
+    the least witness are those over the full domains.  The variable order
+    reads the sizes of the full domains, so the search is the one over the
+    full domains with the other members of each class cut off.
     """
-    prog, svars, tasks = slots.prog, slots.svars, []
-    ji = sorted(slots.algebra.join_irreducibles())
+    prog, alg, svars = slots.prog, slots.algebra, slots.svars
+    ji = sorted(alg.join_irreducibles())
+    tasks = []
     if prog.has_box:
-        floor = slots.algebra.box_floor
         for s in _conjuncts(prog.code, ("and",)):
             cvars = tuple(_bits(svars[s]))
             for c in ji:
-                tasks += [(cvars, br) for br in _refuting_branches(
-                    prog.code, s, c, slots.accept, floor)]
+                tasks += [_CSP.of_constraints(slots, cvars, br)
+                          for br in _refuting_branches(
+                              prog.code, s, c, slots.accept, alg.box_floor)]
         return tasks
-    masks = [(slots.accept(c, False), slots.accept(c, True)) for c in ji]
-    for s, branches in _pushed(prog):
-        cvars = tuple(_bits(svars[s]))
-        for m in masks:
-            tasks += [(cvars, [(t, m[want]) for t, want in br])
-                      for br in branches]
+    # per c, by want code (see `_fixed`): accept masks, domains and the
+    # sizes of the full domains
+    meet, n, per_c = slots.ops["and"], alg.size, []
+    for c in ji:
+        accepts = (slots.accept(c, False), slots.accept(c, True), 0)
+        least = {}
+        for x in range(n):
+            least.setdefault(meet(x, c), x)
+        reps = sum(1 << x for x in least.values())
+        per_c.append((accepts,
+                      [list(_bits(m & reps)) for m in accepts]
+                      + [list(_bits(reps))],
+                      [m.bit_count() for m in accepts] + [n]))
+    for cvars, branches in _pushed(prog):
+        for accepts, domains, sizes in per_c:
+            for leaves, groups, codes in branches:
+                leafs = {}
+                for ts, m in zip(groups, accepts):
+                    leafs.update(dict.fromkeys(ts, m))
+                tasks.append(_CSP(
+                    slots, cvars,
+                    {v: domains[w] for v, w in zip(cvars, codes)}, leafs,
+                    leaves, tuple(sizes[w] for w in codes)))
     return tasks
 
 
@@ -996,8 +1067,8 @@ def _prop_search(algebra, prog):
     """Propagation engine; returns (valid, lex-least witness or None)."""
     slots = _Slots(algebra, prog)
     best = None
-    for cvars, constraints in _refuting_tasks(slots):
-        sol = _CSP(slots, cvars, constraints).lex_min()
+    for csp in _refuting_tasks(slots):
+        sol = csp.lex_min()
         if sol is None:
             continue
         full = tuple(sol.get(v, 0) for v in prog.vars)
@@ -1019,8 +1090,8 @@ def enumerate_top_valuations(algebra, f, vars_=None):
     if vars_ is None:
         vars_ = slots.prog.vars
     top = 1 << algebra.top
-    csp = _CSP(slots, vars_, [(s, top) for s in
-                              _conjuncts(slots.prog.code, ("and", "box"))])
+    csp = _CSP.of_constraints(slots, vars_, [
+        (s, top) for s in _conjuncts(slots.prog.code, ("and", "box"))])
     found = []
     csp.solve(collect=found)
     return sorted(tuple(sol[v] for v in vars_) for sol in found)

@@ -153,11 +153,14 @@ class InteriorAlgebra(_Trusted):
         """The atoms, as masks."""
         return [1 << i for i in range(self.atoms)]
 
-    def quotients(self):
+    def quotients(self, least):
         """Each congruence with its quotient, for `algebra.in_sh`: the opens,
-        ascending, and the quotients by their filters."""
+        ascending, and the quotients by their filters, those with fewer
+        than `least` elements skipped unbuilt.  The quotient by an open o
+        has an atom for each atom inside o."""
         for o in self.opens:
-            yield o, quotient_by_open(self, o)
+            if 1 << o.bit_count() >= least:
+                yield o, quotient_by_open(self, o)
 
     def box_floor(self, c):
         """Least open element containing c."""

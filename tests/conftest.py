@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from charform.algebra import (HeytingAlgebra, _bits, close_set, opremum,
-                              subalgebra_closure)
+from charform.algebra import (HeytingAlgebra, _bits, close_set,
+                              enumerate_filters, homomorphism_search, opremum,
+                              quotient, subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _conjuncts, and_, box, conj,
@@ -520,10 +521,11 @@ def _push_per_c(slots, s, c, want):
             return got
 
 
-def _refuting_tasks_per_c(slots):
-    """The refuting tasks of a program, every conjunct pushed afresh for
-    every join-irreducible c, and the right side of an implication afresh
-    for every branch of its left side."""
+def _refuting_tasks_per_c(slots, with_c=False):
+    """The refuting tasks (vars, constraints) of a program, every conjunct
+    pushed afresh for every join-irreducible c, and the right side of an
+    implication afresh for every branch of its left side; with with_c, each
+    task as (c, vars, constraints)."""
     code, tasks = slots.prog.code, []
     ji = sorted(slots.algebra.join_irreducibles())
     for s in _conjuncts(code, ("and",)):
@@ -531,18 +533,34 @@ def _refuting_tasks_per_c(slots):
         cvars = tuple(_bits(slots.svars[s]))
         for c in ji:
             if op == "imp":
-                for bl in _push_per_c(slots, a, c, True):
-                    for br in _push_per_c(slots, b, c, False):
-                        tasks.append((cvars, bl + br))
+                branches = [bl + br for bl in _push_per_c(slots, a, c, True)
+                            for br in _push_per_c(slots, b, c, False)]
             else:
-                for br in _push_per_c(slots, s, c, False):
-                    tasks.append((cvars, br))
+                branches = _push_per_c(slots, s, c, False)
+            tasks += [(c, cvars, br) if with_c else (cvars, br)
+                      for br in branches]
     return tasks
 
 
 @pytest.fixture(scope="session")
 def refuting_tasks_oracle():
     return _refuting_tasks_per_c
+
+
+def _class_representatives(algebra, c):
+    """Mask of the least element of each class of x ~ y iff x & c = y & c,
+    read off the order alone: the elements below both x and c."""
+    least = {}
+    for x in range(algebra.size):
+        below = frozenset(z for z in range(algebra.size)
+                          if algebra.leq(z, x) and algebra.leq(z, c))
+        least.setdefault(below, x)
+    return sum(1 << x for x in least.values())
+
+
+@pytest.fixture(scope="session")
+def class_representatives_oracle():
+    return _class_representatives
 
 
 # -- oracles for the trust rule: the checking constructors ---------------------
@@ -667,6 +685,24 @@ def _in_sh_frames(a, b):
 @pytest.fixture(scope="session")
 def in_sh_frames_oracle():
     return _in_sh_frames
+
+
+def _in_sh_every_quotient(a, b):
+    """Sub-Hom on Heyting algebras with every quotient built: the quotient
+    of b by each filter, by member mask ascending, searched for the least
+    embedding of a, whatever its size.  Returns (verdict, (filter members,
+    embedding map) or None)."""
+    for filt in enumerate_filters(b):
+        q, _ = quotient(b, filt)
+        found = homomorphism_search(a, q, injective=True, first_only=True)
+        if found:
+            return True, (filt.members, found[0].map)
+    return False, None
+
+
+@pytest.fixture(scope="session")
+def in_sh_every_quotient_oracle():
+    return _in_sh_every_quotient
 
 
 def _least_isomorphism(a, b):

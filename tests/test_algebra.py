@@ -18,6 +18,7 @@ from charform.algebra import (Filter, HeytingAlgebra, Homomorphism,
                               regular_elements, relabel_algebra,
                               subalgebra_closure, upset_algebra, _bits,
                               _from_tables)
+from charform import algebra as algebra_module
 from charform.catalog import _posets_with_few_upsets, all_algebras
 from charform.exprs import parse_algebra_expr
 from charform.modal import heyting_carcass, span
@@ -410,6 +411,29 @@ def test_in_sh_quasi_order(all6):
             for c in small:
                 if in_sh(a, b)[0] and in_sh(b, c)[0]:
                     assert in_sh(a, c)[0]
+
+
+def test_in_sh_builds_no_quotient_smaller_than_the_source(
+        monkeypatch, in_sh_every_quotient_oracle):
+    # a quotient with fewer elements than a is skipped unbuilt; the verdict
+    # and the witness (filter, least embedding) are those of the search
+    # that builds every quotient
+    algebras = all_algebras(7)
+    built, real = [], algebra_module.quotient
+
+    def counted(a, filt):
+        got = real(a, filt)
+        built.append(got[0].size)
+        return got
+
+    monkeypatch.setattr(algebra_module, "quotient", counted)
+    for a in algebras:
+        for b in algebras:
+            want = in_sh_every_quotient_oracle(a, b)
+            built.clear()
+            ok, found = in_sh(a, b)
+            assert (ok, found and (found[0].members, found[1].map)) == want
+            assert all(n >= a.size for n in built)
 
 
 def test_si_and_opremum():

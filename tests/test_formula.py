@@ -10,7 +10,7 @@ from charform.algebra import (SizeLimit, concat, homomorphism_search,
                               in_sh, make_algebra, relabel_algebra)
 from charform.catalog import all_algebras, si_algebras
 from charform.formula import (BOT, TOP, Formula, FormulaSyntaxError,
-                              NotAssertoric, UnboundVariable, _CSP,
+                              NotAssertoric, UnboundVariable,
                               _digits, _prop_search, _refuting_tasks,
                               _Slots, and_, box, compile_formula,
                               conj, consequence_refute,
@@ -175,30 +175,51 @@ def _first_solutions(csp, n=200):
     return list(found)
 
 
-def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle):
-    """The propagation engine against the oracles: the refuting tasks, in
-    order, equal to those pushed afresh for each c; per task the same
-    variable order, the same least solution, no more solves and, when the
-    task is feasible, the same solutions in the same order (the first 200:
-    some random formulas have millions); one layout per
-    distinct (order, leaf set), each running this algebra's operations; and
-    the verdict and least witness of `is_valid` equal to those the oracle's
-    solutions give."""
+def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle,
+                          class_representatives):
+    """The propagation engine against the oracles.  The refuting tasks, in
+    order, are those pushed afresh for each c, each with one more
+    constraint per variable holding it to the least element of each class
+    of x -> x & c: the same variables, domains, leaf masks and feasibility
+    as the oracle's CSP of those constraints.  Per task, against the
+    oracle's search over the full domains: the same variable order, the
+    same least solution with no more solves and, when the task is feasible,
+    as solutions those of the oracle that take only class representatives,
+    in the same order (the first 200, among the oracle's first 2,000: some
+    random formulas have millions); one layout per distinct (order, leaf
+    set), each running this algebra's operations; and the verdict and least
+    witness of `is_valid` equal to those the oracle's solutions give."""
     prog = compile_formula(f)
     slots = _Slots(a, prog)
     tasks = _refuting_tasks(slots)
-    assert tasks == refuting_tasks_oracle(slots)
+    oracle_tasks = refuting_tasks_oracle(slots, with_c=True)
+    assert len(tasks) == len(oracle_tasks)
     best, keys = None, set()
-    for cvars, constraints in tasks:
-        csp = _CSP(slots, cvars, constraints)
+    for csp, (c, cvars, constraints) in zip(tasks, oracle_tasks):
+        reps = class_representatives(a, c)
+        classes = [(slots.var_slot[v], reps) for v in cvars]
+        task = oracle_csp(slots, cvars, constraints + classes)
+        assert ((csp.vars, csp.domains, csp.leafs, csp.feasible)
+                == (task.vars, task.domains, task.leafs, task.feasible))
         old = oracle_csp(slots, cvars, constraints)
         got, calls = _lex_min_counting(csp)
         want, old_calls = _lex_min_counting(old)
         assert got == want and calls <= old_calls
+        assert csp.feasible == old.feasible
         if csp.feasible:
-            assert csp._order(frozenset(csp.leafs)) == old._order()
+            assert csp.leaves == frozenset(old.leafs)
+            assert csp._order() == old._order()
             keys.add((old._order(), frozenset(old.leafs)))
-            assert _first_solutions(csp) == _first_solutions(old)
+            found = _first_solutions(csp)
+            every = _first_solutions(old, 2000)
+            on_reps = [sol for sol in every
+                       if all(reps >> e & 1 for e in sol.values())]
+            if len(every) < 2000:
+                assert found == on_reps[:200]
+            else:
+                k = min(len(on_reps), 200)
+                assert found[:k] == on_reps[:k]
+                assert not any(sol in every for sol in found[k:])
         if want is not None:
             full = tuple(want.get(v, 0) for v in prog.vars)
             best = full if best is None else min(best, full)
@@ -224,33 +245,35 @@ def _relabelled(algebras, seed):
     return out
 
 
-def test_propagation_engine_matches_oracle_on_jankov(oracle_csp,
-                                                    refuting_tasks_oracle):
+def test_propagation_engine_matches_oracle_on_jankov(
+        oracle_csp, refuting_tasks_oracle, class_representatives_oracle):
     targets = _relabelled(all_algebras(7), 17)
     verdicts = set()
     for a in si_algebras(5):
         chi = jankov_formula(a)
         for b in targets:
-            verdicts.add(_check_against_oracle(b, chi, oracle_csp,
-                                               refuting_tasks_oracle))
+            verdicts.add(_check_against_oracle(
+                b, chi, oracle_csp, refuting_tasks_oracle,
+                class_representatives_oracle))
     assert verdicts == {True, False}
 
 
-def test_propagation_engine_matches_oracle_on_pretrue(oracle_csp,
-                                                     refuting_tasks_oracle):
+def test_propagation_engine_matches_oracle_on_pretrue(
+        oracle_csp, refuting_tasks_oracle, class_representatives_oracle):
     kg = parse(KG_AXIOM)
     pre, _, _ = pretrue_formula()
     targets = [b for b in all_algebras(10) if b.size == 10
                and is_valid(b, kg)[0]][::7]
     verdicts = {_check_against_oracle(b, pre, oracle_csp,
-                                      refuting_tasks_oracle)
+                                      refuting_tasks_oracle,
+                                      class_representatives_oracle)
                 for b in _relabelled(targets, 19)}
     assert verdicts == {True, False}
 
 
-def test_propagation_engine_matches_oracle_on_random(all6, random_test_formula,
-                                                     oracle_csp,
-                                                     refuting_tasks_oracle):
+def test_propagation_engine_matches_oracle_on_random(
+        all6, random_test_formula, oracle_csp, refuting_tasks_oracle,
+        class_representatives_oracle):
     rng = random.Random(23)
     algs = [a for a in all6 if a.size >= 2]
     checked = 0
@@ -258,13 +281,33 @@ def test_propagation_engine_matches_oracle_on_random(all6, random_test_formula,
         f = random_test_formula(rng, 6, 7 + checked % 3)
         if len(variables(f)) >= 7:
             _check_against_oracle(algs[checked % len(algs)], f, oracle_csp,
-                                  refuting_tasks_oracle)
+                                  refuting_tasks_oracle,
+                                  class_representatives_oracle)
             checked += 1
 
 
+def test_propagation_engine_matches_oracle_on_box_free_interior(
+        random_test_formula, oracle_csp, refuting_tasks_oracle,
+        class_representatives_oracle):
+    # c is an atom, so each variable takes two values: 0 and c
+    rng = random.Random(31)
+    spans = [span(a)[0] for a in all_algebras(5)]
+    verdicts = set()
+    for i in range(120):
+        s = spans[i % len(spans)]
+        f = random_test_formula(rng, 5, 2 + i % 3)
+        valid = _check_against_oracle(s, f, oracle_csp, refuting_tasks_oracle,
+                                      class_representatives_oracle)
+        assert is_valid(s, f, engine="both")[0] == valid
+        verdicts.add(valid)
+    assert verdicts == {True, False}
+
+
 def test_refuting_tasks_with_box_match_oracle(random_test_formula,
+                                              oracle_csp,
                                               refuting_tasks_oracle):
-    # a box moves c, so these programs still push once per c
+    # a box moves c, so these programs still push once per c, and their
+    # variables keep their full domains
     rng = random.Random(29)
     spans = [span(a)[0] for a in all_algebras(5)]
     checked = 0
@@ -274,12 +317,18 @@ def test_refuting_tasks_with_box_match_oracle(random_test_formula,
                                                        modal=True))
             if prog.has_box:
                 slots = _Slots(s, prog)
-                assert _refuting_tasks(slots) == refuting_tasks_oracle(slots)
+                want = [oracle_csp(slots, cvars, constraints) for
+                        cvars, constraints in refuting_tasks_oracle(slots)]
+                assert ([(t.vars, t.domains, t.leafs, t.feasible)
+                         for t in _refuting_tasks(slots)]
+                        == [(t.vars, t.domains, t.leafs, t.feasible)
+                            for t in want])
                 checked += 1
     assert checked > 50
 
 
-def test_plans_shared_across_algebras_and_bound_per_algebra(oracle_csp):
+def test_plans_shared_across_algebras_and_bound_per_algebra(
+        oracle_csp, refuting_tasks_oracle):
     # fresh formulas, so that their programs hold the plans of this test only
     chi = substitute(jankov_formula(chain(3)), {})
     lin = parse("[]([]p1 -> []p2) | []([]p2 -> []p1)")
@@ -295,7 +344,7 @@ def test_plans_shared_across_algebras_and_bound_per_algebra(oracle_csp):
             assert _prop_search(a, alone) == got
             verdicts.add(got[0])
             slots = _Slots(a, alone)
-            for cvars, constraints in _refuting_tasks(slots):
+            for cvars, constraints in refuting_tasks_oracle(slots):
                 old = oracle_csp(slots, cvars, constraints)
                 if old.feasible:
                     keys.add((old._order(), frozenset(old.leafs)))
