@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
 """Work counts of the propagation engine and of Sub-Hom over the tasks of
-the `validity` benchmark workload: the CSPs the engine builds, how many of
-them are feasible (no domain or leaf mask empty) and how many have a
-solution, the calls of the scalar operations the engine runs, and the
-quotients `in_sh` builds.
+the `validity` benchmark workload: the join-irreducible c's the engine
+searches and those it answers from a program's set of quotient keys, the
+CSPs it builds, how many of them are feasible (no domain or leaf mask
+empty) and how many have a solution, the calls of the scalar operations it
+runs, and the quotients `in_sh` builds.
 
-    python3 scripts/search_counts.py [--seed 2025]
+    python3 scripts/search_counts.py [--seed 2025] [--fresh]
+
+With --fresh every validity check gets a formula object of its own,
+parsed from the printed formula, so that nothing a program keeps (its set
+of quotient keys, its search plans and variable orders) carries over from
+one task to the next: the counts are then those of the engine alone.
 
 Run it from the root of a checkout: the library is imported from ./src and
 the tasks from ./perfbench/workloads.py.  The counts are made from outside
@@ -27,9 +33,29 @@ from charform import algebra, formula  # noqa: E402
 import workloads  # noqa: E402
 
 
-def install(counts):
+def install(counts, fresh):
     """Wrap the counted functions; counts fills in as the tasks run.  The
     tasks of `validity` search Heyting algebras only."""
+    prop_search, refuting_tasks = formula._prop_search, formula._refuting_tasks
+
+    def counted_prop_search(algebra, prog):
+        counts["cs"] += len(algebra.join_irreducibles())
+        return prop_search(algebra, prog)
+
+    def counted_refuting_tasks(slots, *ji):
+        counts["cs_searched"] += len(
+            ji[0] if ji and ji[0] is not None
+            else slots.algebra.join_irreducibles())
+        return refuting_tasks(slots, *ji)
+
+    formula._prop_search = counted_prop_search
+    formula._refuting_tasks = counted_refuting_tasks
+
+    if fresh:
+        is_valid = formula.is_valid
+        formula.is_valid = lambda algebra, f, *args, **kwargs: is_valid(
+            algebra, formula.parse(formula.pretty(f)), *args, **kwargs)
+
     init = formula._CSP.__init__
 
     def counted_init(self, *args, **kwargs):
@@ -76,16 +102,21 @@ def install(counts):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    ap.add_argument("--fresh", action="store_true",
+                    help="a formula object of its own for every check")
     args = ap.parse_args(argv)
     tasks = workloads.ValidityWorkload(args.seed, "full").tasks()
-    counts = dict.fromkeys(("csps", "feasible_csps", "solved_csps",
-                            "scalar_op_calls", "in_sh_quotients"), 0)
-    install(counts)
+    counts = dict.fromkeys(("cs", "cs_searched", "cs_from_memo", "csps",
+                            "feasible_csps", "solved_csps", "scalar_op_calls",
+                            "in_sh_quotients"), 0)
+    install(counts, args.fresh)
     for task in tasks:
         task.call()
+    counts["cs_from_memo"] = counts["cs"] - counts["cs_searched"]
     for name, value in counts.items():
         print(f"{name} {value}")
-    print(json.dumps(dict(counts, seed=args.seed, tasks=len(tasks))))
+    print(json.dumps(dict(counts, seed=args.seed, tasks=len(tasks),
+                          fresh=args.fresh)))
 
 
 if __name__ == "__main__":

@@ -16,20 +16,26 @@ from .rn import boolean, chain, rn_algebra
 
 
 def _extend_posets(posets, max_upsets):
-    """All one-point maximal extensions with at most max_upsets upsets."""
+    """All one-point maximal extensions with at most max_upsets upsets.
+
+    The new point lies above the down-set d of p and below nothing, so an
+    up-set of the extension is an up-set of p, with the new point, or one
+    disjoint from d, without it: the extension has as many up-sets as p
+    plus those of p disjoint from d, counted without listing its own."""
     out = {}
     for p in posets:
         n = p.size
+        upsets = p.upset_masks()
         # downsets of p = upsets of the dual
         downsets = Poset._trusted(_transpose(p.up)).upset_masks()
         for d in downsets:
+            if len(upsets) + sum(not u & d for u in upsets) > max_upsets:
+                continue
             up = list(p.up)
             for i in _bits(d):
                 up[i] |= 1 << n
             up.append(1 << n)
             q = Poset._trusted(up)
-            if len(q.upset_masks()) > max_upsets:
-                continue
             key = canonical_key(q)
             if key not in out:
                 out[key] = q

@@ -1,10 +1,13 @@
 import itertools
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charform import formula as formula_module
 from charform.acceptance import KG_AXIOM, pretrue_formula
 from charform.algebra import (SizeLimit, concat, homomorphism_search,
                               in_sh, make_algebra, relabel_algebra)
@@ -350,6 +353,159 @@ def test_plans_shared_across_algebras_and_bound_per_algebra(
                     keys.add((old._order(), frozenset(old.leafs)))
         assert verdicts == {True, False}
         assert set(compile_formula(f)._plans) == keys
+
+
+def _fresh(f):
+    """An object equal to f with a program of its own, so with an empty set
+    of quotient keys: `compile_formula` keeps the program on the root."""
+    return Formula(f.kind, f.args)
+
+
+def _searched_cs(monkeypatch):
+    """A list that gets, per call of `_refuting_tasks`, the number of c's
+    it makes tasks for."""
+    searched, tasks = [], formula_module._refuting_tasks
+
+    def counted(slots, ji=None):
+        searched.append(len(slots.algebra.join_irreducibles()) if ji is None
+                        else len(ji))
+        return tasks(slots, ji)
+
+    monkeypatch.setattr(formula_module, "_refuting_tasks", counted)
+    return searched
+
+
+def test_quotient_memo_matches_fresh_formulas_on_jankov(monkeypatch):
+    # one object per Jankov formula meets every target, in a shuffled order,
+    # so its set of quotient keys fills and is read across targets; each
+    # fresh object starts with an empty set
+    searched = _searched_cs(monkeypatch)
+    targets = _relabelled(all_algebras(8), 37)
+    random.Random(37).shuffle(targets)
+    verdicts, by_memo, fresh = set(), 0, 0
+    for a in si_algebras(5):
+        chi = jankov_formula(a)
+        kept = _fresh(chi)
+        for b in targets:
+            del searched[:]
+            got = is_valid(b, kept, engine="both")
+            by_memo += sum(searched)
+            del searched[:]
+            assert got == is_valid(b, _fresh(chi), engine="both")
+            fresh += sum(searched)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+    assert by_memo < fresh
+
+
+def test_quotient_memo_matches_fresh_formulas_on_pretrue():
+    # 17 variables: too many for the naive engine
+    kg = parse(KG_AXIOM)
+    pre, _, _ = pretrue_formula()
+    kept = _fresh(pre)
+    targets = _relabelled([b for b in all_algebras(10) if is_valid(b, kg)[0]],
+                          43)
+    got = [is_valid(b, kept, engine="propagate") for b in targets]
+    assert got == [is_valid(b, _fresh(pre), engine="propagate")
+                   for b in targets]
+    assert {valid for valid, _ in got} == {True, False}
+    assert compile_formula(kept)._unrefuted
+
+
+def test_box_program_never_touches_the_quotient_memo(random_test_formula,
+                                                     monkeypatch):
+    keyed = []
+    monkeypatch.setattr(formula_module, "_down_key",
+                        lambda *args: keyed.append(args))
+    rng = random.Random(53)
+    spans = [span(a)[0] for a in all_algebras(5)]
+    checked = 0
+    for i in range(200):
+        f = random_test_formula(rng, 5, 1 + i % 3, modal=True)
+        prog = compile_formula(f)
+        if prog.has_box:
+            for s in spans[i % 3::3]:
+                is_valid(s, f, engine="both")
+            assert "_unrefuted" not in prog.__dict__
+            checked += 1
+    assert checked > 50 and not keyed
+
+
+def test_quotient_memo_across_algebra_kinds(random_test_formula):
+    # the order below an atom is the two-element algebra in both kinds, so
+    # a key that an interior algebra adds serves Heyting algebras and back
+    rng = random.Random(47)
+    heyting = _relabelled(all_algebras(6), 47)
+    spans = [span(a)[0] for a in all_algebras(5)]
+    forms = [parse("p1 | ~p1"), parse("~p1 | ~~p1")]
+    forms += [jankov_formula(a) for a in si_algebras(4)]
+    forms += [random_test_formula(rng, 5, 1 + i % 3) for i in range(30)]
+    verdicts = set()
+    for f in forms:
+        for algebras in (spans + heyting, heyting + spans):
+            kept = _fresh(f)
+            for b in algebras:
+                got = is_valid(b, kept, engine="both")
+                assert got == is_valid(b, _fresh(f), engine="both")
+                verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_quotient_memo_keys_no_order_above_the_cap(monkeypatch):
+    # the top of B(4) + C(2) is join-irreducible, with all 17 elements below
+    b = concat(boolean(4), chain(2))
+    assert b.top in b.join_irreducibles()
+    assert b.size > formula_module._MEMO_MAX
+    sizes, key = [], formula_module.canonical_key
+
+    def recorded(order):
+        sizes.append(order.size)
+        return key(order)
+
+    monkeypatch.setattr(formula_module, "canonical_key", recorded)
+    for f in (parse("p1 | ~p1"), jankov_formula(chain(3)),
+              jankov_formula(chain(4))):
+        kept = _fresh(f)
+        want = is_valid(b, _fresh(f), engine="naive")
+        # the top is searched every time: its key is never kept
+        for _ in range(2):
+            assert is_valid(b, kept, engine="both") == want
+        if f == parse("p1 | ~p1"):
+            # refuted at the top alone; each atom has the two-element chain
+            assert not want[0]
+            assert compile_formula(kept)._unrefuted == {
+                formula_module._chain_key(2)}
+    assert all(n <= formula_module._MEMO_MAX for n in sizes)
+
+
+def test_quotient_memo_shared_by_threads():
+    # more threads than cores search with one program, so its set of
+    # unrefuted keys is read and filled concurrently: a race may repeat a
+    # search but must not change a verdict or a witness
+    targets = _relabelled(all_algebras(8), 59)
+    chis = [jankov_formula(a) for a in si_algebras(5)]
+    want = {(i, j): is_valid(b, _fresh(chi), engine="propagate")
+            for i, chi in enumerate(chis) for j, b in enumerate(targets)}
+    got, kept = {}, [_fresh(chi) for chi in chis]
+
+    def work(seed):
+        order = list(want)
+        random.Random(seed).shuffle(order)
+        for i, j in order:
+            got[seed, i, j] = is_valid(targets[j], kept[i], engine="propagate")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {(k, *key): v for k in range(4) for key, v in want.items()}
 
 
 def _full_product(a, f, ev):
