@@ -4,9 +4,12 @@ the `validity` benchmark workload: the join-irreducible c's the engine
 searches and those it answers from a program's set of quotient keys, the
 CSPs it builds, how many of them are feasible (no domain or leaf mask
 empty) and how many have a solution, the calls of the scalar operations it
-runs, and the quotients `in_sh` builds.
+runs, and the quotients `in_sh` builds.  With --modal, work counts of the
+naive engine over the tasks of the `modal` workload instead: its calls, the
+batches it runs (`run_program` over the batch operations) and the calls
+whose verdict is valid.
 
-    python3 scripts/search_counts.py [--seed 2025] [--fresh]
+    python3 scripts/search_counts.py [--seed 2025] [--fresh | --modal]
 
 With --fresh every validity check gets a formula object of its own,
 parsed from the printed formula, so that nothing a program keeps (its set
@@ -99,24 +102,60 @@ def install(counts, fresh):
     algebra.in_sh, algebra.quotient = counted_in_sh, counted_quotient
 
 
+def install_modal(counts):
+    """Wrap the naive engine; counts fills in as the tasks run.  A batch is
+    a `run_program` call, inside a naive search, with the batch operations
+    of the algebra searched."""
+    naive_search, run_program = formula._naive_search, formula.run_program
+    batch = [None]
+
+    def counted_naive_search(algebra, prog, budget):
+        counts["naive_calls"] += 1
+        batch[0] = algebra.batch_ops()
+        try:
+            got = naive_search(algebra, prog, budget)
+        finally:
+            batch[0] = None
+        counts["naive_valid"] += got[0]
+        return got
+
+    def counted_run_program(prog, ops, cols):
+        counts["naive_batches"] += ops is batch[0]
+        return run_program(prog, ops, cols)
+
+    formula._naive_search = counted_naive_search
+    formula.run_program = counted_run_program
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    ap.add_argument("--fresh", action="store_true",
-                    help="a formula object of its own for every check")
+    group = ap.add_mutually_exclusive_group()
+    group.add_argument("--fresh", action="store_true",
+                       help="a formula object of its own for every check")
+    group.add_argument("--modal", action="store_true",
+                       help="count the naive engine over the modal workload")
     args = ap.parse_args(argv)
-    tasks = workloads.ValidityWorkload(args.seed, "full").tasks()
-    counts = dict.fromkeys(("cs", "cs_searched", "cs_from_memo", "csps",
-                            "feasible_csps", "solved_csps", "scalar_op_calls",
-                            "in_sh_quotients"), 0)
-    install(counts, args.fresh)
+    if args.modal:
+        tasks = workloads.ModalWorkload(args.seed, "full").tasks()
+        counts = dict.fromkeys(("naive_calls", "naive_batches",
+                                "naive_valid"), 0)
+        install_modal(counts)
+        mode = {"modal": True}
+    else:
+        tasks = workloads.ValidityWorkload(args.seed, "full").tasks()
+        counts = dict.fromkeys(("cs", "cs_searched", "cs_from_memo", "csps",
+                                "feasible_csps", "solved_csps",
+                                "scalar_op_calls", "in_sh_quotients"), 0)
+        install(counts, args.fresh)
+        mode = {"fresh": args.fresh}
     for task in tasks:
         task.call()
-    counts["cs_from_memo"] = counts["cs"] - counts["cs_searched"]
+    if not args.modal:
+        counts["cs_from_memo"] = counts["cs"] - counts["cs_searched"]
     for name, value in counts.items():
         print(f"{name} {value}")
-    print(json.dumps(dict(counts, seed=args.seed, tasks=len(tasks),
-                          fresh=args.fresh)))
+    print(json.dumps(dict(counts, seed=args.seed, tasks=len(tasks), **mode)))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 import sys
 import threading
 
@@ -769,7 +770,7 @@ def test_first_refutation_matches_product_scan(random_test_formula):
                 for domain in (range(s.size), s.opens, closed, s.opens, closed):
                     want = _product_scan(prog, scalar, domain, s.full)
                     for _ in range(2):
-                        assert first_refutation(prog, batch, domain,
+                        assert first_refutation(prog, scalar, batch, domain,
                                                 s.full) == want
                 assert not _digits(len(s.opens), k).flags.writeable
                 assert _digits(s.size, k) is _digits(s.size, k)
@@ -783,4 +784,56 @@ def test_first_refutation_uncached_grid():
     prog = compile_formula(f)
     want = _product_scan(prog, c.scalar_ops(), range(c.size), c.top)
     assert want is not None
-    assert first_refutation(prog, c.batch_ops(), range(c.size), c.top) == want
+    assert first_refutation(prog, c.scalar_ops(), c.batch_ops(),
+                            range(c.size), c.top) == want
+
+
+def test_first_refutation_probe_edges(all6, random_test_formula, monkeypatch):
+    # the first P rows are probed one at a time before the batch: over
+    # every algebra of all_algebras(6) and its span, with 0 to 4 variables,
+    # least refutations at rows 0, P-1, P and P+1 and valid formulas, the
+    # witness is the product scan's, with and without the probe, its values
+    # are ints, and a batch runs only when no probed row refutes and some
+    # row is left unprobed
+    P = formula_module._PROBE_ROWS
+    run, batches = formula_module.run_program, []
+
+    def counted_run(prog, ops, cols):
+        batches.append(ops is batch)
+        return run(prog, ops, cols)
+
+    monkeypatch.setattr(formula_module, "run_program", counted_run)
+    rng = random.Random(21)
+    cases = []
+    for a in all6:
+        s = span(a)[0]
+        closed = sorted(s.full ^ o for o in s.opens)
+        cases.append((a, range(a.size), False))
+        cases += [(s, d, True) for d in (range(s.size), s.opens, closed)]
+    rows = Counter()
+    for alg, domain, modal in cases:
+        scalar, batch, m = alg.scalar_ops(), alg.batch_ops(), len(domain)
+        progs = [compile_formula(f) for f in (TOP, BOT, neg(TOP))]
+        for k in range(1, 5):
+            for _ in range(4 if m ** k <= 1296 else 0):
+                prog = compile_formula(random_test_formula(rng, 4, k, modal))
+                while len(prog.vars) != k:
+                    prog = compile_formula(
+                        random_test_formula(rng, 4, k, modal))
+                progs.append(prog)
+        for prog in progs:
+            want = _product_scan(prog, scalar, domain, alg.top)
+            row = None if want is None else sum(
+                list(domain).index(want[v]) * m ** i
+                for i, v in enumerate(reversed(prog.vars)))
+            rows[row if row is None or row <= P + 1 else "later"] += 1
+            for probe in (P, 0):
+                monkeypatch.setattr(formula_module, "_PROBE_ROWS", probe)
+                batches.clear()
+                got = first_refutation(prog, scalar, batch, domain, alg.top)
+                assert got == want
+                assert all(type(x) is int for x in (got or {}).values())
+                ran = ((row is None or row >= probe)
+                       and m ** len(prog.vars) > probe)
+                assert batches.count(True) == ran
+    assert all(rows[r] for r in (0, P - 1, P, P + 1, None)), rows
