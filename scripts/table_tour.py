@@ -7,7 +7,10 @@ most 6 elements of each of `all_algebras(7)`; products and
 concatenations of pairs from `all_algebras(4)`; seeded relabellings of
 trunc("Zprime", 6), trunc("KG", 4) and Z(9); carcasses of the spans of
 `all_algebras(7)`; and the open-generated parts and every quotient by an
-open element of the spans of `all_algebras(6)`.
+open element of the spans of `all_algebras(6)`.  Two last lines guard the
+cold catalog: one sha256 over `all_algebras(15)` in order, of each
+algebra's (canonical key, up, meet, join, imp, bottom, top), and one over
+the canonical keys of the posets of `_posets_with_few_upsets(15)`.
 
 Its output is compared with tests/golden/table_tour.txt, so any change to
 a constructor's tables, element indices or labels shows:
@@ -18,9 +21,10 @@ a constructor's tables, element indices or labels shows:
 import hashlib
 import random
 
-from charform.algebra import (concat, induced_subalgebra, principal_filter,
-                              product, quotient, relabel_algebra)
-from charform.catalog import all_algebras
+from charform.algebra import (canonical_key, concat, induced_subalgebra,
+                              principal_filter, product, quotient,
+                              relabel_algebra)
+from charform.catalog import _posets_with_few_upsets, all_algebras
 from charform.modal import heyting_carcass, open_generated, quotient_by_open, span
 from charform.presentation import _bounded_subalgebras
 from charform.rn import rn_algebra, trunc
@@ -33,6 +37,13 @@ def digest(alg):
         parts = (alg.up, alg.meet, alg.join, alg.imp, alg.bottom, alg.top,
                  alg.labels)
     return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def sha256_of(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()
 
 
 def show(name, alg):
@@ -67,6 +78,13 @@ def main():
         show(f"span {i} open-generated", open_generated(s))
         for o in s.opens:
             show(f"span {i} quotient by {o}", quotient_by_open(s, o))
+    catalog = all_algebras(15)
+    print(f"catalog 15: {len(catalog)} algebras " + sha256_of(
+        (canonical_key(a), a.up, a.meet, a.join, a.imp, a.bottom, a.top)
+        for a in catalog))
+    posets = _posets_with_few_upsets(15)
+    print(f"posets with at most 15 up-sets: {len(posets)} posets "
+          + sha256_of(canonical_key(p) for p in posets))
 
 
 if __name__ == "__main__":
