@@ -365,27 +365,32 @@ def _image(a, elems, img, labels=None):
 
 def _set_algebra(sets, interior):
     """The algebra on `sets`, ascending bitmasks closed under & and |, with
-    u -> v = interior(~u | v); the last set is the whole carrier."""
-    idx = {s: i for i, s in enumerate(sets)}
+    u -> v = interior(~u | v); the last set is the whole carrier.
+
+    The tables are built over whole n x n arrays of masks: `interior` maps
+    such an array to the array of interiors, and np.searchsorted turns each
+    mask into its index in `sets`.  Masks that do not fit in int64 are held
+    as Python ints in a dtype=object array, through the same code.
+    """
     full = sets[-1]
-    meet = [[idx[u & v] for v in sets] for u in sets]
-    join = [[idx[u | v] for v in sets] for u in sets]
-    imp = [[idx[interior((u ^ full) | v)] for v in sets] for u in sets]
-    return _from_tables(meet, join, imp)
+    masks = np.array(sets, dtype=np.int64 if full < 1 << 63 else object)
+    u, v = masks[:, None], masks[None, :]
+
+    def index(table):
+        return np.searchsorted(masks, table).tolist()
+
+    return _from_tables(index(u & v), index(u | v),
+                        index(interior((u ^ full) | v)))
 
 
 def upset_algebra(poset):
     """Heyting algebra of up-closed subsets of a poset, ordered by inclusion;
-    the interior of a set is the complement of the down-closure of its
-    complement."""
-    full = (1 << poset.size) - 1
-    down = _transpose(poset.up)
-
+    the interior of a set is the set of points whose up-set it contains."""
     def interior(w):
-        below = 0
-        for x in _bits(full ^ w):
-            below |= down[x]
-        return full ^ below
+        out = np.zeros_like(w)
+        for x, m in enumerate(poset.up):
+            out[(w & m) == m] |= 1 << x
+        return out
 
     return _set_algebra(poset.upset_masks(), interior)
 
@@ -782,18 +787,25 @@ def regular_elements(a):
 # -- isomorphism and canonical forms ---------------------------------------
 
 
-def _refine_profile(up, down, size):
-    """Iterated neighbourhood refinement; returns a per-element colour.
+def _refine_profile(above):
+    """Iterated neighbourhood refinement of an order given by `above`, where
+    above[i] lists the elements j >= i; returns a per-element colour.
 
-    Colours are ranked by sorted key so they are comparable across algebras.
+    The elements below each element are listed once, from `above`.  A round
+    keys each element by its colour and the sorted colours below and above
+    it, and ranks the keys in sorted order, so colours are comparable
+    across algebras.
     """
-    colour = [(down[i].bit_count(), up[i].bit_count()) for i in range(size)]
+    size = len(above)
+    below = [[] for _ in range(size)]
+    for x, ys in enumerate(above):
+        for y in ys:
+            below[y].append(x)
+    colour = [(len(below[i]), len(above[i])) for i in range(size)]
     for _ in range(size):
-        keys = []
-        for i in range(size):
-            below = tuple(sorted(colour[j] for j in _bits(down[i])))
-            above = tuple(sorted(colour[j] for j in _bits(up[i])))
-            keys.append((colour[i], below, above))
+        get = colour.__getitem__
+        keys = [(colour[i], tuple(sorted(map(get, below[i]))),
+                 tuple(sorted(map(get, above[i])))) for i in range(size)]
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         new = [rank[k] for k in keys]
         if new == colour:
@@ -810,8 +822,8 @@ def is_isomorphic(a, b):
     """
     if a.size != b.size:
         return False, None
-    ca = _refine_profile(a.up, a.down, a.size)
-    cb = _refine_profile(b.up, b.down, b.size)
+    ca = _refine_profile([list(_bits(m)) for m in a.up])
+    cb = _refine_profile([list(_bits(m)) for m in b.up])
     if sorted(ca) != sorted(cb):
         return False, None
     classes = {}
@@ -827,31 +839,27 @@ def canonical_key(a):
     deterministic order.
 
     Reads only `a.size` and the up-set masks `a.up`, so it keys posets and
-    algebras alike; an algebra's key is the key of its order.
+    algebras alike; an algebra's key is the key of its order.  The key is
+    the least code, (n,) then the up masks row by row, over the labellings
+    that place the `_refine_profile` colour classes in ascending order; a
+    backtracking search tries every order within each class.
     """
     n = a.size
-    up = a.up
-    down = _transpose(up)
-    colour = _refine_profile(up, down, n)
+    above = [list(_bits(m)) for m in a.up]
+    colour = _refine_profile(above)
     best = None
     order = sorted(range(n), key=lambda x: (colour[x], x))
     groups = {}
     for x in order:
         groups.setdefault(colour[x], []).append(x)
 
-    perm = [-1] * n
+    perm = [0] * n  # the bit of x's new position, 0 while x is unplaced
     inv = [-1] * n
+    bit = perm.__getitem__
 
     def encode():
-        rows = []
-        for i in range(n):
-            mask = 0
-            ux = up[inv[i]]
-            for j in range(n):
-                if (ux >> inv[j]) & 1:
-                    mask |= 1 << j
-            rows.append(mask)
-        return tuple(rows)
+        # row k: the new positions of the up-set of the element placed at k
+        return tuple([sum(map(bit, above[x])) for x in inv])
 
     def backtrack(k, slots):
         nonlocal best
@@ -861,11 +869,11 @@ def canonical_key(a):
                 best = code
             return
         for x in slots[k]:
-            if perm[x] == -1:
-                perm[x] = k
+            if not perm[x]:
+                perm[x] = 1 << k
                 inv[k] = x
                 backtrack(k + 1, slots)
-                perm[x] = -1
+                perm[x] = 0
         # keep the search bounded: if the colouring is discrete this loops once
 
     slots = [groups[c] for c in sorted(groups)]

@@ -204,8 +204,9 @@ def span(algebra):
 
 
 def heyting_carcass(b):
-    """Heyting algebra of the open elements, with x -> y = box(~x | y)."""
-    return _set_algebra(b.opens, b.box.__getitem__)
+    """Heyting algebra of the open elements, with x -> y = box(~x | y), box
+    gathered from the box table."""
+    return _set_algebra(b.opens, b.batch_ops()["box"])
 
 
 def _on_blocks(b, blocks):

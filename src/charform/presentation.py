@@ -124,11 +124,11 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
             for filt in enumerate_filters(g):
                 q, _ = quotient(g, filt)
                 for carrier in _bounded_subalgebras(q, bound):
-                    order = _si_order(q, carrier)
-                    if order is None:
+                    up = _si_order(q, carrier)
+                    if up is None:
                         continue
-                    if (up := tuple(order.up)) not in keys:
-                        keys[up] = canonical_key(order)
+                    if up not in keys:
+                        keys[up] = canonical_key(Poset._trusted(up))
                     key = keys[up]
                     if key not in found:
                         _, sub = induced_subalgebra(q, carrier)
@@ -149,9 +149,9 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
 
 
 def _si_order(a, carrier):
-    """The order of the subalgebra of a on carrier, as the `Poset` that
-    `induced_subalgebra` would give it, or None when that subalgebra is not
-    s.i.: it is when some element below top lies above all the others."""
+    """The order of the subalgebra of a on carrier, as the tuple of up masks
+    that `induced_subalgebra` would give it, or None when that subalgebra is
+    not s.i.: it is when some element below top lies above all the others."""
     mask = sum(1 << x for x in carrier)
     below_top = mask & ~(1 << a.top)
     above_all = mask
@@ -161,8 +161,8 @@ def _si_order(a, carrier):
         return None
     elems = sorted(carrier)
     pos = {x: i for i, x in enumerate(elems)}
-    return Poset._trusted([sum(1 << pos[y] for y in _bits(a.up[x] & mask))
-                           for x in elems])
+    return tuple(sum(1 << pos[y] for y in _bits(a.up[x] & mask))
+                 for x in elems)
 
 
 def _bounded_subalgebras(a, bound):

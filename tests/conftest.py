@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from charform.algebra import (HeytingAlgebra, _bits, close_set,
-                              enumerate_filters, homomorphism_search, opremum,
-                              quotient, subalgebra_closure)
+from charform.algebra import (HeytingAlgebra, _bits, _from_tables,
+                              _transpose, close_set, enumerate_filters,
+                              homomorphism_search, opremum, quotient,
+                              subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _conjuncts, and_, box, conj,
@@ -720,3 +721,116 @@ def _least_isomorphism(a, b):
 @pytest.fixture(scope="session")
 def least_isomorphism_oracle():
     return _least_isomorphism
+
+
+# -- slow oracles: the canonical key and set-algebra tables before their
+# -- list-based and array-built rewrites -----------------------------------------
+
+
+def _refine_profile(up, down, size):
+    """Iterated neighbourhood refinement, listing each element's elements
+    below and above again in every round."""
+    colour = [(down[i].bit_count(), up[i].bit_count()) for i in range(size)]
+    for _ in range(size):
+        keys = []
+        for i in range(size):
+            below = tuple(sorted(colour[j] for j in _bits(down[i])))
+            above = tuple(sorted(colour[j] for j in _bits(up[i])))
+            keys.append((colour[i], below, above))
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        new = [rank[k] for k in keys]
+        if new == colour:
+            break
+        colour = new
+    return colour
+
+
+def _canonical_key(a):
+    """The canonical key with each leaf's code built by testing all n
+    columns of every row."""
+    n = a.size
+    up = a.up
+    colour = _refine_profile(up, _transpose(up), n)
+    best = None
+    groups = {}
+    for x in sorted(range(n), key=lambda x: (colour[x], x)):
+        groups.setdefault(colour[x], []).append(x)
+    perm = [-1] * n
+    inv = [-1] * n
+
+    def encode():
+        rows = []
+        for i in range(n):
+            mask = 0
+            ux = up[inv[i]]
+            for j in range(n):
+                if (ux >> inv[j]) & 1:
+                    mask |= 1 << j
+            rows.append(mask)
+        return tuple(rows)
+
+    def backtrack(k, slots):
+        nonlocal best
+        if k == n:
+            code = encode()
+            if best is None or code < best:
+                best = code
+            return
+        for x in slots[k]:
+            if perm[x] == -1:
+                perm[x] = k
+                inv[k] = x
+                backtrack(k + 1, slots)
+                perm[x] = -1
+
+    flat = []
+    for c in sorted(groups):
+        flat.extend([groups[c]] * len(groups[c]))
+    backtrack(0, flat)
+    return (n,) + best
+
+
+def _set_algebra(sets, interior):
+    """The algebra on ascending masks `sets`, one pair at a time: a dict
+    from mask to index and u -> v = interior(~u | v) on single masks."""
+    idx = {s: i for i, s in enumerate(sets)}
+    full = sets[-1]
+    meet = [[idx[u & v] for v in sets] for u in sets]
+    join = [[idx[u | v] for v in sets] for u in sets]
+    imp = [[idx[interior((u ^ full) | v)] for v in sets] for u in sets]
+    return _from_tables(meet, join, imp)
+
+
+def _upset_algebra(poset):
+    """The up-set algebra through the per-pair builder, with the interior
+    of a set the complement of the down-closure of its complement."""
+    full = (1 << poset.size) - 1
+    down = _transpose(poset.up)
+
+    def interior(w):
+        below = 0
+        for x in _bits(full ^ w):
+            below |= down[x]
+        return full ^ below
+
+    return _set_algebra(poset.upset_masks(), interior)
+
+
+def _heyting_carcass(b):
+    """The carcass through the per-pair builder, box read per mask."""
+    return _set_algebra(b.opens, b.box.__getitem__)
+
+
+@pytest.fixture(scope="session")
+def canonical_key_oracle():
+    return _canonical_key
+
+
+@pytest.fixture(scope="session")
+def upset_algebra_oracle():
+    return _upset_algebra
+
+
+@pytest.fixture(scope="session")
+def heyting_carcass_oracle():
+    return _heyting_carcass

@@ -19,6 +19,7 @@ from charform.algebra import (Filter, HeytingAlgebra, Homomorphism,
                               subalgebra_closure, upset_algebra, _bits,
                               _from_tables)
 from charform import algebra as algebra_module
+from charform import rn as rn_module
 from charform.catalog import _posets_with_few_upsets, all_algebras
 from charform.exprs import parse_algebra_expr
 from charform.modal import heyting_carcass, span
@@ -135,7 +136,7 @@ def test_derived_algebras_pass_the_full_check(recheck):
             recheck(sub)
             order = _si_order(a, carrier)
             if order is not None:
-                assert Poset(order.up).up == sub.up
+                assert Poset(order).up == sub.up
     small = all_algebras(4)
     for a in small:
         for b in small:
@@ -509,6 +510,85 @@ def test_search_budget_ends_a_hard_negative():
 def test_canonical_key_invariance(all6):
     keys = [canonical_key(a) for a in all6]
     assert len(set(keys)) == len(keys)
+
+
+def _relabel_poset(p, order):
+    """Permuted copy of a poset: new point k is old point order[k]."""
+    pos = {x: k for k, x in enumerate(order)}
+    return Poset._trusted([sum(1 << pos[y] for y in _bits(p.up[x]))
+                           for x in order])
+
+
+def _shuffled(n, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    return order
+
+
+def test_canonical_key_matches_oracle_on_the_catalog(canonical_key_oracle):
+    rng = random.Random(22)
+    for p in _posets_with_few_upsets(13):
+        want = canonical_key_oracle(p)
+        assert canonical_key(p) == want
+        q = _relabel_poset(p, _shuffled(p.size, rng))
+        assert canonical_key(q) == canonical_key_oracle(q) == want
+    for a in all_algebras(13):
+        want = canonical_key_oracle(a)
+        assert canonical_key(a) == want
+        b = relabel_algebra(a, _shuffled(a.size, rng))
+        assert canonical_key(b) == canonical_key_oracle(b) == want
+
+
+def test_canonical_key_matches_oracle_on_symmetric_orders(canonical_key_oracle):
+    # wide colour classes: B(2)+(B(2)xB(2)) has 829,440 leaves, so the
+    # oracle, 35 s a call on a 2 vCPU Xeon, runs on one relabelling only
+    rng = random.Random(7)
+    for expr in ["B(3) x C(3)", "B(2) + (B(2) x B(2))"]:
+        a = parse_algebra_expr(expr)
+        b = relabel_algebra(a, _shuffled(a.size, rng))
+        want = canonical_key_oracle(b)
+        assert canonical_key(b) == want
+        assert canonical_key(a) == want
+
+
+def _same_tables(a, b):
+    return all(getattr(a, k) == getattr(b, k) for k in
+               ("up", "meet", "join", "imp", "neg", "bottom", "top"))
+
+
+def _from_order(a):
+    """The algebra `make_algebra` derives from a's order alone."""
+    return make_algebra([[int(a.leq(x, y)) for y in range(a.size)]
+                         for x in range(a.size)])
+
+
+def test_upset_algebra_tables_match_oracles(upset_algebra_oracle, monkeypatch):
+    frames = list(_posets_with_few_upsets(12))
+    # the universal frames behind the truncations, built afresh
+    seen = []
+    monkeypatch.setattr(rn_module, "rn_algebra", rn_module.rn_algebra.__wrapped__)
+    monkeypatch.setattr(rn_module, "upset_algebra",
+                        lambda p: (seen.append(p), upset_algebra(p))[1])
+    for name, k in [("Zstar", 10), ("KG", 12), ("Zprime", 16), ("Zinf", 20)]:
+        trunc(name, k)
+    assert max(p.size for p in seen) == 26
+    frames += seen
+    # a chain of 64 points: its masks do not fit in int64
+    frames.append(Poset._trusted([(1 << 64) - (1 << i) for i in range(64)]))
+    assert frames[-1].up[0] >= 1 << 63
+    for p in frames:
+        a = upset_algebra(p)
+        assert _same_tables(a, upset_algebra_oracle(p))
+        assert _same_tables(a, _from_order(a))
+        assert all(type(x) is int for row in a.imp for x in row)
+
+
+def test_heyting_carcass_tables_match_oracles(all6, heyting_carcass_oracle):
+    for a in all6:
+        for b in (span(a)[0], span(product(a, Z2))[0]):
+            h = heyting_carcass(b)
+            assert _same_tables(h, heyting_carcass_oracle(b))
+            assert _same_tables(h, _from_order(h))
 
 
 def test_json_round_trip(corpus10):
