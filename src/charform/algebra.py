@@ -840,9 +840,9 @@ def canonical_key(a):
 
     Reads only `a.size` and the up-set masks `a.up`, so it keys posets and
     algebras alike; an algebra's key is the key of its order.  The key is
-    the least code, (n,) then the up masks row by row, over the labellings
-    that place the `_refine_profile` colour classes in ascending order; a
-    backtracking search tries every order within each class.
+    (n,) and the least code, the tuple of the relabelled up masks, over the
+    labellings that place the `_refine_profile` colour classes in ascending
+    order; a backtracking search tries every order within each class.
     """
     n = a.size
     above = [list(_bits(m)) for m in a.up]
