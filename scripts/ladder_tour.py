@@ -3,7 +3,7 @@
 the antichain of ladder concatenations."""
 
 from charform.algebra import concat, in_sh, is_si, opremum
-from charform.formula import EngineLimits, is_valid
+from charform.formula import is_valid
 from charform.jankov import jankov_formula
 from charform.rn import rn_algebra, trunc
 
@@ -24,13 +24,12 @@ def main():
     print("the antichain Z(2k)+Z(2)+Z(2), k in 3..5")
     fam = {k: concat(concat(rn_algebra(2 * k), rn_algebra(2)), rn_algebra(2))
            for k in (3, 4, 5)}
-    limits = EngineLimits(prop_max_vars=16)
     for k, a in fam.items():
         chi = jankov_formula(a)
         row = []
         for m, b in fam.items():
             sh = in_sh(a, b)[0]
-            valid = is_valid(b, chi, engine="propagate", limits=limits)[0]
+            valid = is_valid(b, chi, engine="propagate")[0]
             row.append(f"A{m}: in_sh={'y' if sh else 'n'} chi-valid={'y' if valid else 'n'}")
         print(f"  chi(A{k}) vs " + "; ".join(row))
 

@@ -16,9 +16,8 @@ from .algebra import (Filter, concat, concat_embedding, homomorphism_search,
                       in_sh, is_isomorphic, is_si, product, principal_filter,
                       quotient, _bits)
 from .catalog import all_algebras, si_algebras, standard_corpus
-from .formula import (EngineLimits, compile_formula, conj, evaluate,
-                      is_valid, parse, pretty, random_formula, run_program,
-                      substitute, var)
+from .formula import (compile_formula, conj, evaluate, is_valid, parse,
+                      pretty, random_formula, run_program, substitute, var)
 from .jankov import jankov_formula
 from .modal import (box_from_meet_of_arrows, heyting_carcass, modal_validity,
                     gmt_translate, span)
@@ -106,7 +105,6 @@ def crit5(seed):
     """The ladder antichain: pairwise Sub-Hom failure and independence."""
     fam = {k: concat(concat(rn_algebra(2 * k), rn_algebra(2)), rn_algebra(2))
            for k in (3, 4, 5)}
-    limits = EngineLimits(prop_max_vars=16)
     for k, a in fam.items():
         if not is_si(a):
             return False, f"A{k} not s.i."
@@ -116,7 +114,7 @@ def crit5(seed):
     for k, a in fam.items():
         chi = jankov_formula(a)
         for m, b in fam.items():
-            valid = is_valid(b, chi, engine="propagate", limits=limits)[0]
+            valid = is_valid(b, chi, engine="propagate")[0]
             if valid != (k != m):
                 return False, f"chi(A{k}) on A{m} wrong"
     return True, "k, m in {3, 4, 5}: 9 order checks, 9 formula checks"

@@ -60,6 +60,15 @@ def _transpose(up):
     return down
 
 
+def _sub_order(up, mask):
+    """The up masks of the order that up induces on the elements of mask,
+    each element renumbered by its position in mask, ascending."""
+    elems = list(_bits(mask))
+    pos = {x: i for i, x in enumerate(elems)}
+    return tuple(sum(1 << pos[y] for y in _bits(up[x] & mask))
+                 for x in elems)
+
+
 class _Trusted:
     """`_trusted(...)` builds an instance on data the library derived: it
     fills the slots through `_fill`, without the checks of `__init__`."""

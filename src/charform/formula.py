@@ -6,11 +6,13 @@ per distinct subterm (hash-consed on the operation and the child slots, so
 shared subterms are evaluated once and no deep formula is ever hashed),
 with the variables, whether a box occurs and whether every variable
 occurrence is boxed.  The program is kept on the formula object, so each
-object is compiled once.  Every evaluation reads the program.  `run_program`
-runs it with the operations an algebra class gives: over numpy columns of
-valuations with `batch_ops` (table gathers in a Heyting algebra, bitwise
-operations and one box gather in an interior algebra), or at one valuation
-with `scalar_ops`, which is all `evaluate` does, for both algebra kinds.
+object is compiled once.  Every evaluation reads the program, and so does
+`variables`; `substitute` and the GMT translation rebuild a formula from
+it, each distinct subterm once.  `run_program` runs it with the operations
+an algebra class gives: over numpy columns of valuations with `batch_ops`
+(table gathers in a Heyting algebra, bitwise operations and one box gather
+in an interior algebra), or at one valuation with `scalar_ops`, which is
+all `evaluate` does, for both algebra kinds.
 `first_refutation` returns the lexicographically least refuting valuation
 over a domain; the naive engine is built on it, and `modal.modal_validity`
 is that engine with a budget of its own.  It first evaluates the first
@@ -41,13 +43,14 @@ per node, and each check runs, with the scalar operations, the rest of
 its sub-program, so the checks are independent and the one that failed
 last runs first.  That plan depends only on the program, the variable
 order and the set of constrained slots, so it is built once per program
-and such pair, kept on the program and shared by every algebra; each
-algebra binds its operations to it once per search (`_Slots.layout`).  The
-greedy variable order reads no algebra either and is kept on the program
-too.  The same search enumerates the top valuations of a presentation
-formula.  Both
-engines are exhaustive; counter-valuations are always the lexicographically
-least one, so the engines agree witness-for-witness.
+and such pair, kept on the program and shared by every algebra; its steps
+name their operations, and each search runs them with its own algebra's.
+The greedy variable order reads no algebra either and is kept on the
+program too, as a cached property, as is everything else the engine
+derives from the program alone.  The same search enumerates the top
+valuations of a presentation formula.  Both engines are exhaustive;
+counter-valuations are always the lexicographically least one, so the
+engines agree witness-for-witness.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Poset, SizeLimit, _bits, canonical_key
+from .algebra import Poset, SizeLimit, _bits, _sub_order, canonical_key
 
 
 class FormulaSyntaxError(ValueError):
@@ -176,43 +179,26 @@ def conj(items, empty=TOP):
 
 def variables(f):
     """Sorted tuple of variable indices occurring in f."""
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.kind == "var":
-            out.add(g.args[0])
-        else:
-            stack.extend(a for a in g.args if isinstance(a, Formula))
-    return tuple(sorted(out))
+    return compile_formula(f).vars
 
 
 def substitute(f, mapping):
     """Simultaneous substitution of formulas for variables.
 
-    Iterative, so formulas of any depth substitute: the first pass lists
-    the nodes root first, right subtree before left, so that its reverse is
-    the left-to-right post-order; the second rebuilds each node from the
-    images of its children, taken from the top of a stack.
+    A loop over the compiled program, so formulas of any depth substitute
+    and each distinct subterm is rebuilt once, from the images of its
+    child slots.
     """
-    order, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        order.append(g)
-        if g.kind != "var":
-            todo.extend(g.args)
     images = []
-    for g in reversed(order):
-        if g.kind == "var":
-            images.append(mapping.get(g.args[0], g))
-        elif g.args:
-            n = len(g.args)
-            args = tuple(images[-n:])
-            del images[-n:]
-            images.append(Formula(g.kind, args))
+    for op, a, b in compile_formula(f).code:
+        if op == "var":
+            images.append(mapping[a] if a in mapping else var(a))
+        elif a is None:
+            images.append(Formula(op))
         else:
-            images.append(g)
-    return images[0]
+            images.append(Formula(op, (images[a],) if b is None
+                                  else (images[a], images[b])))
+    return images[-1]
 
 
 def normalize_variables(f):
@@ -389,6 +375,10 @@ class Program:
     (unary op, slot, None) or (binary op, slot, slot), every slot an earlier
     instruction; the last instruction is the formula.  frees[i] lists the
     slots that instruction i reads last.
+
+    What the propagation engine derives from the program alone is kept on
+    it as cached properties, outside the dataclass fields, so equality and
+    hashing ignore them.
     """
 
     code: tuple
@@ -396,6 +386,57 @@ class Program:
     vars: tuple
     has_box: bool
     boxed_only: bool  # every variable occurrence is the child of a box
+
+    @functools.cached_property
+    def _reach(self):
+        """The variables below each slot (a mask over variable indices) and
+        the slot of each variable."""
+        svars, var_slot = [], {}
+        for s, (op, a, b) in enumerate(self.code):
+            if op == "var":
+                var_slot[a] = s
+                svars.append(1 << a)
+            elif a is None:
+                svars.append(0)
+            else:
+                svars.append(svars[a] if b is None else svars[a] | svars[b])
+        return svars, var_slot
+
+    @functools.cached_property
+    def _ground(self):
+        """The slots without variables, ascending, as steps (slot, operation
+        name, argument slots)."""
+        svars = self._reach[0]
+        return [(s, *ins) for s, (ins, vs) in enumerate(zip(self.code, svars))
+                if not vs]
+
+    @functools.cached_property
+    def _pushed(self):
+        """Each conjunct of a program without box, as its variables and its
+        refuting branches fixed for every c (`_fixed`)."""
+        code, svars, out = self.code, self._reach[0], []
+        for s in _conjuncts(code, ("and",)):
+            cvars = tuple(_bits(svars[s]))
+            branches = _refuting_branches(code, s, None, lambda c, want: want)
+            out.append((cvars, [_fixed(code, cvars, br) for br in branches]))
+        return out
+
+    @functools.cached_property
+    def _plans(self):
+        """The search plans built so far, by (variable order, leaf set)
+        (`_plan`)."""
+        return {}
+
+    @functools.cached_property
+    def _orders(self):
+        """The greedy variable orders found so far, by leaf set and then by
+        variables and domain sizes (`_CSP._order`)."""
+        return {}
+
+    @functools.cached_property
+    def _unrefuted(self):
+        """The unrefuted keys of a program without box (`_prop_search`)."""
+        return set()
 
 
 def compile_formula(f):
@@ -605,44 +646,10 @@ def _naive_search(algebra, prog, budget):
 _BRANCH_CAP = 128
 
 
-def _kept(prog, name, make):
-    """The private attribute name of prog, made by make(prog) on first use
-    and kept outside the dataclass fields, so equality and hashing ignore
-    it."""
-    got = prog.__dict__.get(name)
-    if got is None:
-        got = make(prog)
-        object.__setattr__(prog, name, got)  # prog is frozen
-    return got
-
-
-def _reach(prog):
-    """The variables below each slot (a mask over variable indices) and the
-    slot of each variable."""
-    svars, var_slot = [], {}
-    for s, (op, a, b) in enumerate(prog.code):
-        if op == "var":
-            var_slot[a] = s
-            svars.append(1 << a)
-        elif a is None:
-            svars.append(0)
-        else:
-            svars.append(svars[a] if b is None else svars[a] | svars[b])
-    return svars, var_slot
-
-
-def _ground_steps(prog):
-    """The slots without variables, ascending, as steps (slot, operation
-    name, argument slots)."""
-    svars = _kept(prog, "_reach", _reach)[0]
-    return [(s, *ins) for s, (ins, vs) in enumerate(zip(prog.code, svars))
-            if not vs]
-
-
 def _plan(prog, order, leaves):
     """Search plan for a variable order and a frozenset of leaf slots:
     (levels, ground leaves), built once per program and pair and kept on
-    the program, as it reads no algebra.
+    the program (`Program._plans`), as it reads no algebra.
 
     A leaf is checked at the depth that assigns the last of its variables.
     levels[i] is (variable, its slot or None, pre steps, [(steps, leaf
@@ -653,16 +660,17 @@ def _plan(prog, order, leaves):
     compute every slot of its leaf's sub-program that depends on the
     variable, so no check reads a slot that another check of its depth
     computes, and the checks of a depth may run in any order.  A step is
-    (slot, operation name, argument slots); steps go by ascending slot.
-    The ground leaves are those without variables.
+    (slot, operation name, argument slots); steps go by ascending slot, and
+    a search runs each by looking its name up in its own algebra's
+    operations.  The ground leaves are those without variables.
     """
-    plans = _kept(prog, "_plans", lambda _: {})
+    plans = prog._plans
     key = (order, leaves)
     got = plans.get(key)
     if got is not None:
         return got
     code = prog.code
-    svars, var_slot = _kept(prog, "_reach", _reach)
+    svars, var_slot = prog._reach
     pos = {v: i for i, v in enumerate(order)}
     at_depth, ground = [[] for _ in order], []
     for s in sorted(leaves):
@@ -698,16 +706,16 @@ class _Slots:
     each slot without variables (None for the others) and the up-sets that
     accept masks are made of.  The variables below each slot (`svars`), the
     slot of each variable (`var_slot`) and the list of the slots without
-    variables read no algebra; they are the program's, computed once per
-    program."""
+    variables read no algebra; they are the program's cached properties,
+    computed once per program."""
 
     def __init__(self, algebra, prog):
         self.algebra, self.prog = algebra, prog
         self.ops = ops = _ops_for(prog, algebra.scalar_ops())
         self.full = (1 << algebra.size) - 1
-        self.svars, self.var_slot = _kept(prog, "_reach", _reach)
+        self.svars, self.var_slot = prog._reach
         ground = [None] * len(prog.code)
-        for s, op, a, b in _kept(prog, "_ground", _ground_steps):
+        for s, op, a, b in prog._ground:
             if a is None:
                 ground[s] = ops[op]
             elif b is None:
@@ -716,26 +724,6 @@ class _Slots:
                 ground[s] = ops[op](ground[a], ground[b])
         self.ground = ground
         self._ups = {}
-        self._layouts = {}
-
-    def layout(self, order, leaves):
-        """The program's `_plan` for a variable order and a frozenset of
-        leaf slots, its operation names bound to this algebra's operations:
-        (levels, ground leaves), a step being (slot, operation, argument
-        slots).  Bound once per pair."""
-        key = (order, leaves)
-        got = self._layouts.get(key)
-        if got is None:
-            ops = self.ops
-
-            def bind(steps):
-                return [(t, ops[op], a, b) for t, op, a, b in steps]
-
-            levels, ground = _plan(self.prog, order, leaves)
-            got = self._layouts[key] = (
-                [(x, xs, bind(pre), [(bind(steps), s) for steps, s in checks])
-                 for x, xs, pre, checks in levels], ground)
-        return got
 
     def accept(self, c, want):
         """Mask of the elements e with (c <= e) == want."""
@@ -819,21 +807,6 @@ def _refuting_branches(code, s, c, accept, box_floor=None):
             for br in right]
 
 
-def _pushed(prog):
-    """Each conjunct of a program without box, as its variables and its
-    refuting branches fixed for every c (`_fixed`); pushed once per program
-    and kept on it."""
-    def push(_):
-        code, svars, out = prog.code, _kept(prog, "_reach", _reach)[0], []
-        for s in _conjuncts(code, ("and",)):
-            cvars = tuple(_bits(svars[s]))
-            branches = _refuting_branches(code, s, None, lambda c, want: want)
-            out.append((cvars, [_fixed(code, cvars, br) for br in branches]))
-        return out
-
-    return _kept(prog, "_pushed", push)
-
-
 def _fixed(code, cvars, branch):
     """A branch of (slot, want) pairs of a program without box, read once
     for every c: (the leaf slots, that is the constrained slots that are not
@@ -888,9 +861,9 @@ class _CSP:
 
     The plan of the search depends only on the program, the variable order
     and the set of leaf slots, so it is built once per program and such
-    pair and kept on the program (`_plan`), for every algebra; the `_Slots`
-    of a search binds its algebra's operations to each plan it uses, once
-    (`_Slots.layout`).  A CSP adds its own accept masks, and its own check
+    pair and kept on the program (`_plan`), for every algebra; `solve` runs
+    each step by looking its operation name up in the scalar operations of
+    its own `_Slots`.  A CSP adds its own accept masks, and its own check
     order per depth.  The frozenset of its leaf slots keys both the order
     and the plan; for a program without box it is fixed once per refuting
     branch, on the program (`_pushed`).
@@ -933,7 +906,7 @@ class _CSP:
         representatives are those of the full domains), so it is kept on
         the program, by leaf set first and then by variables and sizes."""
         leaves, sizes = self.leaves, self.sizes
-        orders = _kept(self.slots.prog, "_orders", lambda _: {})
+        orders = self.slots.prog._orders
         by_vars = orders.get(leaves)
         if by_vars is None:
             by_vars = orders[leaves] = {}
@@ -960,7 +933,7 @@ class _CSP:
         if self._levels is not None:
             return
         leafs, leaves = self.leafs, self.leaves
-        levels, ground = self.slots.layout(self._order(), leaves)
+        levels, ground = _plan(self.slots.prog, self._order(), leaves)
         self._ground_ok = all(leafs[s] >> self.slots.ground[s] & 1
                               for s in ground)
         self._levels = [(x, xs, pre,
@@ -979,7 +952,7 @@ class _CSP:
             for v, e in fixed.items():
                 if e not in domains[v]:
                     return None
-        levels = self._levels
+        levels, ops = self._levels, self.slots.ops
         vals = list(self.slots.ground)
         assignment = {}
 
@@ -990,16 +963,18 @@ class _CSP:
                     return None
                 return dict(assignment)
             x, xs, pre, checks = levels[i]
-            for t, f, a, b in pre:
-                vals[t] = f(vals[a]) if b is None else f(vals[a], vals[b])
+            for t, op, a, b in pre:
+                vals[t] = (ops[op](vals[a]) if b is None
+                           else ops[op](vals[a], vals[b]))
             values = (fixed[x],) if fixed and x in fixed else domains[x]
             for e in values:
                 assignment[x] = e
                 if xs is not None:
                     vals[xs] = e
                 for k, (steps, s, accept) in enumerate(checks):
-                    for t, f, a, b in steps:
-                        vals[t] = f(vals[a]) if b is None else f(vals[a], vals[b])
+                    for t, op, a, b in steps:
+                        vals[t] = (ops[op](vals[a]) if b is None
+                                   else ops[op](vals[a], vals[b]))
                     if not accept >> vals[s] & 1:
                         if k:
                             checks.insert(0, checks.pop(k))
@@ -1086,7 +1061,7 @@ def _refuting_tasks(slots, ji=None):
                       [list(_bits(m & reps)) for m in accepts]
                       + [list(_bits(reps))],
                       [m.bit_count() for m in accepts] + [n]))
-    for cvars, branches in _pushed(prog):
+    for cvars, branches in prog._pushed:
         for accepts, domains, sizes in per_c:
             for leaves, groups, codes in branches:
                 leafs = {}
@@ -1116,10 +1091,10 @@ def _chain_key(n):
 def _down_key(algebra, c):
     """The `canonical_key` of the order below the join-irreducible c, which
     is that of the s.i. quotient by the filter above c, read off the up
-    masks restricted to the down-set of c; None when it has more than
-    _MEMO_MAX elements.  An order whose elements have 1, 2, ..., n elements
-    above them is the n-element chain.  The c of an interior algebra is an
-    atom, so its down-set is the two-element chain."""
+    masks restricted to the down-set of c (`_sub_order`); None when it has
+    more than _MEMO_MAX elements.  An order whose elements have 1, 2, ...,
+    n elements above them is the n-element chain.  The c of an interior
+    algebra is an atom, so its down-set is the two-element chain."""
     down = getattr(algebra, "down", None)
     if down is None:
         return _chain_key(2)
@@ -1127,12 +1102,10 @@ def _down_key(algebra, c):
     n = d.bit_count()
     if n > _MEMO_MAX:
         return None
-    ups = [algebra.up[x] & d for x in _bits(d)]
+    ups = _sub_order(algebra.up, d)
     if sorted(m.bit_count() for m in ups) == list(range(1, n + 1)):
         return _chain_key(n)
-    index = {x: i for i, x in enumerate(_bits(d))}
-    return canonical_key(Poset._trusted(
-        [sum(1 << index[y] for y in _bits(m)) for m in ups]))
+    return canonical_key(Poset._trusted(ups))
 
 
 def _prop_search(algebra, prog):
@@ -1156,7 +1129,7 @@ def _prop_search(algebra, prog):
         unrefuted, keys = frozenset(), [None]
         groups = [ji]
     else:
-        unrefuted = _kept(prog, "_unrefuted", lambda _: set())
+        unrefuted = prog._unrefuted
         keys = [_down_key(algebra, c) for c in ji]
         if all(key in unrefuted for key in keys):
             return True, None

@@ -250,11 +250,9 @@ def gmt_translate(f):
     """Boxed-implication translation: variables, implications and negations
     are boxed; conjunction and disjunction commute.
 
-    Two iterative passes, as in `formula.compile_formula`, so formulas of
-    any depth translate: the first lists the nodes root first, right
-    subtree before left; the second builds the translations in the reverse
-    of that order with a stack of translated children.  The translation is
-    kept on f as a private attribute outside the dataclass fields, so
+    A loop over the compiled program of f, so formulas of any depth
+    translate and each distinct subterm is translated once.  The
+    translation is kept on f as a private attribute outside the dataclass fields, so
     equality and hashing ignore it, each formula object is translated once,
     and the translation, being the same object every time, compiles once.
     """
@@ -266,31 +264,22 @@ def gmt_translate(f):
 
 
 def _translate(f):
-    order, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        order.append(g)
-        if g.kind != "var":
-            todo += g.args
     done = []
-    for g in reversed(order):
-        k = g.kind
+    for k, a, b in compile_formula(f).code:
         if k == "var":
-            t = box(g)
+            t = box(var(a))
         elif k in ("and", "or"):
-            r = done.pop()
-            t = Formula(k, (done.pop(), r))
+            t = Formula(k, (done[a], done[b]))
         elif k == "imp":
-            r = done.pop()
-            t = box(imp(done.pop(), r))
+            t = box(imp(done[a], done[b]))
         elif k == "neg":
-            t = box(neg(done.pop()))
+            t = box(neg(done[a]))
         elif k in ("top", "bot"):
-            t = g
+            t = Formula(k)
         else:
             raise ValueError("formula is not assertoric")
         done.append(t)
-    return done[0]
+    return done[-1]
 
 
 # -- evaluation and validity -----------------------------------------------------
@@ -299,10 +288,14 @@ def _translate(f):
 evaluate_modal = evaluate
 
 
-def modal_validity(b, f, budget=1_000_000):
-    """The naive engine of `formula.is_valid` with its own budget; returns
-    (verdict, least counter-valuation)."""
-    return formula._naive_search(b, compile_formula(f), budget)
+# the cells of the digit grid that `modal_validity` may enumerate
+MODAL_BUDGET = 1_000_000
+
+
+def modal_validity(b, f):
+    """The naive engine of `formula.is_valid` with its own budget,
+    `MODAL_BUDGET`; returns (verdict, least counter-valuation)."""
+    return formula._naive_search(b, compile_formula(f), MODAL_BUDGET)
 
 
 # -- modal subdirect irreducibility and quotients --------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import (Poset, canonical_key, close_set, concat,
                       concat_embedding, enumerate_filters, induced_subalgebra,
                       is_si, principal_filter, quotient, subalgebra_closure,
-                      _bits)
+                      _bits, _sub_order)
 from .formula import (Formula, and_, compile_formula, conj, evaluate,
                       enumerate_top_valuations, iff, is_valid, neg, or_,
                       parse, pretty, run_program, var, variables)
@@ -159,10 +159,7 @@ def _si_order(a, carrier):
         above_all &= a.up[x]
     if not above_all & below_top:
         return None
-    elems = sorted(carrier)
-    pos = {x: i for i, x in enumerate(elems)}
-    return tuple(sum(1 << pos[y] for y in _bits(a.up[x] & mask))
-                 for x in elems)
+    return _sub_order(a.up, mask)
 
 
 def _bounded_subalgebras(a, bound):

@@ -158,6 +158,42 @@ def gmt_translate_oracle():
     return _gmt_translate
 
 
+# -- oracle: substitution by a walk over the tree, not the program ----------
+
+
+def _substitute(f, mapping):
+    """Simultaneous substitution of formulas for variables.
+
+    Iterative, so formulas of any depth substitute: the first pass lists
+    the nodes root first, right subtree before left, so that its reverse is
+    the left-to-right post-order; the second rebuilds each node from the
+    images of its children, taken from the top of a stack.
+    """
+    order, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        order.append(g)
+        if g.kind != "var":
+            todo.extend(g.args)
+    images = []
+    for g in reversed(order):
+        if g.kind == "var":
+            images.append(mapping.get(g.args[0], g))
+        elif g.args:
+            n = len(g.args)
+            args = tuple(images[-n:])
+            del images[-n:]
+            images.append(Formula(g.kind, args))
+        else:
+            images.append(g)
+    return images[0]
+
+
+@pytest.fixture(scope="session")
+def substitute_oracle():
+    return _substitute
+
+
 # -- slow oracles: the table loops the one diagram generator replaced ---------
 
 

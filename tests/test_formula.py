@@ -111,6 +111,45 @@ def test_normalize_variables():
     assert g == parse("p2 -> p1") and old == (1, 4)
 
 
+def _variables_by_dfs(f):
+    """The sorted variable indices of f, by a plain walk over its nodes."""
+    out, todo = set(), [f]
+    while todo:
+        g = todo.pop()
+        if g.kind == "var":
+            out.add(g.args[0])
+        else:
+            todo.extend(g.args)
+    return tuple(sorted(out))
+
+
+def test_substitute_matches_oracle(random_test_formula, substitute_oracle):
+    # random formulas with and without box, a Jankov formula (its variable
+    # nodes are shared objects) and a 5000-deep chain; each is substituted
+    # under random mappings, some leaving variables unmapped and some
+    # naming a variable the formula lacks
+    rng = random.Random(61)
+    inputs = [random_test_formula(rng, 6, 1 + i % 5, modal=i % 2 == 1)
+              for i in range(60)]
+    inputs.append(jankov_formula(rn_algebra(5)))
+    deep = var(0)
+    for i in range(1, 5001):
+        deep = and_(deep, var(i % 3))
+    inputs.append(deep)
+    for f in inputs:
+        vs = _variables_by_dfs(f)
+        assert variables(f) == vs
+        for _ in range(4):
+            mapping = {v: random_test_formula(rng, 3, 6, modal=True)
+                       for v in vs if rng.random() < 0.6}
+            mapping[rng.randrange(8)] = var(rng.randrange(8))
+            got, want = substitute(f, mapping), substitute_oracle(f, mapping)
+            assert got == want and pretty(got) == pretty(want)
+        got, old = normalize_variables(f)
+        want = substitute_oracle(f, {o: var(i) for i, o in enumerate(vs)})
+        assert old == vs and got == want and pretty(got) == pretty(want)
+
+
 def test_validity_examples():
     z2, z3 = rn_algebra(2), rn_algebra(3)
     em = parse("p1 | ~p1")
@@ -190,8 +229,8 @@ def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle,
     same least solution with no more solves and, when the task is feasible,
     as solutions those of the oracle that take only class representatives,
     in the same order (the first 200, among the oracle's first 2,000: some
-    random formulas have millions); one layout per distinct (order, leaf
-    set), each running this algebra's operations; and the verdict and least
+    random formulas have millions); a plan kept on the program for each
+    distinct (order, leaf set); and the verdict and least
     witness of `is_valid` equal to those the oracle's solutions give."""
     prog = compile_formula(f)
     slots = _Slots(a, prog)
@@ -227,12 +266,7 @@ def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle,
         if want is not None:
             full = tuple(want.get(v, 0) for v in prog.vars)
             best = full if best is None else min(best, full)
-    assert len(slots._layouts) == len(keys)
-    for levels, _ in slots._layouts.values():
-        for _, _, pre, checks in levels:
-            for steps in (pre, *(steps for steps, _ in checks)):
-                assert all(op is slots.ops[prog.code[t][0]]
-                           for t, op, _, _ in steps)
+    assert keys <= set(prog._plans)
     verdict = (True, None) if best is None else (False,
                                                  dict(zip(prog.vars, best)))
     assert is_valid(a, f, engine="propagate") == verdict

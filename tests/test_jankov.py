@@ -89,7 +89,6 @@ def test_jankov_iff_sub_hom_small(si6, all6):
 def test_antichain_member_pair():
     a = concat(concat(rn_algebra(6), rn_algebra(2)), rn_algebra(2))
     b = concat(concat(rn_algebra(8), rn_algebra(2)), rn_algebra(2))
-    from charform.formula import EngineLimits
     assert is_valid(b, jankov_formula(a), engine="propagate")[0]
     assert not in_sh(a, b)[0]
 
