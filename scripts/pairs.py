@@ -51,7 +51,7 @@ def quartiles(values):
 
 
 def verdict(parent, change, bound, lower):
-    """"worse", "unresolved" or "ok" for the runs of one metric."""
+    """The verdict on the runs of one metric: worse, unresolved or ok."""
     sign = 1 if lower else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
     if sign * (c_med - p_med) > bound * abs(p_med):

@@ -252,9 +252,10 @@ def gmt_translate(f):
 
     A loop over the compiled program of f, so formulas of any depth
     translate and each distinct subterm is translated once.  The
-    translation is kept on f as a private attribute outside the dataclass fields, so
-    equality and hashing ignore it, each formula object is translated once,
-    and the translation, being the same object every time, compiles once.
+    translation is kept on f as a private attribute outside the dataclass
+    fields, so equality and hashing ignore it, each formula object is
+    translated once, and the translation, being the same object every
+    time, compiles once.
     """
     t = f.__dict__.get("_gmt")
     if t is None:

@@ -230,8 +230,8 @@ def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle,
     as solutions those of the oracle that take only class representatives,
     in the same order (the first 200, among the oracle's first 2,000: some
     random formulas have millions); a plan kept on the program for each
-    distinct (order, leaf set); and the verdict and least
-    witness of `is_valid` equal to those the oracle's solutions give."""
+    distinct (order, leaf set); and the verdict and least witness of
+    `is_valid` equal to those the oracle's solutions give."""
     prog = compile_formula(f)
     slots = _Slots(a, prog)
     tasks = _refuting_tasks(slots)
