@@ -66,15 +66,15 @@ def install(counts, fresh):
         counts["csps"] += 1
         counts["feasible_csps"] += bool(self.feasible)
 
-    lex_min = formula._CSP.lex_min
+    solve = formula._CSP.solve
 
-    def counted_lex_min(self):
-        got = lex_min(self)
-        counts["solved_csps"] += got is not None
+    def counted_solve(self, collect=None):
+        got = solve(self, collect)
+        counts["solved_csps"] += collect is None and got is not None
         return got
 
     formula._CSP.__init__ = counted_init
-    formula._CSP.lex_min = counted_lex_min
+    formula._CSP.solve = counted_solve
 
     def counted_op(op):
         def call(*args):

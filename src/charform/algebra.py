@@ -373,23 +373,28 @@ def _image(a, elems, img, labels=None):
 
 
 def _set_algebra(sets, interior):
-    """The algebra on `sets`, ascending bitmasks closed under & and |, with
-    u -> v = interior(~u | v); the last set is the whole carrier.
+    """The algebra on `sets`, ascending bitmasks closed under & and |,
+    ordered by inclusion, with u -> v = interior(~u | v); the first set is
+    bottom and the last, the whole carrier, top.
 
     The tables are built over whole n x n arrays of masks: `interior` maps
-    such an array to the array of interiors, and np.searchsorted turns each
-    mask into its index in `sets`.  Masks that do not fit in int64 are held
-    as Python ints in a dtype=object array, through the same code.
+    such an array to the array of interiors, np.searchsorted turns each
+    mask into its index in `sets`, and the up mask of u has the bits of the
+    v with u & v = u.  Masks that do not fit in int64 are held as Python
+    ints in a dtype=object array, through the same code.
     """
     full = sets[-1]
     masks = np.array(sets, dtype=np.int64 if full < 1 << 63 else object)
     u, v = masks[:, None], masks[None, :]
+    meet = u & v
 
     def index(table):
         return np.searchsorted(masks, table).tolist()
 
-    return _from_tables(index(u & v), index(u | v),
-                        index(interior((u ^ full) | v)))
+    above = np.packbits(meet == u, axis=1, bitorder="little")
+    up = [int.from_bytes(row.tobytes(), "little") for row in above]
+    tables = index(meet), index(u | v), index(interior((u ^ full) | v))
+    return HeytingAlgebra._trusted(up, *tables, 0, len(sets) - 1)
 
 
 def upset_algebra(poset):

@@ -89,11 +89,9 @@ def standard_corpus(max_size=10):
                 pool.append(concat(a, b))
     seen = {}
     for a in pool:
-        key = canonical_key(a)
-        if key not in seen:
-            seen[key] = a
-    out = sorted(seen.values(), key=lambda a: (a.size, canonical_key(a)))
-    return tuple(out)
+        seen.setdefault(canonical_key(a), a)
+    # a key starts with the size, and keys are distinct
+    return tuple(a for _, a in sorted(seen.items()))
 
 
 def si_algebras(max_size):

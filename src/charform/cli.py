@@ -72,14 +72,17 @@ def cmd_show(args):
 
 def _valuation(text, a, f):
     """The --at valuation p<n>=<index or label>,...; ValueError unless every
-    entry names a variable and an element of a, and every variable of f
-    gets a value."""
+    entry names a variable and an element of a, no variable is given twice,
+    and every variable of f gets a value."""
     valuation = {}
     for part in text.split(","):
         name, _, val = (x.strip() for x in part.partition("="))
         m = re.fullmatch(r"p(\d+)", name)
         if not m or int(m.group(1)) < 1 or not val:
             raise ValueError(f"--at entry {part.strip()!r} is not p<n>=<element>")
+        v = int(m.group(1)) - 1
+        if v in valuation:
+            raise ValueError(f"--at gives p{v + 1} twice")
         if val.isdigit():
             e = int(val)
             if e >= a.size:
@@ -89,7 +92,7 @@ def _valuation(text, a, f):
                 e = a.element_by_label(val)
             except KeyError:
                 raise ValueError(f"no element labelled {val!r}") from None
-        valuation[int(m.group(1)) - 1] = e
+        valuation[v] = e
     missing = [f"p{v + 1}" for v in variables(f) if v not in valuation]
     if missing:
         raise ValueError(f"--at gives no value for {', '.join(missing)}")

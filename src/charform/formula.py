@@ -47,7 +47,8 @@ and such pair, kept on the program and shared by every algebra; its steps
 name their operations, and each search runs them with its own algebra's.
 The greedy variable order reads no algebra either and is kept on the
 program too, as a cached property, as is everything else the engine
-derives from the program alone.  The same search enumerates the top
+derives from the program alone.  One such search finds the least solution
+of a task, with a cut; the same search, without it, enumerates the top
 valuations of a presentation formula.  Both engines are exhaustive;
 counter-valuations are always the lexicographically least one, so the
 engines agree witness-for-witness.
@@ -858,6 +859,7 @@ class _CSP:
     the front of its depth: later values try first the check most likely
     to reject them.  The search tree, the solutions and their order do not
     depend on the order of the checks; only the checks run per value do.
+    One search finds the least solution, with a cut (`solve`).
 
     The plan of the search depends only on the program, the variable order
     and the set of leaf slots, so it is built once per program and such
@@ -940,35 +942,46 @@ class _CSP:
                          [(steps, s, leafs[s]) for steps, s in checks])
                         for x, xs, pre, checks in levels]
 
-    def solve(self, fixed=None, collect=None):
-        """First solution (dict) or None; with collect a list, all solutions."""
+    def solve(self, collect=None):
+        """The least solution by ascending variable index (dict) or None;
+        with collect a list, every solution into it, with no cut.
+
+        The search keeps the last solution found.  A value tried is cut,
+        with the larger ones at its depth, if the first variable by index
+        that is unassigned or differs from that solution is assigned and
+        larger: no completion is smaller.  So each solution found is
+        smaller than the one before, and the last is the least."""
         if not self.feasible:
             return None
         self._prepare()
         if not self._ground_ok:
             return None
-        domains = self.domains
-        if fixed:
-            for v, e in fixed.items():
-                if e not in domains[v]:
-                    return None
-        levels, ops = self._levels, self.slots.ops
+        domains, levels, ops = self.domains, self._levels, self.slots.ops
+        names = sorted(self.vars)
         vals = list(self.slots.ground)
-        assignment = {}
+        assignment, best = {}, None
 
         def rec(i):
+            nonlocal best
             if i == len(levels):
                 if collect is not None:
                     collect.append(dict(assignment))
-                    return None
-                return dict(assignment)
+                else:
+                    best = dict(assignment)
+                return
             x, xs, pre, checks = levels[i]
             for t, op, a, b in pre:
                 vals[t] = (ops[op](vals[a]) if b is None
                            else ops[op](vals[a], vals[b]))
-            values = (fixed[x],) if fixed and x in fixed else domains[x]
-            for e in values:
+            for e in domains[x]:
                 assignment[x] = e
+                if best is not None:
+                    for v in names:
+                        got = assignment.get(v)
+                        if got != best[v]:
+                            break
+                    if got is not None and got > best[v]:
+                        break
                 if xs is not None:
                     vals[xs] = e
                 for k, (steps, s, accept) in enumerate(checks):
@@ -980,40 +993,14 @@ class _CSP:
                             checks.insert(0, checks.pop(k))
                         break
                 else:
-                    got = rec(i + 1)
-                    if got is not None:
-                        return got
+                    rec(i + 1)
             assignment.pop(x, None)
-            return None
 
         try:
-            return rec(0)
+            rec(0)
         finally:
             del rec  # rec refers to itself; free vals now, not at the next GC
-
-    def lex_min(self):
-        """Lexicographically least solution over ascending variable index.
-
-        Variable by variable, only the values below the best solution found
-        so far are tried; each solution found is adopted, and a variable with
-        no smaller value that works keeps the best solution's value without
-        another solve.
-        """
-        best = self.solve()
-        if best is None:
-            return None
-        fixed = {}
-        for v in sorted(self.vars):
-            for e in self.domains[v]:
-                if e >= best[v]:
-                    break
-                fixed[v] = e
-                sol = self.solve(fixed)
-                if sol is not None:
-                    best = sol
-                    break
-            fixed[v] = best[v]
-        return fixed
+        return best
 
 
 def _refuting_tasks(slots, ji=None):
@@ -1031,10 +1018,10 @@ def _refuting_tasks(slots, ji=None):
     a task depends only on the class of each variable's value under it, and
     each variable takes only the least element of each class.  A solution
     with each value replaced by the least element of its class is a
-    solution no larger componentwise, so the first solution, `lex_min` and
-    the least witness are those over the full domains.  The variable order
-    reads the sizes of the full domains, so the search is the one over the
-    full domains with the other members of each class cut off.
+    solution no larger componentwise, so the least solution and the least
+    witness are those over the full domains.  The variable order reads the
+    sizes of the full domains, so the search is the one over the full
+    domains with the other members of each class cut off.
     """
     prog, alg, svars = slots.prog, slots.algebra, slots.svars
     if ji is None:
@@ -1140,7 +1127,7 @@ def _prop_search(algebra, prog):
             continue
         refuted = False
         for csp in _refuting_tasks(slots, cs):
-            sol = csp.lex_min()
+            sol = csp.solve()
             if sol is None:
                 continue
             refuted = True

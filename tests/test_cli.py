@@ -93,6 +93,7 @@ def test_valid_at(capsys):
     ("p1=3", "element 3 is out of range 0..2"),
     ("p2=1", "--at gives no value for p1"),
     ("x1=0", "--at entry 'x1=0' is not p<n>=<element>"),
+    ("p1=1,p1=2", "--at gives p1 twice"),
 ])
 def test_valid_at_rejects_bad_input(capsys, at, message):
     code = main(["valid", "Z(3)", "p1 | ~p1", "--at", at])

@@ -178,8 +178,10 @@ def test_engines_agree_with_witnesses(all6, random_test_formula):
         assert is_valid(a, f, engine="both")
 
 
-def _lex_min_counting(csp):
-    """csp.lex_min() and the number of solves it ran."""
+def _lex_min_counting(csp, least="solve"):
+    """The least solution, from csp's method least, and the number of
+    solves it ran: one for the engine's `solve`, one per candidate value
+    for the oracle's `lex_min`."""
     calls, solve = 0, csp.solve
 
     def counted(*args, **kwargs):
@@ -188,7 +190,7 @@ def _lex_min_counting(csp):
         return solve(*args, **kwargs)
 
     csp.solve = counted
-    return csp.lex_min(), calls
+    return getattr(csp, least)(), calls
 
 
 class _Enough(Exception):
@@ -246,7 +248,7 @@ def _check_against_oracle(a, f, oracle_csp, refuting_tasks_oracle,
                 == (task.vars, task.domains, task.leafs, task.feasible))
         old = oracle_csp(slots, cvars, constraints)
         got, calls = _lex_min_counting(csp)
-        want, old_calls = _lex_min_counting(old)
+        want, old_calls = _lex_min_counting(old, "lex_min")
         assert got == want and calls <= old_calls
         assert csp.feasible == old.feasible
         if csp.feasible:
@@ -363,6 +365,41 @@ def test_refuting_tasks_with_box_match_oracle(random_test_formula,
                             for t in want])
                 checked += 1
     assert checked > 50
+
+
+def test_least_solution_found_in_one_search_with_a_cut(oracle_csp):
+    # 11 variables over the 4-element chain, no two neighbours both bottom
+    # (p1 | p2, p2 | p3, ..., p10 | p11): 2,432,187 solutions.  ~~p2, which
+    # accepts every value, makes the greedy order p2, p1, p3, ..., p11, so
+    # the first solution found, p2 = 0 and p1 = 1, is not the least: that
+    # needs p2 raised while p1, of lower index, is still unassigned
+    a = chain(4)
+    ors = [or_(var(i), var(i + 1)) for i in range(10)]
+    prog = compile_formula(conj([neg(neg(var(1)))] + ors))
+    slots = _Slots(a, prog)
+    not_bottom = slots.full & ~(1 << a.bottom)
+    conjuncts = formula_module._conjuncts(prog.code, ("and",))
+    constraints = ([(conjuncts[0], slots.full)]
+                   + [(s, not_bottom) for s in conjuncts[1:]])
+    csp = formula_module._CSP.of_constraints(slots, prog.vars, constraints)
+    assert csp._order() == (1, 0, *range(2, 11))
+    want = oracle_csp(slots, prog.vars, constraints).lex_min()
+    assert want == {v: v % 2 for v in range(1, 11)} | {0: 0}
+    calls = 0
+
+    def counted(op):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            return op(*args)
+        return call if callable(op) else op
+
+    slots.ops = {k: counted(op) for k, op in slots.ops.items()}
+    assert csp.solve() == want
+    # each of the two solutions found and the values cut after them run a
+    # few operations per depth; taking the least of all solutions would
+    # run at least one per solution
+    assert calls <= 100
 
 
 def test_plans_shared_across_algebras_and_bound_per_algebra(
