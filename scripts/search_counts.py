@@ -7,9 +7,13 @@ empty) and how many have a solution, the calls of the scalar operations it
 runs, and the quotients `in_sh` builds.  With --modal, work counts of the
 naive engine over the tasks of the `modal` workload instead: its calls, the
 batches it runs (`run_program` over the batch operations) and the calls
-whose verdict is valid.
+whose verdict is valid.  With --corpus, work counts of the extension check
+over the `check_defines` tasks of the `corpus` workload instead: the calls
+of `GenerationPlan.homomorphic`, the rows (top tuples) they check, the
+rows that extend to a homomorphism, and the members on which a
+presentation is refuted.
 
-    python3 scripts/search_counts.py [--seed 2025] [--fresh | --modal]
+    python3 scripts/search_counts.py [--seed 2025] [--fresh | --modal | --corpus]
 
 With --fresh every validity check gets a formula object of its own,
 parsed from the printed formula, so that nothing a program keeps (its set
@@ -32,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from charform import algebra, formula  # noqa: E402
+from charform import algebra, formula, presentation  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -127,6 +131,28 @@ def install_modal(counts):
     formula.run_program = counted_run_program
 
 
+def install_corpus(counts):
+    """Wrap the batched extension check and `check_defines`; counts fills
+    in as the tasks run."""
+    homomorphic = presentation.GenerationPlan.homomorphic
+    check_defines = presentation.check_defines
+
+    def counted_homomorphic(self, target, rows):
+        ok = homomorphic(self, target, rows)
+        counts["plan_calls"] += 1
+        counts["plan_rows"] += len(ok)
+        counts["plan_rows_extend"] += int(ok.sum())
+        return ok
+
+    def counted_check_defines(*args, **kwargs):
+        verdict = check_defines(*args, **kwargs)
+        counts["refuted_members"] += verdict.refuted
+        return verdict
+
+    presentation.GenerationPlan.homomorphic = counted_homomorphic
+    presentation.check_defines = counted_check_defines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
@@ -135,8 +161,17 @@ def main(argv=None):
                        help="a formula object of its own for every check")
     group.add_argument("--modal", action="store_true",
                        help="count the naive engine over the modal workload")
+    group.add_argument("--corpus", action="store_true",
+                       help="count the extension check over the corpus "
+                       "workload")
     args = ap.parse_args(argv)
-    if args.modal:
+    if args.corpus:
+        tasks = workloads.CorpusWorkload(args.seed, "full").tasks()
+        counts = dict.fromkeys(("plan_calls", "plan_rows", "plan_rows_extend",
+                                "refuted_members"), 0)
+        install_corpus(counts)
+        mode = {"corpus": True}
+    elif args.modal:
         tasks = workloads.ModalWorkload(args.seed, "full").tasks()
         counts = dict.fromkeys(("naive_calls", "naive_batches",
                                 "naive_valid"), 0)
@@ -151,7 +186,7 @@ def main(argv=None):
         mode = {"fresh": args.fresh}
     for task in tasks:
         task.call()
-    if not args.modal:
+    if not (args.modal or args.corpus):
         counts["cs_from_memo"] = counts["cs"] - counts["cs_searched"]
     for name, value in counts.items():
         print(f"{name} {value}")
