@@ -134,6 +134,23 @@ class Poset(_Trusted):
         return sorted(sets)
 
 
+def _op_table(a):
+    """The operations of a's `signature` as one int32 index table of shape
+    (ops, size, size), in signature order: entry [k, x, y] is op_k(x, y)
+    for a binary op and op_k(x) for a unary one, so that a single gather
+    applies a different operation in each position.  Built from
+    `batch_ops` on first use and kept on the algebra."""
+    if a._op_table is None:
+        ops = a.batch_ops()
+        every = np.arange(a.size, dtype=np.int32)
+        x, y = np.broadcast_arrays(every[:, None], every[None, :])
+        binary, unary = a.signature
+        a._op_table = np.stack([ops[op](x, y) for op, _, _ in binary]
+                               + [ops[op](x) for op, _ in unary]
+                               ).astype(np.int32, copy=False)
+    return a._op_table
+
+
 # Operation signatures.  An algebra's `signature` is (binary, unary) in term
 # order and < or < imp < neg < box.  A binary entry is (kind, row, col):
 # row(alg, x, ys) gives op(x, y) for each y in ys, and col, None for a
@@ -166,7 +183,7 @@ class HeytingAlgebra(_Trusted):
     """
 
     __slots__ = ("size", "up", "down", "meet", "join", "imp", "neg",
-                 "bottom", "top", "labels", "_batch_ops")
+                 "bottom", "top", "labels", "_batch_ops", "_op_table")
 
     signature = ((("and", _meet_row, None), ("or", _join_row, None),
                   ("imp", _imp_row, _imp_col)),
@@ -188,10 +205,10 @@ class HeytingAlgebra(_Trusted):
         self._fill(up, meet, join, imp, bottom, top, labels)
         self._validate()
 
-    def _fill(self, up, meet, join, imp, bottom, top, labels=None):
+    def _fill(self, up, meet, join, imp, bottom, top, labels=None, down=None):
         self.size = len(up)
         self.up = tuple(up)
-        self.down = tuple(_transpose(up))
+        self.down = tuple(_transpose(up) if down is None else down)
         self.meet = tuple(tuple(r) for r in meet)
         self.join = tuple(tuple(r) for r in join)
         self.imp = tuple(tuple(r) for r in imp)
@@ -199,7 +216,7 @@ class HeytingAlgebra(_Trusted):
         self.top = top
         self.neg = tuple(self.imp[a][bottom] for a in range(self.size))
         self.labels = tuple(labels) if labels is not None else None
-        self._batch_ops = None
+        self._batch_ops = self._op_table = None
 
     def _validate(self):
         n = self.size
@@ -269,6 +286,8 @@ class HeytingAlgebra(_Trusted):
                                "and": flat(self.meet), "or": flat(self.join),
                                "imp": flat(self.imp), "neg": neg.__getitem__}
         return self._batch_ops
+
+    op_table = _op_table
 
     def covers(self):
         """Cover pairs (i, j) with j covering i, lexicographic."""
@@ -379,9 +398,10 @@ def _set_algebra(sets, interior):
 
     The tables are built over whole n x n arrays of masks: `interior` maps
     such an array to the array of interiors, np.searchsorted turns each
-    mask into its index in `sets`, and the up mask of u has the bits of the
-    v with u & v = u.  Masks that do not fit in int64 are held as Python
-    ints in a dtype=object array, through the same code.
+    mask into its index in `sets`, the up mask of u has the bits of the v
+    with u & v = u, and its down mask those of the v with u & v = v.  Masks
+    that do not fit in int64 are held as Python ints in a dtype=object
+    array, through the same code.
     """
     full = sets[-1]
     masks = np.array(sets, dtype=np.int64 if full < 1 << 63 else object)
@@ -391,10 +411,13 @@ def _set_algebra(sets, interior):
     def index(table):
         return np.searchsorted(masks, table).tolist()
 
-    above = np.packbits(meet == u, axis=1, bitorder="little")
-    up = [int.from_bytes(row.tobytes(), "little") for row in above]
+    def masks_where(rel):
+        bits = np.packbits(rel, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
     tables = index(meet), index(u | v), index(interior((u ^ full) | v))
-    return HeytingAlgebra._trusted(up, *tables, 0, len(sets) - 1)
+    return HeytingAlgebra._trusted(masks_where(meet == u), *tables, 0,
+                                   len(sets) - 1, down=masks_where(meet == v))
 
 
 def upset_algebra(poset):

@@ -33,7 +33,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .algebra import SizeLimit, is_si, opremum, _Trusted, _bits, _set_algebra
+from .algebra import (SizeLimit, is_si, opremum, _Trusted, _bits, _op_table,
+                      _set_algebra)
 from . import formula
 from .formula import (Formula, box, compile_formula, conj, evaluate, iff, imp,
                       neg, var)
@@ -71,7 +72,7 @@ class InteriorAlgebra(_Trusted):
     """
 
     __slots__ = ("atoms", "size", "full", "box", "opens", "atom_labels",
-                 "_batch_ops")
+                 "_batch_ops", "_op_table")
 
     bottom = 0
     # the Boolean operations are set-theoretic on atoms; the signature
@@ -107,7 +108,7 @@ class InteriorAlgebra(_Trusted):
         self.box = tuple(box_table)
         self.opens = tuple(sorted(set(self.box)))
         self.atom_labels = tuple(atom_labels) if atom_labels else None
-        self._batch_ops = None
+        self._batch_ops = self._op_table = None
 
     def _validate(self):
         b = self.box
@@ -148,6 +149,8 @@ class InteriorAlgebra(_Trusted):
             self._batch_ops = dict(self.scalar_ops(),
                                    box=box_table.__getitem__)
         return self._batch_ops
+
+    op_table = _op_table
 
     def join_irreducibles(self):
         """The atoms, as masks."""

@@ -10,11 +10,17 @@ unconditional yes.  The target may be a Heyting or an interior algebra
 
 The criterion runs on a `GenerationPlan`, built once per presentation and
 cached on it: how the valuation image generates the target (the steps of
-`jankov.generation_steps`), with the target's operation tables as index
-arrays.  For each corpus algebra, all tuples at which the formula is top
-are checked in one numpy batch: the plan computes the map each tuple
-forces on the whole target, and a tuple passes when that map commutes with
-every operation.  The least failing tuple is the witness.
+`jankov.generation_steps`), with the target's operation tables stacked as
+one index array (`op_table`).  For each corpus algebra B, all tuples at
+which the formula is top are checked in one numpy batch: the plan computes
+the map h each tuple forces on the whole target, one gather per depth of
+the steps, and checks it through the least filter it sends to top.  With f
+the element sent to top that has the fewest elements below it, a tuple
+passes when ↓f has at most |B| elements, h(x) = h(x & f) for every x, each
+unary operation commutes with h everywhere and each binary one on the
+pairs of ↓f, and bottom, top and the generators go where they should:
+about k |B|^2 + 2n entries per tuple for k binary operations and an
+n-element target.  The least failing tuple is the witness.
 """
 
 from __future__ import annotations
@@ -215,23 +221,54 @@ class Verdict:
 
 
 # Rows checked at once are capped so that one batch compares about this many
-# (row, pair of source elements) entries per operation.
+# entries.  Per row the check compares each binary operation on the pairs of
+# the down-set of f, about k m^2 entries for k binary operations and m the
+# smaller of the two sizes, and n entries each for h(x) = h(x & f) and for
+# each unary operation, n the size of the source.
 _BATCH_ENTRIES = 1 << 16
 
 
 class GenerationPlan:
-    """How a list of elements generates an algebra, read once for checking
+    """How a list of elements generates an algebra A, read once for checking
     many candidate images of those elements at once.
 
-    `steps` replays `jankov.generation_steps` one depth at a time: each
-    entry is (op, elements reached, operand arrays), one per depth and op,
-    the operands being columns of the candidate rows for "var".  `tables`
-    holds the algebra's operations as int32 index arrays, each binary one
-    over all pairs (n x n) and each unary one over all elements.
+    Each candidate row forces a map h on all of A: the row on the
+    generators, then the steps of `jankov.generation_steps` replayed one
+    depth at a time in `levels`, each depth one gather from the target's
+    `op_table` at (op code, operand, operand), a unary step giving its
+    operand twice.  For each element x of A, `below[x]` counts the elements
+    below it and `downs[x]` lists them, ascending, padded with x to A's
+    size; `table` is A's own `op_table`.
+
+    Criterion.  A row extends to a homomorphism into B exactly when h sends
+    bottom, top and each generator where the row says and, for f the element
+    of h^-1(top) with the fewest elements below it (the least such index on
+    a tie):
+      (a) ↓f has at most |B| elements;
+      (b) h(x) = h(x & f) for every x;
+      (c) each unary operation commutes with h at every x;
+      (d) each binary operation commutes with h on the pairs of ↓f.
+
+    Proof.  Sufficient, whatever element of h^-1(top) f is: for op in and,
+    or and imp, op(x, y) & f = op(x & f, y & f) & f, by distributivity and
+    by a & (b -> c) = a & ((a & b) -> (a & c)).  So (b) at op(x, y), this
+    identity, (b) at op(x & f, y & f), then (d) and (b) at x and at y give
+    h(op(x, y)) = h(op(x & f, y & f)) = op_B(h(x & f), h(y & f))
+    = op_B(h(x), h(y)); (c) and the bounds do the rest.  Necessary: when h
+    is a homomorphism, h^-1(top) is a filter, so it is ↑f with f its least
+    element, which has fewer elements below it than any other member.
+    Then h(x & f) = h(x) & top = h(x), which is (b), and h is injective on
+    ↓f, which is (a): h(x) = h(y) puts x <-> y in ↑f, so
+    x = x & f = y & f = y for x and y below f.  (c) and (d) hold for any
+    homomorphism.  Heyting congruences are filters, so every extension
+    factors through A/↑f, which is isomorphic to ↓f; the check reads only
+    the pairs of ↓f, about k |B|^2 entries per row for k binary
+    operations, and 2n for (b) and the bounds, against k n^2 for comparing
+    the operations on all pairs of A.
     """
 
     def __init__(self, algebra, gens):
-        self.size = algebra.size
+        self.size = n = algebra.size
         self.bottom, self.top = algebra.bottom, algebra.top
         self.gens = np.asarray(gens, dtype=np.intp)
         if gens:
@@ -239,60 +276,77 @@ class GenerationPlan:
         else:
             # the empty set generates bottom and top
             found = {algebra.bottom: ("bot",), algebra.top: ("top",)}
-        self.generates = len(found) == algebra.size
-        depth, groups = {}, {}
-        for z, (op, *args) in found.items():
-            depth[z] = d = 0 if op == "var" else 1 + max(
-                (depth[x] for x in args), default=-1)
-            zs, operands = groups.setdefault((d, op), ([], []))
-            zs.append(z)
-            operands.append(args)
-        self.steps = [(op, np.asarray(zs, dtype=np.intp),
-                       [np.asarray(a, dtype=np.intp) for a in zip(*operands)])
-                      for (_, op), (zs, operands) in groups.items()]
-        ops = algebra.batch_ops()
-        every = np.arange(algebra.size, dtype=np.int32)
+        self.generates = len(found) == n
         binary, unary = algebra.signature
-        self.tables = ([(op, ops[op](every[:, None], every[None, :]))
-                        for op, _, _ in binary]
-                       + [(op, ops[op](every)) for op, _ in unary])
+        names = [op for op, _, _ in binary] + [op for op, _ in unary]
+        depth, inputs, self.consts, levels = {}, [], [], {}
+        for z, (op, *args) in found.items():
+            if op == "var":
+                depth[z] = 0
+                inputs.append((z, args[0]))
+            elif not args:
+                depth[z] = 0
+                self.consts.append((z, op))
+            else:
+                depth[z] = d = 1 + max(depth[x] for x in args)
+                levels.setdefault(d, []).append(
+                    (z, names.index(op), args[0], args[-1]))
+        self.inputs = [np.asarray(c, dtype=np.intp) for c in zip(*inputs)]
+        self.levels = [[np.asarray(c, dtype=np.intp) for c in zip(*steps)]
+                       for _, steps in sorted(levels.items())]
+        self.table = algebra.op_table()
+        self.binary = np.arange(len(binary))[:, None, None]
+        self.unary = np.arange(len(binary), len(names))[:, None]
+        self.unary_images = self.table[len(binary):, :, 0]
+        self.meet = self.table[names.index("and")]
+        every = np.arange(n)
+        leq = self.meet == every  # leq[f, x]: x <= f
+        self.below = leq.sum(axis=1)
+        self.downs = np.where(every < self.below[:, None],
+                              np.argsort(~leq, axis=1, kind="stable"),
+                              every[:, None])
 
     def homomorphic(self, target, rows):
         """For each row of images of the generators, one per generator in
         order, whether the map extends to a homomorphism into target (of
-        the same kind): a boolean array.
-
-        The extension, if any, is the map the steps force, so a row passes
-        when that map sends bottom and top to bottom and top, agrees with
-        the row on every generator and commutes with every operation of
-        the signature.  A plan whose elements do not generate passes none.
+        the same kind): a boolean array, by the criterion in the class
+        docstring.  A plan whose elements do not generate passes none.
         """
         rows = np.asarray(rows, dtype=np.int32).reshape(len(rows), len(self.gens))
         if not self.generates:
             return np.zeros(len(rows), dtype=bool)
-        per = max(1, _BATCH_ENTRIES // self.size ** 2)
-        return np.concatenate([np.ones(0, dtype=bool)] + [
-            self._homomorphic(target, rows[i:i + per])
-            for i in range(0, len(rows), per)])
+        m = min(target.size, self.size)
+        entries = len(self.binary) * m * m + (1 + len(self.unary)) * self.size
+        per = max(1, _BATCH_ENTRIES // entries)
+        return np.concatenate([self._homomorphic(target, rows[i:i + per])
+                               for i in range(0, max(len(rows), 1), per)])
 
     def _homomorphic(self, target, rows):
-        ops = target.batch_ops()
+        ops, table = target.batch_ops(), target.op_table()
         # img[r, x]: the image of element x that row r forces
         img = np.empty((len(rows), self.size), dtype=np.int32)
-        for op, zs, args in self.steps:
-            if op == "var":
-                img[:, zs] = rows[:, args[0]]
-            elif args:
-                img[:, zs] = ops[op](*(img[:, a] for a in args))
-            else:
-                img[:, zs] = ops[op]
-        ok = ((img[:, self.bottom] == ops["bot"])
-              & (img[:, self.top] == ops["top"])
-              & (img[:, self.gens] == rows).all(axis=1))
-        for op, table in self.tables:
-            args = ((img[:, :, None], img[:, None, :]) if table.ndim == 2
-                    else (img,))
-            ok &= (img[:, table] == ops[op](*args)).reshape(len(img), -1).all(axis=1)
+        if self.inputs:
+            zs, cols = self.inputs
+            img[:, zs] = rows[:, cols]
+        for z, op in self.consts:
+            img[:, z] = ops[op]
+        for zs, codes, xs, ys in self.levels:
+            img[:, zs] = table[codes, img[:, xs], img[:, ys]]
+        top = ops["top"]
+        f = np.where(img == top, self.below, self.size + 1).argmin(axis=1)
+        at = np.arange(len(rows))[:, None]
+        ok = ((self.below[f] <= target.size)
+              & (img[:, self.bottom] == ops["bot"]) & (img[:, self.top] == top)
+              & (img[:, self.gens] == rows).all(axis=1)
+              & (img == img[at, self.meet[f]]).all(axis=1))
+        ok &= (img[:, self.unary_images]
+               == table[self.unary, img[:, None, :], 0]).all(axis=(1, 2))
+        down = self.downs[f, :min(target.size, self.size)]
+        x, y = down[:, None, :, None], down[:, None, None, :]
+        h = img[at, down]
+        ok &= (img[at[:, :, None, None], self.table[self.binary, x, y]]
+               == table[self.binary, h[:, None, :, None], h[:, None, None, :]]
+               ).all(axis=(1, 2, 3))
         return ok
 
 

@@ -4,14 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from charform.algebra import (concat, enumerate_filters, generated_subalgebra,
+from charform.algebra import (_bits, concat, enumerate_filters,
+                              generated_subalgebra,
                               homomorphism_search, induced_subalgebra,
                               is_isomorphic, is_si, make_algebra, product,
-                              quotient, principal_filter, subalgebra_closure)
+                              quotient, principal_filter, relabel_algebra,
+                              subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras
 from charform.formula import conj, evaluate, imp, is_valid, parse, \
     substitute, var
-from charform.jankov import characteristic_formula
+from charform.jankov import characteristic_formula, generation_steps
 from charform.modal import span
 from charform.presentation import (BadAnchor, GenerationPlan, Presentation,
                                    VariableClash,
@@ -144,6 +146,68 @@ def test_batched_extension_matches_oracle_on_spans(extends_oracle):
                 assert plan.homomorphic(t, rows).tolist() == want
                 outcomes.update(want)
     assert outcomes == {True, False}
+
+
+def test_batched_extension_matches_oracle_on_relabelled_sources(
+        all6, extends_oracle):
+    # the case above over a seeded relabelling of each source, so that the
+    # down-set of an element is no longer a run of low indices; every list
+    # of one or two generators and every image tuple
+    rng = random.Random(2025)
+    rows_checked, extend = 0, 0
+    for s in all6:
+        a = relabel_algebra(s, rng.sample(range(s.size), s.size))
+        for k in (1, 2):
+            for g in itertools.product(range(a.size), repeat=k):
+                plan = GenerationPlan(a, list(g))
+                for t in all6:
+                    rows = list(itertools.product(range(t.size), repeat=k))
+                    want = [extends_oracle(a, t, list(zip(g, r))) for r in rows]
+                    assert plan.homomorphic(t, rows).tolist() == want
+                    rows_checked += len(rows)
+                    extend += sum(want)
+    assert (rows_checked, extend) == (94082, 3254)
+
+
+def test_extension_through_least_filter_matches_oracle(extends_oracle):
+    # every row of the zprime(10..15) plans, whose targets have 21-31
+    # elements, into each member of the Zstar(10) corpus, and the same for
+    # a seeded relabelling of each target, whose indices do not ascend
+    # along its order; the forced map of each row is replayed here to see
+    # that rows the criterion rejects by the size of the down-set of f, and
+    # rows whose preimage of top is not a principal filter, both occur
+    rng = random.Random(2025)
+    corpus = build_corpus(VarietyHandle.generated((trunc_zstar(10),), 8))
+    rows_checked, extend, too_big, not_principal = 0, 0, 0, 0
+    for k in range(10, 16):
+        p = zprime_presentation(k)
+        gens = [p.valuation[v] for v in sorted(p.valuation)]
+        order = rng.sample(range(p.target.size), p.target.size)
+        new = {x: i for i, x in enumerate(order)}
+        for a, g in ((p.target, gens),
+                     (relabel_algebra(p.target, order), [new[x] for x in gens])):
+            plan = GenerationPlan(a, g)
+            steps = generation_steps(a, list(enumerate(g)))
+            for b in corpus:
+                rows = list(itertools.product(range(b.size), repeat=2))
+                want = [extends_oracle(a, b, list(zip(g, r))) for r in rows]
+                assert plan.homomorphic(b, rows).tolist() == want
+                ops = b.scalar_ops()
+                for r in rows:
+                    h = {}
+                    for z, (op, *args) in steps.items():
+                        h[z] = (r[args[0]] if op == "var"
+                                else ops[op](*(h[x] for x in args)))
+                    tops = {x for x in range(a.size) if h[x] == b.top}
+                    if not tops:
+                        continue
+                    f = min(tops, key=lambda x: (a.down[x].bit_count(), x))
+                    too_big += a.down[f].bit_count() > b.size
+                    not_principal += tops != set(_bits(a.up[f]))
+                rows_checked += len(rows)
+                extend += sum(want)
+    assert (rows_checked, extend) == (9792, 1668)
+    assert too_big and not_principal
 
 
 def test_check_defines_matches_oracle_loop(check_defines_oracle):
