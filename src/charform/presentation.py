@@ -260,11 +260,15 @@ class GenerationPlan:
     Then h(x & f) = h(x) & top = h(x), which is (b), and h is injective on
     ↓f, which is (a): h(x) = h(y) puts x <-> y in ↑f, so
     x = x & f = y & f = y for x and y below f.  (c) and (d) hold for any
-    homomorphism.  Heyting congruences are filters, so every extension
-    factors through A/↑f, which is isomorphic to ↓f; the check reads only
-    the pairs of ↓f, about k |B|^2 entries per row for k binary
-    operations, and 2n for (b) and the bounds, against k n^2 for comparing
-    the operations on all pairs of A.
+    homomorphism.  An interior algebra is a Boolean algebra, hence a
+    Heyting algebra, with box as one more unary operation, so the proof
+    covers both kinds.
+
+    Heyting congruences are filters, so every extension factors through
+    A/↑f, which is isomorphic to ↓f.  The check reads only the pairs of
+    ↓f, about k |B|^2 entries per row for k binary operations, plus about
+    2n for (b) and (c) over the n elements of A, against k n^2 for
+    comparing every operation on all pairs of A.
     """
 
     def __init__(self, algebra, gens):
@@ -279,19 +283,20 @@ class GenerationPlan:
         self.generates = len(found) == n
         binary, unary = algebra.signature
         names = [op for op, _, _ in binary] + [op for op, _ in unary]
-        depth, inputs, self.consts, levels = {}, [], [], {}
+        depth, self.consts, levels = {}, [], {}
+        var_elems, var_cols = [], []
         for z, (op, *args) in found.items():
             if op == "var":
-                depth[z] = 0
-                inputs.append((z, args[0]))
+                var_elems.append(z)
+                var_cols.append(args[0])
             elif not args:
-                depth[z] = 0
                 self.consts.append((z, op))
-            else:
-                depth[z] = d = 1 + max(depth[x] for x in args)
+            else:  # the generators are at depth 0
+                depth[z] = d = 1 + max(depth.get(x, 0) for x in args)
                 levels.setdefault(d, []).append(
                     (z, names.index(op), args[0], args[-1]))
-        self.inputs = [np.asarray(c, dtype=np.intp) for c in zip(*inputs)]
+        self.var_elems = np.asarray(var_elems, dtype=np.intp)
+        self.var_cols = np.asarray(var_cols, dtype=np.intp)
         self.levels = [[np.asarray(c, dtype=np.intp) for c in zip(*steps)]
                        for _, steps in sorted(levels.items())]
         self.table = algebra.op_table()
@@ -309,8 +314,18 @@ class GenerationPlan:
     def homomorphic(self, target, rows):
         """For each row of images of the generators, one per generator in
         order, whether the map extends to a homomorphism into target (of
-        the same kind): a boolean array, by the criterion in the class
-        docstring.  A plan whose elements do not generate passes none.
+        the same kind): a boolean array.  A plan whose elements do not
+        generate passes none.
+
+        A row passes when the map h it forces sends bottom, top and the
+        generators where they belong and, with f the element sent to top
+        that has the fewest elements below it, ↓f has at most target.size
+        elements, h(x) = h(x & f) for every x, each unary operation
+        commutes with h everywhere and each binary one on the pairs of ↓f
+        (proof in the class docstring).  That compares about k m^2 + 2n
+        entries per row, for k binary operations, n the plan's size and m
+        the smaller of n and target.size, and rows go in batches of about
+        `_BATCH_ENTRIES` entries.
         """
         rows = np.asarray(rows, dtype=np.int32).reshape(len(rows), len(self.gens))
         if not self.generates:
@@ -325,9 +340,7 @@ class GenerationPlan:
         ops, table = target.batch_ops(), target.op_table()
         # img[r, x]: the image of element x that row r forces
         img = np.empty((len(rows), self.size), dtype=np.int32)
-        if self.inputs:
-            zs, cols = self.inputs
-            img[:, zs] = rows[:, cols]
+        img[:, self.var_elems] = rows[:, self.var_cols]
         for z, op in self.consts:
             img[:, z] = ops[op]
         for zs, codes, xs, ys in self.levels:
