@@ -134,13 +134,23 @@ class Poset(_Trusted):
         return sorted(sets)
 
 
+# The largest algebra whose `op_table` is built: at 2^11 elements the table
+# of an interior algebra holds 80 MB, and each doubling of the size
+# quadruples it.
+_OP_TABLE_MAX = 1 << 11
+
+
 def _op_table(a):
     """The operations of a's `signature` as one int32 index table of shape
     (ops, size, size), in signature order: entry [k, x, y] is op_k(x, y)
     for a binary op and op_k(x) for a unary one, so that a single gather
     applies a different operation in each position.  Built from
-    `batch_ops` on first use and kept on the algebra."""
+    `batch_ops` on first use and kept on the algebra; `SizeLimit` above
+    `_OP_TABLE_MAX` elements."""
     if a._op_table is None:
+        if a.size > _OP_TABLE_MAX:
+            raise SizeLimit(f"operation table of {a.size} elements exceeds "
+                            f"the budget of {_OP_TABLE_MAX}")
         ops = a.batch_ops()
         every = np.arange(a.size, dtype=np.int32)
         x, y = np.broadcast_arrays(every[:, None], every[None, :])

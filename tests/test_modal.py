@@ -332,6 +332,16 @@ def test_boxed_search_has_a_budget():
         modal_validity(s, f)
 
 
+def test_extension_check_has_a_table_budget():
+    # an interior algebra of 2^12 elements would need a 320 MB operation
+    # table; checking an extension into it ends in SizeLimit instead
+    big = InteriorAlgebra._trusted(12, list(range(1 << 12)))
+    p = gmt_presentation(diagram_presentation(chain(2)))
+    with pytest.raises(SizeLimit):
+        p.plan.homomorphic(big, [(0, big.full)])
+    assert p.plan.homomorphic(span(chain(2))[0], [(0, 1)]).tolist() == [True]
+
+
 def test_modal_validity_many_variables_on_one_element():
     trivial = InteriorAlgebra(0, [0])
     for f in (conj([var(i) for i in range(70)]),
