@@ -113,11 +113,11 @@ def install_modal(counts):
     naive_search, run_program = formula._naive_search, formula.run_program
     batch = [None]
 
-    def counted_naive_search(algebra, prog, budget):
+    def counted_naive_search(algebra, prog):
         counts["naive_calls"] += 1
         batch[0] = algebra.batch_ops()
         try:
-            got = naive_search(algebra, prog, budget)
+            got = naive_search(algebra, prog)
         finally:
             batch[0] = None
         counts["naive_valid"] += got[0]

@@ -10,7 +10,7 @@ from .algebra import (AlgebraError, Filter, HeytingAlgebra, Homomorphism,
                       make_algebra, opremum, principal_filter, product,
                       quotient, regular_elements, upset_algebra)
 from .catalog import all_algebras, si_algebras, standard_corpus
-from .formula import (EngineLimits, Formula, FormulaSyntaxError,
+from .formula import (Formula, FormulaSyntaxError,
                       NotAssertoric, UnboundVariable, consequence_refute,
                       evaluate, is_valid, parse, pretty, random_formula,
                       substitute, variables)

@@ -12,9 +12,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .algebra import (Filter, concat, concat_embedding, homomorphism_search,
-                      in_sh, is_isomorphic, is_si, product, principal_filter,
-                      quotient, _bits)
+from .algebra import (Filter, Homomorphism, concat, concat_embedding,
+                      homomorphism_search, in_sh, is_isomorphic, is_si,
+                      product, principal_filter, quotient, _bits)
 from .catalog import all_algebras, si_algebras, standard_corpus
 from .formula import (compile_formula, conj, evaluate, is_valid, parse,
                       pretty, random_formula, run_program, substitute, var)
@@ -47,8 +47,9 @@ def crit1(seed):
         a._validate()
         for x in range(a.size):
             filt = principal_filter(a, x)          # validates the filter
-            q, h = quotient(a, filt)               # validates the surjection
+            q, h = quotient(a, filt)
             q._validate()
+            Homomorphism(a, q, h.map)              # validates the surjection
     return True, f"{len(corpus)} algebras, all filters and quotients"
 
 

@@ -18,7 +18,7 @@ quotients an algebra lists in `quotients`, and `is_isomorphic` run too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -317,13 +317,14 @@ class HeytingAlgebra(_Trusted):
             lower[j] += 1
         return [x for x in range(self.size) if x != self.bottom and lower[x] == 1]
 
-    def quotients(self, least):
-        """Each congruence with its quotient, for `in_sh`: the filters, by
-        member bitmask ascending, and the quotients by them, those with
-        fewer than `least` elements skipped unbuilt.  The quotient by the
-        filter above f has an element for each element below f."""
-        for filt in enumerate_filters(self):
-            if self.down[self.up.index(filt.members)].bit_count() >= least:
+    def quotients(self, min_size):
+        """Each congruence with its quotient, for `in_sh`: the filters ↑f,
+        by member bitmask ascending, and the quotients by them, those with
+        fewer than `min_size` elements skipped unbuilt.  The quotient by ↑f
+        has an element for each element below f."""
+        for f in sorted(range(self.size), key=self.up.__getitem__):
+            if self.down[f].bit_count() >= min_size:
+                filt = Filter(self, self.up[f])
                 yield filt, quotient(self, filt)[0]
 
     def __repr__(self):
@@ -530,21 +531,29 @@ def concat(a, b):
 
 @dataclass(frozen=True)
 class Filter:
-    """Meet-closed up-set containing top, as a member bitmask."""
+    """Meet-closed up-set containing top, as a member bitmask.
+
+    `least` is the meet of the members.  In a finite algebra a mask is a
+    filter exactly when it is the up-set of that meet, and its congruence
+    is x ~ y iff x & least = y & least (see `quotient`)."""
 
     algebra: HeytingAlgebra
     members: int
+    least: int = field(init=False, compare=False)
 
     def __post_init__(self):
         a, m = self.algebra, self.members
+        if not (isinstance(m, int) and 0 <= m < 1 << a.size):
+            raise ValueError(f"filter mask must be an int in 0..2^{a.size}-1")
         if not (m >> a.top) & 1:
             raise ValueError("filter must contain top")
+        least = a.top
         for x in _bits(m):
-            if a.up[x] & ~m:
-                raise ValueError("filter not upward closed")
-            for y in _bits(m):
-                if not (m >> a.meet[x][y]) & 1:
-                    raise ValueError("filter not meet-closed")
+            least = a.meet[least][x]
+        if a.up[least] != m:
+            raise ValueError("filter not meet-closed" if not (m >> least) & 1
+                             else "filter not upward closed")
+        object.__setattr__(self, "least", least)   # the dataclass is frozen
 
     def elements(self):
         return tuple(_bits(self.members))
@@ -598,24 +607,27 @@ class Homomorphism(_Trusted):
         return self.map[x]
 
 
-def quotient(a, filt):
-    """Quotient by a filter: x ~ y iff (x <-> y) in the filter.
+def _classes(keys):
+    """The classes of x ~ y iff keys[x] == keys[y], numbered by first
+    occurrence: (the class of each x, the least index of each class)."""
+    first = {}
+    for x, k in enumerate(keys):
+        first.setdefault(k, x)
+    num = {k: i for i, k in enumerate(first)}
+    return [num[k] for k in keys], list(first.values())
 
-    Returns the quotient algebra and the natural surjection.  The class
-    representative is the least element index in the class.
+
+def quotient(a, filt):
+    """Quotient by a filter ↑f: x ~ y iff x & f = y & f, so the quotient is
+    isomorphic to the algebra below f.
+
+    Returns the quotient algebra and the natural surjection.  Classes are
+    numbered by first occurrence, and the class representative is the
+    least element index in the class.
     """
     if filt.algebra is not a:
         raise ValueError("filter belongs to a different algebra")
-    n = a.size
-    fm = filt.members
-    img, reps = [-1] * n, []
-    for x in range(n):
-        if img[x] != -1:
-            continue
-        for y in range(x, n):
-            if img[y] == -1 and (fm >> a.imp[x][y]) & 1 and (fm >> a.imp[y][x]) & 1:
-                img[y] = len(reps)
-        reps.append(x)
+    img, reps = _classes(a.meet[filt.least])
     q = _image(a, reps, img)
     surj = Homomorphism._trusted(a, q, tuple(img))
     return q, surj

@@ -14,7 +14,7 @@ import sys
 from .algebra import (SizeLimit, algebra_to_json, dense_elements, in_sh,
                       is_si, opremum, regular_elements)
 from .exprs import ExprError, parse_algebra_expr
-from .formula import (EngineLimits, FormulaSyntaxError, evaluate, is_valid,
+from .formula import (PROP_MAX_VARS, FormulaSyntaxError, evaluate, is_valid,
                       parse, pretty, variables)
 from .jankov import NotGenerated, NotSI, dejongh_formula, jankov_formula, \
     characteristic_formula
@@ -31,14 +31,12 @@ EXIT_LIMIT = 3
 EXIT_PRECOND = 4
 
 
-def _limits(args):
+def _max_vars(args):
     # 0, the default, keeps the engine's own budget
     if args.size_limit < 0:
         raise ValueError(f"--size-limit {args.size_limit} is not an integer "
                          ">= 0")
-    if args.size_limit:
-        return EngineLimits(prop_max_vars=args.size_limit)
-    return EngineLimits()
+    return args.size_limit or PROP_MAX_VARS
 
 
 def _show_note(expr_text, out):
@@ -106,7 +104,8 @@ def cmd_valid(args):
         value = evaluate(f, a, _valuation(args.at, a, f))
         print(f"VALUE {a.label(value)}")
         return EXIT_OK if value == a.top else EXIT_FAIL
-    verdict, witness = is_valid(a, f, engine=args.engine, limits=_limits(args))
+    verdict, witness = is_valid(a, f, engine=args.engine,
+                                max_vars=_max_vars(args))
     if verdict:
         print("VALID")
         return EXIT_OK

@@ -15,7 +15,7 @@ in an interior algebra), or at one valuation with `scalar_ops`, which is
 all `evaluate` does, for both algebra kinds.
 `first_refutation` returns the lexicographically least refuting valuation
 over a domain; the naive engine is built on it, and `modal.modal_validity`
-is that engine with a budget of its own.  It first evaluates the first
+is `is_valid` by that engine.  It first evaluates the first
 `_PROBE_ROWS` valuations of that order one at a time with the scalar
 operations, since most refutations are among them, and only if none
 refutes scans every valuation in one batch, unless the probe has covered
@@ -63,7 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Poset, SizeLimit, _bits, _sub_order, canonical_key
+from .algebra import (Poset, SizeLimit, _bits, _classes, _sub_order,
+                      canonical_key)
 
 
 class FormulaSyntaxError(ValueError):
@@ -600,14 +601,8 @@ def first_refutation(prog, scalar, batch, domain, top):
 # the naive engine's variable cap and its budget of digit-grid cells
 NAIVE_MAX_VARS = 6
 NAIVE_BUDGET = 4_000_000
-
-
-@dataclass(frozen=True)
-class EngineLimits:
-    prop_max_vars: int = 12
-
-
-DEFAULT_LIMITS = EngineLimits()
+# the propagation engine's default variable cap (`is_valid`'s max_vars)
+PROP_MAX_VARS = 12
 
 
 # -- naive engine -------------------------------------------------------------
@@ -622,16 +617,16 @@ def _naive_domain(algebra, prog):
     return algebra.opens if boxed else range(algebra.size)
 
 
-def _naive_search(algebra, prog, budget):
+def _naive_search(algebra, prog):
     """Enumeration of all valuations over `_naive_domain` by
     `first_refutation`; returns (valid, witness).  SizeLimit is raised,
     before any valuation is evaluated, when the cells of the digit grid,
-    valuations times variables, exceed budget."""
+    valuations times variables, exceed `NAIVE_BUDGET`."""
     batch = _ops_for(prog, algebra.batch_ops())
     domain = _naive_domain(algebra, prog)
     k = len(prog.vars)
     total = len(domain) ** k
-    if total * max(1, k) > budget:
+    if total * max(1, k) > NAIVE_BUDGET:
         raise SizeLimit(f"naive search needs {total} valuations")
     witness = first_refutation(prog, algebra.scalar_ops(), batch, domain,
                                algebra.top)
@@ -1040,10 +1035,7 @@ def _refuting_tasks(slots, ji=None):
     meet, n, per_c = slots.ops["and"], alg.size, []
     for c in ji:
         accepts = (slots.accept(c, False), slots.accept(c, True), 0)
-        least = {}
-        for x in range(n):
-            least.setdefault(meet(x, c), x)
-        reps = sum(1 << x for x in least.values())
+        reps = sum(1 << x for x in _classes([meet(x, c) for x in range(n)])[1])
         per_c.append((accepts,
                       [list(_bits(m & reps)) for m in accepts]
                       + [list(_bits(reps))],
@@ -1162,32 +1154,34 @@ def enumerate_top_valuations(algebra, f, vars_=None):
 # -- public validity API ------------------------------------------------------
 
 
-def is_valid(algebra, f, engine="auto", limits=DEFAULT_LIMITS):
+def is_valid(algebra, f, engine="auto", max_vars=PROP_MAX_VARS):
     """Validity of a formula in a Heyting algebra or, box allowed, in an
     interior algebra; a box in a Heyting algebra raises NotAssertoric.
 
     Returns (verdict, counter-valuation or None); the counter-valuation is
     the lexicographically least refuting map variable -> element index.
-    engine is one of auto, naive, propagate, both.
+    engine is one of auto, naive, propagate, both.  auto runs the naive
+    engine within its budget, else the propagation engine on at most
+    max_vars variables, else raises SizeLimit.
     """
     prog = compile_formula(f)
-    _ops_for(prog, algebra.batch_ops())  # before the box-aware sizing
     if engine == "auto":
+        _ops_for(prog, algebra.batch_ops())  # before the box-aware sizing
         k = len(prog.vars)
         m = len(_naive_domain(algebra, prog))
         cells = m ** min(k, NAIVE_MAX_VARS + 1) * max(1, k)
         if k <= NAIVE_MAX_VARS and cells <= NAIVE_BUDGET:
             engine = "naive"
-        elif k <= limits.prop_max_vars:
+        elif k <= max_vars:
             engine = "propagate"
         else:
             raise SizeLimit(f"{k} variables exceed both engine budgets")
     if engine == "naive":
-        return _naive_search(algebra, prog, NAIVE_BUDGET)
+        return _naive_search(algebra, prog)
     if engine == "propagate":
         return _prop_search(algebra, prog)
     if engine == "both":
-        rn = _naive_search(algebra, prog, NAIVE_BUDGET)
+        rn = _naive_search(algebra, prog)
         rp = _prop_search(algebra, prog)
         if rn != rp:
             raise AssertionError(f"engines disagree: naive={rn} propagate={rp}")
@@ -1195,12 +1189,12 @@ def is_valid(algebra, f, engine="auto", limits=DEFAULT_LIMITS):
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def consequence_refute(premises, conclusion, corpus, limits=DEFAULT_LIMITS):
+def consequence_refute(premises, conclusion, corpus):
     """First corpus algebra validating all premises and refuting the
     conclusion, or None.  None only means: no witness in this corpus."""
     for algebra in corpus:
-        if all(is_valid(algebra, p, limits=limits)[0] for p in premises):
-            if not is_valid(algebra, conclusion, limits=limits)[0]:
+        if all(is_valid(algebra, p)[0] for p in premises):
+            if not is_valid(algebra, conclusion)[0]:
                 return algebra
     return None
 

@@ -10,9 +10,9 @@ Formulas are evaluated by their compiled programs, with the operations an
 interior algebra gives in `scalar_ops` and `batch_ops`: the Boolean ones
 bitwise on masks, box a lookup in the interior table.  `evaluate_modal` is
 `formula.evaluate`, and validity is `formula.is_valid`, whose two engines
-serve both algebra kinds.  `modal_validity` is its naive engine with a
-budget of its own: the program runs over every valuation in one numpy
-batch, over open values only when every variable occurs boxed.
+serve both algebra kinds.  `modal_validity` is `is_valid` by its naive
+engine: the program runs over every valuation in one numpy batch, over
+open values only when every variable occurs boxed.
 
 The GMT translation of a formula is kept on the formula object, as its
 compiled program is, so a formula checked on many spans is translated,
@@ -27,6 +27,7 @@ the quotients by opens that `quotients` lists) read an algebra's
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from collections.abc import Sequence
@@ -156,13 +157,13 @@ class InteriorAlgebra(_Trusted):
         """The atoms, as masks."""
         return [1 << i for i in range(self.atoms)]
 
-    def quotients(self, least):
+    def quotients(self, min_size):
         """Each congruence with its quotient, for `algebra.in_sh`: the opens,
         ascending, and the quotients by their filters, those with fewer
-        than `least` elements skipped unbuilt.  The quotient by an open o
-        has an atom for each atom inside o."""
+        than `min_size` elements skipped unbuilt.  The quotient by an open
+        o has an atom for each atom inside o."""
         for o in self.opens:
-            if 1 << o.bit_count() >= least:
+            if 1 << o.bit_count() >= min_size:
                 yield o, quotient_by_open(self, o)
 
     def box_floor(self, c):
@@ -292,14 +293,8 @@ def _translate(f):
 evaluate_modal = evaluate
 
 
-# the cells of the digit grid that `modal_validity` may enumerate
-MODAL_BUDGET = 1_000_000
-
-
-def modal_validity(b, f):
-    """The naive engine of `formula.is_valid` with its own budget,
-    `MODAL_BUDGET`; returns (verdict, least counter-valuation)."""
-    return formula._naive_search(b, compile_formula(f), MODAL_BUDGET)
+# (verdict, least counter-valuation) by `formula.is_valid`'s naive engine
+modal_validity = functools.partial(formula.is_valid, engine="naive")
 
 
 # -- modal subdirect irreducibility and quotients --------------------------------

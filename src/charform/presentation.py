@@ -33,9 +33,9 @@ import re
 import numpy as np
 
 from .algebra import (Poset, canonical_key, close_set, concat,
-                      concat_embedding, enumerate_filters, induced_subalgebra,
-                      is_si, principal_filter, quotient, subalgebra_closure,
-                      _bits, _sub_order)
+                      concat_embedding, induced_subalgebra, is_si, opremum,
+                      principal_filter, quotient, subalgebra_closure, _bits,
+                      _sub_order)
 from .formula import (Formula, and_, compile_formula, conj, evaluate,
                       enumerate_top_valuations, iff, is_valid, neg, or_,
                       parse, pretty, run_program, var, variables)
@@ -127,8 +127,8 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
     found, keys = {}, {}  # keys: canonical_key of each order by up masks
     if handle.generators:
         for gi, g in enumerate(handle.generators):
-            for filt in enumerate_filters(g):
-                q, _ = quotient(g, filt)
+            # an s.i. algebra has at least two elements
+            for filt, q in g.quotients(2):
                 for carrier in _bounded_subalgebras(q, bound):
                     up = _si_order(q, carrier)
                     if up is None:
@@ -138,9 +138,7 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
                     key = keys[up]
                     if key not in found:
                         _, sub = induced_subalgebra(q, carrier)
-                        gen_elt = min(_bits(filt.members),
-                                      key=lambda x: g.down[x].bit_count())
-                        found[key] = (sub, ("sh", gi, gen_elt, carrier))
+                        found[key] = (sub, ("sh", gi, filt.least, carrier))
     else:
         from .catalog import all_algebras
         for a in all_algebras(bound):
@@ -402,11 +400,10 @@ def check_defines(presentation, corpus=None, size_bound=None):
 
 
 def _coatom(a):
-    cands = [x for x in range(a.size)
-             if a.up[x] == (1 << x) | (1 << a.top) and x != a.top]
-    if len(cands) != 1:
+    coat = opremum(a)
+    if coat is None:
         raise BadAnchor("target has no unique coatom")
-    return cands[0]
+    return coat
 
 
 def _atom(a):

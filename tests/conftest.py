@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from charform.algebra import (HeytingAlgebra, _bits, _from_tables,
-                              _transpose, close_set, enumerate_filters,
-                              homomorphism_search, opremum, quotient,
-                              subalgebra_closure)
+from charform.algebra import (HeytingAlgebra, Homomorphism, _bits,
+                              _from_tables, _image, _transpose, close_set,
+                              enumerate_filters, homomorphism_search, opremum,
+                              quotient, subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _conjuncts, and_, box, conj,
@@ -740,6 +740,37 @@ def _in_sh_every_quotient(a, b):
 @pytest.fixture(scope="session")
 def in_sh_every_quotient_oracle():
     return _in_sh_every_quotient
+
+
+# -- slow oracle: the quotient by x ~ y iff (x <-> y) in the filter ----------
+
+
+def _quotient(a, filt):
+    """Quotient by a filter: x ~ y iff (x <-> y) in the filter.
+
+    Returns the quotient algebra and the natural surjection.  The class
+    representative is the least element index in the class.
+    """
+    if filt.algebra is not a:
+        raise ValueError("filter belongs to a different algebra")
+    n = a.size
+    fm = filt.members
+    img, reps = [-1] * n, []
+    for x in range(n):
+        if img[x] != -1:
+            continue
+        for y in range(x, n):
+            if img[y] == -1 and (fm >> a.imp[x][y]) & 1 and (fm >> a.imp[y][x]) & 1:
+                img[y] = len(reps)
+        reps.append(x)
+    q = _image(a, reps, img)
+    surj = Homomorphism._trusted(a, q, tuple(img))
+    return q, surj
+
+
+@pytest.fixture(scope="session")
+def quotient_oracle():
+    return _quotient
 
 
 def _least_isomorphism(a, b):

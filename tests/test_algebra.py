@@ -206,6 +206,18 @@ def test_principal_filter():
     assert set(_bits(principal_filter(c3, g).members)) == {1, 2}
 
 
+@pytest.mark.parametrize("alg, mask, message", [
+    (chain(3), 0b011, "must contain top"),
+    (chain(3), 0b101, "not upward closed"),
+    (SQUARE, 0b1110, "not meet-closed"),
+    (chain(3), 0b1111, "must be an int"),
+    (chain(3), -1, "must be an int"),
+])
+def test_filter_rejects_a_mask_that_is_not_a_filter(alg, mask, message):
+    with pytest.raises(ValueError, match=message):
+        Filter(alg, mask)
+
+
 def _brute_force_filters(a):
     out = []
     for mask in range(1 << a.size):
@@ -246,6 +258,25 @@ def test_quotient_examples():
     c3 = chain(3)
     q3, h3 = quotient(c3, principal_filter(c3, 1))
     assert h3.map == (0, 1, 1)
+
+
+def test_quotient_matches_oracle_on_relabellings(all8, quotient_oracle):
+    # relabelled, so that index order does not extend the order and the
+    # least element of a class need not be x & f; labelled, so that the
+    # quotient's labels name the class representatives
+    rng = random.Random(30)
+    for a in all8:
+        b = relabel_algebra(a, _shuffled(a.size, rng),
+                            [f"e{x}" for x in range(a.size)])
+        for filt in enumerate_filters(b):
+            members = filt.elements()
+            assert [filt.least] == [x for x in members if all(
+                b.leq(x, y) for y in members)]
+            q, h = quotient(b, filt)
+            want, want_h = quotient_oracle(b, filt)
+            assert (q.meet, q.join, q.imp, q.labels) == (
+                want.meet, want.join, want.imp, want.labels)
+            assert h.map == want_h.map
 
 
 def test_concat_quotient_isomorphism(all6):

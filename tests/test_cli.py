@@ -175,6 +175,14 @@ def test_size_limit_below_zero_is_an_input_error(capsys):
         0, "VALID\n")
 
 
+def test_size_limit_below_the_variable_count(capsys):
+    f = "(p1->p2)|(p2->p3)|(p3->p4)|(p4->p5)|(p5->p6)|(p6->p7)"
+    assert main(["--size-limit", "6", "valid", "C(3)", f]) == 3
+    assert capsys.readouterr().err.startswith("size limit:")
+    assert run(capsys, "--size-limit", "7", "valid", "C(3)", f) == (
+        0, "VALID\n")
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_present_verify_rejects_bound_below_one(capsys, bound):
     code = main(["present-verify", "--builtin", "zprime", "--k", "10",

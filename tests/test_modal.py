@@ -327,7 +327,7 @@ def test_auto_engine_sizes_boxed_formulas_by_the_opens(monkeypatch):
 def test_boxed_search_has_a_budget():
     s, _ = span(chain(8))
     f = gmt_translate(conj([var(i) for i in range(7)]))
-    assert len(s.opens) ** 7 > 1_000_000
+    assert len(s.opens) ** 7 * 7 > formula.NAIVE_BUDGET
     with pytest.raises(SizeLimit):
         modal_validity(s, f)
 
