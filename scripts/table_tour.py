@@ -7,10 +7,13 @@ most 6 elements of each of `all_algebras(7)`; products and
 concatenations of pairs from `all_algebras(4)`; seeded relabellings of
 trunc("Zprime", 6), trunc("KG", 4) and Z(9); carcasses of the spans of
 `all_algebras(7)`; and the open-generated parts and every quotient by an
-open element of the spans of `all_algebras(6)`.  Two last lines guard the
+open element of the spans of `all_algebras(6)`.  Three last lines guard the
 cold catalog: one sha256 over `all_algebras(15)` in order, of each
-algebra's (canonical key, up, meet, join, imp, bottom, top), and one over
-the canonical keys of the posets of `_posets_with_few_upsets(15)`.
+algebra's (canonical key, up, meet, join, imp, bottom, top), one over the
+canonical keys of the posets of `_posets_with_few_upsets(15)`, and the
+counts of the meet, join and imp rows of `all_algebras(15)`: in all, with
+distinct values, and distinct objects, which equals the second when equal
+rows are shared.
 
 Its output is compared with tests/golden/table_tour.txt, so any change to
 a constructor's tables, element indices or labels shows:
@@ -85,6 +88,9 @@ def main():
     posets = _posets_with_few_upsets(15)
     print(f"posets with at most 15 up-sets: {len(posets)} posets "
           + sha256_of(canonical_key(p) for p in posets))
+    rows = [r for a in catalog for t in (a.meet, a.join, a.imp) for r in t]
+    print(f"catalog 15 rows: {len(rows)} in all, {len(set(rows))} distinct, "
+          f"{len(set(map(id, rows)))} distinct objects")
 
 
 if __name__ == "__main__":

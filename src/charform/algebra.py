@@ -193,7 +193,8 @@ class HeytingAlgebra(_Trusted):
     """
 
     __slots__ = ("size", "up", "down", "meet", "join", "imp", "neg",
-                 "bottom", "top", "labels", "_batch_ops", "_op_table")
+                 "bottom", "top", "labels", "_batch_ops", "_op_table",
+                 "_plans")
 
     signature = ((("and", _meet_row, None), ("or", _join_row, None),
                   ("imp", _imp_row, _imp_col)),
@@ -226,7 +227,7 @@ class HeytingAlgebra(_Trusted):
         self.top = top
         self.neg = tuple(self.imp[a][bottom] for a in range(self.size))
         self.labels = tuple(labels) if labels is not None else None
-        self._batch_ops = self._op_table = None
+        self._batch_ops = self._op_table = self._plans = None
 
     def _validate(self):
         n = self.size
@@ -402,7 +403,7 @@ def _image(a, elems, img, labels=None):
     return _from_tables(read(a.meet), read(a.join), read(a.imp), labels)
 
 
-def _set_algebra(sets, interior):
+def _set_algebra(sets, interior, shared=None):
     """The algebra on `sets`, ascending bitmasks closed under & and |,
     ordered by inclusion, with u -> v = interior(~u | v); the first set is
     bottom and the last, the whole carrier, top.
@@ -413,34 +414,51 @@ def _set_algebra(sets, interior):
     with u & v = u, and its down mask those of the v with u & v = v.  Masks
     that do not fit in int64 are held as Python ints in a dtype=object
     array, through the same code.
+
+    Each table row, a tuple, and each up or down mask is replaced by the
+    first equal one in `shared`, a dict from each value to itself, so that
+    algebras built over one dict hold one object per distinct row and mask.
+    `all_algebras` passes one dict per call; without one, a fresh dict
+    shares the rows and masks within this algebra only.  A dict kept for
+    the life of the process would keep the rows of every algebra built
+    through it alive.
     """
+    keep = ({} if shared is None else shared).setdefault
     full = sets[-1]
     masks = np.array(sets, dtype=np.int64 if full < 1 << 63 else object)
     u, v = masks[:, None], masks[None, :]
     meet = u & v
 
     def index(table):
-        return np.searchsorted(masks, table).tolist()
+        rows = map(tuple, np.searchsorted(masks, table).tolist())
+        return [keep(r, r) for r in rows]
 
     def masks_where(rel):
         bits = np.packbits(rel, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in bits]
+        ints = (int.from_bytes(row.tobytes(), "little") for row in bits)
+        return [keep(m, m) for m in ints]
 
     tables = index(meet), index(u | v), index(interior((u ^ full) | v))
     return HeytingAlgebra._trusted(masks_where(meet == u), *tables, 0,
                                    len(sets) - 1, down=masks_where(meet == v))
 
 
-def upset_algebra(poset):
-    """Heyting algebra of up-closed subsets of a poset, ordered by inclusion;
-    the interior of a set is the set of points whose up-set it contains."""
+def _upset_interior(poset):
+    """The interior of a set of points of poset, over an array of masks: the
+    set of points whose up-set it contains."""
     def interior(w):
         out = np.zeros_like(w)
         for x, m in enumerate(poset.up):
             out[(w & m) == m] |= 1 << x
         return out
 
-    return _set_algebra(poset.upset_masks(), interior)
+    return interior
+
+
+def upset_algebra(poset):
+    """Heyting algebra of up-closed subsets of a poset, ordered by inclusion,
+    with the interior of `_upset_interior`."""
+    return _set_algebra(poset.upset_masks(), _upset_interior(poset))
 
 
 def product(a, b):
@@ -850,17 +868,20 @@ def _refine_profile(above):
     """Iterated neighbourhood refinement of an order given by `above`, where
     above[i] lists the elements j >= i; returns a per-element colour.
 
-    The elements below each element are listed once, from `above`.  A round
+    The elements below each element are listed once, from `above`.  The
+    first colours are the ranks of the (below, above) counts.  A round
     keys each element by its colour and the sorted colours below and above
     it, and ranks the keys in sorted order, so colours are comparable
-    across algebras.
+    across algebras; the rounds stop at the first that splits no colour.
     """
     size = len(above)
     below = [[] for _ in range(size)]
     for x, ys in enumerate(above):
         for y in ys:
             below[y].append(x)
-    colour = [(len(below[i]), len(above[i])) for i in range(size)]
+    counts = [(len(below[i]), len(above[i])) for i in range(size)]
+    rank = {k: r for r, k in enumerate(sorted(set(counts)))}
+    colour = [rank[k] for k in counts]
     for _ in range(size):
         get = colour.__getitem__
         keys = [(colour[i], tuple(sorted(map(get, below[i]))),

@@ -4,14 +4,21 @@
 up to isomorphism, via Birkhoff duality: algebras correspond to posets of
 their join-irreducible elements, and posets are grown one maximal point at
 a time with pruning on the upset count.
+
+The algebras of one `all_algebras` call are built over one dict of shared
+objects: each meet, join or imp row and each up or down mask is stored
+once, however many algebras hold an equal one.  The catalog's 1,996
+algebras of at most 15 elements hold 82,293 rows with 5,986 distinct
+values.  The tables stay tuples of tuples of ints, so lookups read them as
+before, and the dict is dropped when the call returns.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (Poset, canonical_key, concat, product, upset_algebra,
-                      _bits, _transpose)
+from .algebra import (Poset, canonical_key, concat, product, _bits,
+                      _set_algebra, _transpose, _upset_interior)
 from .rn import boolean, chain, rn_algebra
 
 
@@ -57,11 +64,13 @@ def _posets_with_few_upsets(max_upsets):
 def all_algebras(max_size):
     """Every Heyting algebra with at most max_size elements, up to iso.
 
-    Deterministic order: by (size, canonical key).
+    Deterministic order: by (size, canonical key).  Each algebra is the
+    up-set algebra of a poset, built over one dict shared by the call, so
+    equal rows and masks are one object across the catalog.
     """
-    algebras = []
+    algebras, shared = [], {}
     for p in _posets_with_few_upsets(max_size):
-        a = upset_algebra(p)
+        a = _set_algebra(p.upset_masks(), _upset_interior(p), shared)
         if a.size <= max_size:
             algebras.append(a)
     algebras.sort(key=lambda a: (a.size, canonical_key(a)))

@@ -73,7 +73,7 @@ class InteriorAlgebra(_Trusted):
     """
 
     __slots__ = ("atoms", "size", "full", "box", "opens", "atom_labels",
-                 "_batch_ops", "_op_table")
+                 "_batch_ops", "_op_table", "_plans")
 
     bottom = 0
     # the Boolean operations are set-theoretic on atoms; the signature
@@ -109,7 +109,7 @@ class InteriorAlgebra(_Trusted):
         self.box = tuple(box_table)
         self.opens = tuple(sorted(set(self.box)))
         self.atom_labels = tuple(atom_labels) if atom_labels else None
-        self._batch_ops = self._op_table = None
+        self._batch_ops = self._op_table = self._plans = None
 
     def _validate(self):
         b = self.box

@@ -8,25 +8,25 @@ unconditional yes.  The target may be a Heyting or an interior algebra
 (`modal`): presentations, plans and `check_defines` read only its
 `signature` and its operations, so one layer serves both kinds.
 
-The criterion runs on a `GenerationPlan`, built once per presentation and
-cached on it: how the valuation image generates the target (the steps of
-`jankov.generation_steps`), with the target's operation tables stacked as
-one index array (`op_table`).  For each corpus algebra B, all tuples at
-which the formula is top are checked in one numpy batch: the plan computes
-the map h each tuple forces on the whole target, one gather per depth of
-the steps, and checks it through the least filter it sends to top.  With f
-the element sent to top that has the fewest elements below it, a tuple
-passes when ↓f has at most |B| elements, h(x) = h(x & f) for every x, each
-unary operation commutes with h everywhere and each binary one on the
-pairs of ↓f, and bottom, top and the generators go where they should:
-about k |B|^2 + 2n entries per tuple for k binary operations and an
-n-element target.  The least failing tuple is the witness.
+The criterion runs on a `GenerationPlan`, built once per target and list of
+generators and kept on the target: how the valuation image generates the
+target (the steps of `jankov.generation_steps`), with the target's
+operation tables stacked as one index array (`op_table`).  For each corpus
+algebra B, all tuples at which the formula is top are checked in one numpy
+batch: the plan computes the map h each tuple forces on the whole target,
+one gather per depth of the steps, and checks it through the least filter
+it sends to top.  With f the element sent to top that has the fewest
+elements below it, a tuple passes when ↓f has at most |B| elements,
+h(x) = h(x & f) for every x, each unary operation commutes with h
+everywhere and each binary one on the pairs of ↓f, and bottom, top and the
+generators go where they should: about k |B|^2 + 2n entries per tuple for k
+binary operations and an n-element target.  The least failing tuple is the
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import json
 import re
 
@@ -71,12 +71,19 @@ class Presentation:
         if len(subalgebra_closure(self.target, gens)) != self.target.size:
             raise ValueError("valuation image does not generate the target")
 
-    @cached_property
+    @property
     def plan(self):
         """The `GenerationPlan` of the target from the valuation image, in
-        ascending variable order; built on first use."""
-        return GenerationPlan(self.target,
-                              [self.valuation[v] for v in sorted(self.valuation)])
+        ascending variable order.  Built on first use and kept on the
+        target, in its `_plans` keyed by the generator tuple, so the
+        presentations of one target and one valuation share one plan."""
+        gens = tuple(self.valuation[v] for v in sorted(self.valuation))
+        plans = self.target._plans
+        if plans is None:
+            plans = self.target._plans = {}
+        if gens not in plans:
+            plans[gens] = GenerationPlan(self.target, list(gens))
+        return plans[gens]
 
 
 def diagram_presentation(algebra, variety=None, name=""):
@@ -380,7 +387,7 @@ def check_defines(presentation, corpus=None, size_bound=None):
     For every corpus algebra B and every tuple b with A(b) = top, the map
     generator_i -> b_i must extend to a homomorphism; the first failure is
     returned as a refutation.  Each corpus algebra is one batch check of
-    all its top tuples against the presentation's cached plan.
+    all its top tuples against the presentation's plan.
     """
     if corpus is None:
         if presentation.variety is None:

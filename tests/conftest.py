@@ -889,6 +889,11 @@ def _heyting_carcass(b):
 
 
 @pytest.fixture(scope="session")
+def refine_profile_oracle():
+    return _refine_profile
+
+
+@pytest.fixture(scope="session")
 def canonical_key_oracle():
     return _canonical_key
 

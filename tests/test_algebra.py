@@ -17,7 +17,7 @@ from charform.algebra import (Filter, HeytingAlgebra, Homomorphism,
                               principal_filter, product, quotient,
                               regular_elements, relabel_algebra,
                               subalgebra_closure, upset_algebra, _bits,
-                              _from_tables)
+                              _from_tables, _refine_profile)
 from charform import algebra as algebra_module
 from charform import rn as rn_module
 from charform.catalog import _posets_with_few_upsets, all_algebras
@@ -582,6 +582,14 @@ def test_canonical_key_matches_oracle_on_symmetric_orders(canonical_key_oracle):
         assert canonical_key(a) == want
 
 
+def test_refine_profile_matches_oracle(refine_profile_oracle):
+    rng = random.Random(34)
+    for a in all_algebras(12):
+        for b in (a, relabel_algebra(a, _shuffled(a.size, rng))):
+            want = refine_profile_oracle(b.up, b.down, b.size)
+            assert _refine_profile([list(_bits(m)) for m in b.up]) == want
+
+
 def _same_tables(a, b):
     return all(getattr(a, k) == getattr(b, k) for k in
                ("up", "meet", "join", "imp", "neg", "bottom", "top"))
@@ -595,6 +603,12 @@ def _from_order(a):
 
 def test_upset_algebra_tables_match_oracles(upset_algebra_oracle, monkeypatch):
     frames = list(_posets_with_few_upsets(12))
+    # the catalog's algebras, built over one shared dict, have the tables
+    # of the up-set algebras of its posets built one at a time
+    alone = sorted(map(upset_algebra, frames),
+                   key=lambda a: (a.size, canonical_key(a)))
+    assert len(alone) == len(all_algebras(12))
+    assert all(map(_same_tables, alone, all_algebras(12)))
     # the universal frames behind the truncations, built afresh
     seen = []
     monkeypatch.setattr(rn_module, "rn_algebra", rn_module.rn_algebra.__wrapped__)

@@ -21,6 +21,17 @@ def test_all_algebras_deduplicated():
     assert len(keys) == len(algs)
 
 
+def test_catalog_holds_one_object_per_distinct_row_and_mask():
+    first = {}
+    rows = [r for a in all_algebras(12) for t in (a.meet, a.join, a.imp)
+            for r in t]
+    assert all(type(r) is tuple and all(type(x) is int for x in r)
+               for r in rows)
+    assert all(first.setdefault(r, r) is r for r in rows)
+    masks = [m for a in all_algebras(12) for t in (a.up, a.down) for m in t]
+    assert all(first.setdefault(m, m) is m for m in masks)
+
+
 def test_standard_corpus_contains_bases(corpus10):
     sizes = [a.size for a in corpus10]
     assert sizes == sorted(sizes)

@@ -299,6 +299,8 @@ def test_zprime_mutation_with_genuine_witness():
     broken = Presentation(conj(cs[1:]), p.target, p.valuation)
     v = check_defines(broken, corpus)
     assert v.refuted
+    # one plan per target and generator list, kept on the target
+    assert broken.plan is p.plan
     # the witness satisfies only the mutated formula
     w = dict(enumerate(v.witness_tuple))
     assert evaluate(p.formula, v.witness_algebra, w) != v.witness_algebra.top
