@@ -11,8 +11,8 @@ open element of the spans of `all_algebras(6)`.  Three last lines guard the
 cold catalog: one sha256 over `all_algebras(15)` in order, of each
 algebra's (canonical key, up, meet, join, imp, bottom, top), one over the
 canonical keys of the posets of `_posets_with_few_upsets(15)`, and the
-counts of the meet, join and imp rows of `all_algebras(15)`: in all, with
-distinct values, and distinct objects, which equals the second when equal
+number of meet, join and imp rows of `all_algebras(15)`, of their distinct
+values and of their distinct objects; the last two are equal when equal
 rows are shared.
 
 Its output is compared with tests/golden/table_tour.txt, so any change to
