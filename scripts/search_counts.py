@@ -6,12 +6,13 @@ CSPs it builds, how many of them are feasible (no domain or leaf mask
 empty) and how many have a solution, the calls of the scalar operations it
 runs, and the quotients `in_sh` builds.  With --modal, work counts of the
 naive engine over the tasks of the `modal` workload instead: its calls, the
-batches it runs (`run_program` over the batch operations) and the calls
-whose verdict is valid.  With --corpus, work counts of the extension check
-over the `check_defines` tasks of the `corpus` workload instead: the calls
-of `GenerationPlan.homomorphic`, the rows (top tuples) they check, the
-rows that extend to a homomorphism, and the members on which a
-presentation is refuted.
+batches it runs (bit-sliced scans, `formula._sliced_scan`, of the
+valuations the probe left) and the calls whose verdict is valid.  With
+--corpus, work counts of the extension check over the `check_defines`
+tasks of the `corpus` workload instead: the calls of
+`GenerationPlan.first_failure`, the rows (top tuples) they are given, the
+rows that extend to a homomorphism, each checked again here, and the
+members on which a presentation is refuted.
 
     python3 scripts/search_counts.py [--seed 2025] [--fresh | --modal | --corpus]
 
@@ -108,48 +109,43 @@ def install(counts, fresh):
 
 def install_modal(counts):
     """Wrap the naive engine; counts fills in as the tasks run.  A batch is
-    a `run_program` call, inside a naive search, with the batch operations
-    of the algebra searched."""
-    naive_search, run_program = formula._naive_search, formula.run_program
-    batch = [None]
+    a bit-sliced scan of the valuations the probe left."""
+    naive_search, sliced_scan = formula._naive_search, formula._sliced_scan
 
     def counted_naive_search(algebra, prog):
         counts["naive_calls"] += 1
-        batch[0] = algebra.batch_ops()
-        try:
-            got = naive_search(algebra, prog)
-        finally:
-            batch[0] = None
+        got = naive_search(algebra, prog)
         counts["naive_valid"] += got[0]
         return got
 
-    def counted_run_program(prog, ops, cols):
-        counts["naive_batches"] += ops is batch[0]
-        return run_program(prog, ops, cols)
+    def counted_sliced_scan(*args):
+        counts["naive_batches"] += 1
+        return sliced_scan(*args)
 
     formula._naive_search = counted_naive_search
-    formula.run_program = counted_run_program
+    formula._sliced_scan = counted_sliced_scan
 
 
 def install_corpus(counts):
-    """Wrap the batched extension check and `check_defines`; counts fills
-    in as the tasks run."""
-    homomorphic = presentation.GenerationPlan.homomorphic
+    """Wrap the extension check and `check_defines`; counts fills in as the
+    tasks run.  The rows that extend are counted over all the rows of a
+    call, through `GenerationPlan.checker`, though the check itself stops
+    at the first row that does not."""
+    first_failure = presentation.GenerationPlan.first_failure
     check_defines = presentation.check_defines
 
-    def counted_homomorphic(self, target, rows):
-        ok = homomorphic(self, target, rows)
+    def counted_first_failure(self, target, rows):
         counts["plan_calls"] += 1
-        counts["plan_rows"] += len(ok)
-        counts["plan_rows_extend"] += int(ok.sum())
-        return ok
+        counts["plan_rows"] += len(rows)
+        counts["plan_rows_extend"] += sum(map(self.checker(target), rows))
+        return first_failure(self, target, rows)
 
     def counted_check_defines(*args, **kwargs):
         verdict = check_defines(*args, **kwargs)
         counts["refuted_members"] += verdict.refuted
         return verdict
 
-    presentation.GenerationPlan.homomorphic = counted_homomorphic
+    presentation.GenerationPlan.first_failure = counted_first_failure
     presentation.check_defines = counted_check_defines
 
 

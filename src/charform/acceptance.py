@@ -17,7 +17,7 @@ from .algebra import (Filter, Homomorphism, concat, concat_embedding,
                       product, principal_filter, quotient, _bits)
 from .catalog import all_algebras, si_algebras, standard_corpus
 from .formula import (compile_formula, conj, evaluate, is_valid, parse,
-                      pretty, random_formula, run_program, substitute, var)
+                      pretty, random_formula, refuting_rows, substitute, var)
 from .jankov import jankov_formula
 from .modal import (box_from_meet_of_arrows, heyting_carcass, modal_validity,
                     gmt_translate, span)
@@ -234,16 +234,16 @@ def sample_lemma_formulas(seed, count=500, max_attempts=40000):
 def first_lemma_shadow_failure(p, formulas, corpus):
     """The first failure of the three lemma properties, as a string, or
     None.  Each formula, over p1 and p2 and not variable-free, runs once
-    per corpus algebra, over all its `lemma_points`."""
+    per corpus algebra, over all its `lemma_points` (`refuting_rows`)."""
     points = lemma_points(p, corpus)
     for i, f in enumerate(formulas):
         prog = compile_formula(f)
         for c, (xs, ys) in zip(corpus, points):
-            bad = run_program(prog, c.batch_ops(), {0: xs, 1: ys}) != c.top
-            if bad.any():
+            bad = refuting_rows(prog, c, {0: xs, 1: ys})
+            if bad:
                 n = c.size
-                kind = ("substitution" if bad[:n].any()
-                        else "corner" if bad[n:n + 3].any()
+                kind = ("substitution" if bad & (1 << n) - 1
+                        else "corner" if bad >> n & 7
                         else "complemented-pair")
                 return f"{kind} lemma fails: formula {i}, size {n}"
     return None

@@ -20,8 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class AlgebraError(Exception):
     """Base class for structural errors raised by constructors."""
@@ -134,33 +132,6 @@ class Poset(_Trusted):
         return sorted(sets)
 
 
-# The largest algebra whose `op_table` is built: at 2^11 elements the table
-# of an interior algebra holds 80 MB, and each doubling of the size
-# quadruples it.
-_OP_TABLE_MAX = 1 << 11
-
-
-def _op_table(a):
-    """The operations of a's `signature` as one int32 index table of shape
-    (ops, size, size), in signature order: entry [k, x, y] is op_k(x, y)
-    for a binary op and op_k(x) for a unary one, so that a single gather
-    applies a different operation in each position.  Built from
-    `batch_ops` on first use and kept on the algebra; `SizeLimit` above
-    `_OP_TABLE_MAX` elements."""
-    if a._op_table is None:
-        if a.size > _OP_TABLE_MAX:
-            raise SizeLimit(f"operation table of {a.size} elements exceeds "
-                            f"the budget of {_OP_TABLE_MAX}")
-        ops = a.batch_ops()
-        every = np.arange(a.size, dtype=np.int32)
-        x, y = np.broadcast_arrays(every[:, None], every[None, :])
-        binary, unary = a.signature
-        a._op_table = np.stack([ops[op](x, y) for op, _, _ in binary]
-                               + [ops[op](x) for op, _ in unary]
-                               ).astype(np.int32, copy=False)
-    return a._op_table
-
-
 # Operation signatures.  An algebra's `signature` is (binary, unary) in term
 # order and < or < imp < neg < box.  A binary entry is (kind, row, col):
 # row(alg, x, ys) gives op(x, y) for each y in ys, and col, None for a
@@ -193,8 +164,7 @@ class HeytingAlgebra(_Trusted):
     """
 
     __slots__ = ("size", "up", "down", "meet", "join", "imp", "neg",
-                 "bottom", "top", "labels", "_batch_ops", "_op_table",
-                 "_plans")
+                 "bottom", "top", "labels", "_frame", "_plans")
 
     signature = ((("and", _meet_row, None), ("or", _join_row, None),
                   ("imp", _imp_row, _imp_col)),
@@ -227,7 +197,7 @@ class HeytingAlgebra(_Trusted):
         self.top = top
         self.neg = tuple(self.imp[a][bottom] for a in range(self.size))
         self.labels = tuple(labels) if labels is not None else None
-        self._batch_ops = self._op_table = self._plans = None
+        self._frame = self._plans = None
 
     def _validate(self):
         n = self.size
@@ -281,25 +251,6 @@ class HeytingAlgebra(_Trusted):
                 "and": lambda x, y: meet[x][y], "or": lambda x, y: join[x][y],
                 "imp": lambda x, y: imp[x][y], "neg": self.neg.__getitem__}
 
-    def batch_ops(self):
-        """The operations over numpy arrays of element indices, for
-        `formula.run_program`: binary ones gather from a flat table at
-        x*size+y, neg gathers from its row.  Built on first use."""
-        if self._batch_ops is None:
-            s = self.size
-
-            def flat(table):
-                t = np.asarray(table, dtype=np.int32).reshape(-1)
-                return lambda x, y: t[x * s + y]
-
-            neg = np.asarray(self.neg, dtype=np.int32)
-            self._batch_ops = {"top": self.top, "bot": self.bottom,
-                               "and": flat(self.meet), "or": flat(self.join),
-                               "imp": flat(self.imp), "neg": neg.__getitem__}
-        return self._batch_ops
-
-    op_table = _op_table
-
     def covers(self):
         """Cover pairs (i, j) with j covering i, lexicographic."""
         out = []
@@ -317,6 +268,27 @@ class HeytingAlgebra(_Trusted):
         for i, j in self.covers():
             lower[j] += 1
         return [x for x in range(self.size) if x != self.bottom and lower[x] == 1]
+
+    def dual_frame(self):
+        """The join-irreducibles as the points of the dual frame (Birkhoff:
+        each element is the join of those below it), ordered by the size of
+        their down-sets, so that each point comes after every point below
+        it.  Returns the point mask of each element, the points below it,
+        and for each point its lower covers among the points, by position;
+        x -> y holds a point p exactly when every point q <= p in x is in y,
+        which the covers of p reach step by step."""
+        down = self.down
+        ji = sorted(self.join_irreducibles(),
+                    key=lambda j: (down[j].bit_count(), j))
+        pos = {j: i for i, j in enumerate(ji)}
+        points = sum(1 << j for j in ji)
+        masks = tuple(sum(1 << pos[j] for j in _bits(d & points)) for d in down)
+        lower = []
+        for j in ji:
+            below = down[j] & points & ~(1 << j)
+            lower.append(tuple(pos[q] for q in _bits(below)
+                               if self.up[q] & below == 1 << q))
+        return masks, tuple(lower)
 
     def quotients(self, min_size):
         """Each congruence with its quotient, for `in_sh`: the filters ↑f,
@@ -403,17 +375,56 @@ def _image(a, elems, img, labels=None):
     return _from_tables(read(a.meet), read(a.join), read(a.imp), labels)
 
 
-def _set_algebra(sets, interior, shared=None):
-    """The algebra on `sets`, ascending bitmasks closed under & and |,
-    ordered by inclusion, with u -> v = interior(~u | v); the first set is
-    bottom and the last, the whole carrier, top.
+class _Unions(dict):
+    """The union of down[shift + x] over the bits x of each key, filled on
+    first use, one bit at a time down to a key already held."""
 
-    The tables are built over whole n x n arrays of masks: `interior` maps
-    such an array to the array of interiors, np.searchsorted turns each
-    mask into its index in `sets`, the up mask of u has the bits of the v
-    with u & v = u, and its down mask those of the v with u & v = v.  Masks
-    that do not fit in int64 are held as Python ints in a dtype=object
-    array, through the same code.
+    __slots__ = ("down", "shift")
+
+    def __missing__(self, key):
+        value, rest = 0, key
+        while rest not in self:
+            low = rest & -rest
+            value |= self.down[self.shift + low.bit_length() - 1]
+            rest ^= low
+        value = self[key] = value | self[rest]
+        return value
+
+
+def _union_table(masks):
+    """The union of masks[x] over the bits x of t, at index t."""
+    table = [0]
+    for m in masks:
+        table += [t | m for t in table]
+    return table
+
+
+def _unions(down):
+    """(lo, hi, shift) with the union of down[x] over the bits x of t equal
+    to lo[t & (1 << shift) - 1] | hi[t >> shift]: lo is a table over the
+    first points, at most 8, and hi one over the others, or, past 8 of
+    them, a dict filled on first use."""
+    n = len(down)
+    shift = min((n + 1) // 2, 8)
+    lo = _union_table(down[:shift])
+    if n - shift <= 8:
+        return lo, _union_table(down[shift:]), shift
+    hi = _Unions({0: 0})
+    hi.down, hi.shift = down, shift
+    return lo, hi, shift
+
+
+def _set_algebra(sets, down, shared=None):
+    """The algebra of the up-sets of a preorder on points, given by the down
+    mask of each point: `sets` lists them as ascending bitmasks, closed
+    under & and |, ordered by inclusion, the first empty and the last the
+    whole carrier, bottom and top.  u -> v, the interior of ~u | v, is the
+    complement of the down-closure of u & ~v, read off `_unions`.
+
+    Each entry is an index found through a dict from each set to its
+    index.  The up mask of the set at index i has the bits of the j >= i
+    whose set contains it, and its down mask those of the j <= i whose set
+    it contains, since the sets ascend.
 
     Each table row, a tuple, and each up or down mask is replaced by the
     first equal one in `shared`, a dict from each value to itself, so that
@@ -424,41 +435,36 @@ def _set_algebra(sets, interior, shared=None):
     through it alive.
     """
     keep = ({} if shared is None else shared).setdefault
-    full = sets[-1]
-    masks = np.array(sets, dtype=np.int64 if full < 1 << 63 else object)
-    u, v = masks[:, None], masks[None, :]
-    meet = u & v
-
-    def index(table):
-        rows = map(tuple, np.searchsorted(masks, table).tolist())
-        return [keep(r, r) for r in rows]
-
-    def masks_where(rel):
-        bits = np.packbits(rel, axis=1, bitorder="little")
-        ints = (int.from_bytes(row.tobytes(), "little") for row in bits)
-        return [keep(m, m) for m in ints]
-
-    tables = index(meet), index(u | v), index(interior((u ^ full) | v))
-    return HeytingAlgebra._trusted(masks_where(meet == u), *tables, 0,
-                                   len(sets) - 1, down=masks_where(meet == v))
-
-
-def _upset_interior(poset):
-    """The interior of a set of points of poset, over an array of masks: the
-    set of points whose up-set it contains."""
-    def interior(w):
-        out = np.zeros_like(w)
-        for x, m in enumerate(poset.up):
-            out[(w & m) == m] |= 1 << x
-        return out
-
-    return interior
+    idx = {s: i for i, s in enumerate(sets)}
+    full, n = sets[-1], len(sets)
+    lo, hi, shift = _unions(down)
+    low = (1 << shift) - 1
+    nots = [~v for v in sets]
+    meet, join, imp, ups, downs = [], [], [], [], []
+    for i, u in enumerate(sets):
+        for table, row in (
+                (meet, tuple([idx[u & v] for v in sets])),
+                (join, tuple([idx[u | v] for v in sets])),
+                (imp, tuple([idx[full ^ (lo[(t := u & nv) & low] | hi[t >> shift])]
+                             for nv in nots]))):
+            table.append(keep(row, row))
+        m = 0
+        for j in range(i, n):
+            if u & sets[j] == u:
+                m |= 1 << j
+        ups.append(keep(m, m))
+        m = 0
+        for j in range(i + 1):
+            if u | sets[j] == u:
+                m |= 1 << j
+        downs.append(keep(m, m))
+    return HeytingAlgebra._trusted(ups, meet, join, imp, 0, n - 1, down=downs)
 
 
 def upset_algebra(poset):
-    """Heyting algebra of up-closed subsets of a poset, ordered by inclusion,
-    with the interior of `_upset_interior`."""
-    return _set_algebra(poset.upset_masks(), _upset_interior(poset))
+    """Heyting algebra of up-closed subsets of a poset, ordered by inclusion
+    (`_set_algebra`)."""
+    return _set_algebra(poset.upset_masks(), _transpose(poset.up))
 
 
 def product(a, b):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (Poset, canonical_key, concat, product, _bits,
-                      _set_algebra, _transpose, _upset_interior)
+                      _set_algebra, _transpose)
 from .rn import boolean, chain, rn_algebra
 
 
@@ -68,11 +68,9 @@ def all_algebras(max_size):
     up-set algebra of a poset, built over one dict shared by the call, so
     equal rows and masks are one object across the catalog.
     """
-    algebras, shared = [], {}
-    for p in _posets_with_few_upsets(max_size):
-        a = _set_algebra(p.upset_masks(), _upset_interior(p), shared)
-        if a.size <= max_size:
-            algebras.append(a)
+    shared = {}
+    algebras = [_set_algebra(p.upset_masks(), _transpose(p.up), shared)
+                for p in _posets_with_few_upsets(max_size)]
     algebras.sort(key=lambda a: (a.size, canonical_key(a)))
     return tuple(algebras)
 

@@ -8,25 +8,30 @@ with the variables, whether a box occurs and whether every variable
 occurrence is boxed.  The program is kept on the formula object, so each
 object is compiled once.  Every evaluation reads the program, and so does
 `variables`; `substitute` and the GMT translation rebuild a formula from
-it, each distinct subterm once.  `run_program` runs it with the operations
-an algebra class gives: over numpy columns of valuations with `batch_ops`
-(table gathers in a Heyting algebra, bitwise operations and one box gather
-in an interior algebra), or at one valuation with `scalar_ops`, which is
-all `evaluate` does, for both algebra kinds.
+it, each distinct subterm once.  `run_program` runs it at one valuation
+with the `scalar_ops` an algebra class gives, which is all `evaluate` does,
+for both algebra kinds, or at many valuations at once over bit planes
+(`_Frame`): the algebra's dual frame has the join-irreducibles of a
+Heyting algebra, or the atoms of an interior algebra, as its points, and a
+value at W valuations is one W-bit int per point.  And and or are bitwise;
+implication, negation and box meet each point's plane with those of its
+lower covers or its successors, so an implication costs one int operation
+per point and one per cover.
 `first_refutation` returns the lexicographically least refuting valuation
 over a domain; the naive engine is built on it, and `modal.modal_validity`
 is `is_valid` by that engine.  It first evaluates the first
 `_PROBE_ROWS` valuations of that order one at a time with the scalar
 operations, since most refutations are among them, and only if none
-refutes scans every valuation in one batch, unless the probe has covered
-them all.  The grid of base-m digits that orders the batch depends only on
-the domain size m and the variable count k, so it is built once per (m, k)
-and kept, read-only, in a small bounded cache (grids above 65,536 digits
-are built per call); each call gathers its own domain's elements through
-it.
+refutes scans the valuations in order, in blocks of bit planes
+(`_sliced_scan`), unless the probe has covered them all; the least
+refuting row is the lowest bit of the first block that has one.  The
+planes of the variables depend only on the algebra, the domain and the
+variable count, so they are built once per such triple and kept on the
+algebra's frame.  `refuting_rows` runs a program the same way over given
+columns of elements.
 
 Validity, `is_valid`, has two engines, and both serve Heyting and interior
-algebras: the batch enumeration over all valuations (over the opens only
+algebras: the bit-sliced enumeration of all valuations (over the opens only
 when every variable occurs boxed), and a constraint-propagation engine
 that splits the goal into constraints on the values of program slots
 (mandatory above 6 variables).  Without a box the split depends on neither
@@ -57,11 +62,11 @@ engines agree witness-for-witness.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import (Poset, SizeLimit, _bits, _classes, _sub_order,
                       canonical_key)
@@ -201,13 +206,6 @@ def substitute(f, mapping):
             images.append(Formula(op, (images[a],) if b is None
                                   else (images[a], images[b])))
     return images[-1]
-
-
-def normalize_variables(f):
-    """Renumber variables to a contiguous 0..k-1 block; returns (f, old list)."""
-    old = variables(f)
-    mapping = {o: var(i) for i, o in enumerate(old)}
-    return substitute(f, mapping), old
 
 
 # -- grammar ----------------------------------------------------------------
@@ -500,10 +498,9 @@ def compile_formula(f):
 def run_program(prog, ops, cols):
     """Value of the program with the variables bound to the columns in cols.
 
-    ops maps "top" and "bot" to elements and every other op to a function,
-    over numpy arrays (`batch_ops` of the algebra classes; values are then
-    arrays, or scalars for subterms without variables) or over single
-    elements (`scalar_ops`).
+    ops maps "top" and "bot" to values and every other op to a function,
+    over single elements (`scalar_ops` of the algebra classes) or over the
+    bit planes of many valuations at once (`_Frame.ops`).
     """
     vals = [None] * len(prog.code)
     for i, (op, a, b) in enumerate(prog.code):
@@ -522,12 +519,18 @@ def run_program(prog, ops, cols):
     return vals[-1]
 
 
-def _ops_for(prog, ops):
-    """ops, an algebra's `scalar_ops()` or `batch_ops()`, once checked to
-    hold every operation prog runs: a box needs an interior algebra."""
-    if prog.has_box and "box" not in ops:
+def _assertoric(prog, algebra):
+    """NotAssertoric when prog has a box and the algebra's `signature` has
+    none: a box needs an interior algebra."""
+    if prog.has_box and all(op != "box" for op, _ in algebra.signature[1]):
         raise NotAssertoric("box in a Heyting algebra")
-    return ops
+
+
+def _ops_for(prog, algebra):
+    """The algebra's `scalar_ops()`, once checked to hold every operation
+    prog runs (`_assertoric`)."""
+    _assertoric(prog, algebra)
+    return algebra.scalar_ops()
 
 
 def evaluate(f, algebra, valuation):
@@ -539,66 +542,228 @@ def evaluate(f, algebra, valuation):
     with its program and the algebra's `scalar_ops()`.
     """
     prog = compile_formula(f)
-    return run_program(prog, _ops_for(prog, algebra.scalar_ops()), valuation)
+    return run_program(prog, _ops_for(prog, algebra), valuation)
 
 
-# grids of at most this many digits are kept, read-only, by `_digits`
-_GRID_CACHE_CELLS = 1 << 16
+# -- bit-sliced evaluation ------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _digits(m, k):
-    """The k x m**k grid whose column r holds the base-m digits of r, most
-    significant first; read-only, since the cached grid is shared."""
-    weights = m ** np.arange(k - 1, -1, -1)
-    grid = np.arange(m ** k) // weights[:, None] % m
-    grid.flags.writeable = False
-    return grid
+class _Frame:
+    """An algebra's dual frame, read for evaluating a program at many
+    valuations at once (Biham's bit slicing over the frame).
+
+    The points are the join-irreducibles of a Heyting algebra and the atoms
+    of an interior algebra (`dual_frame`), and an element is the set of
+    points below it.  A value at W valuations, the rows, is one W-bit int
+    per point, its plane: bit r of the plane of p is set when p is below
+    the value at row r.  And and or act plane by plane.  In a Heyting
+    algebra x -> y holds p when ~x | y holds p and every point below p, so
+    the planes go in the frame's order and each is met with those of the
+    lower covers of its point; neg is x -> 0.  In an interior algebra imp
+    and neg are Boolean, and box(x) holds a when x holds a and each
+    successor of a.  A value is top at a row when all its planes hold it.
+
+    Built once per algebra and kept on it (`_frame`), with the operations
+    per row count and the planes of the variables per domain and variable
+    count; filling either cache twice stores equal values, so the caches
+    need no lock.
+    """
+
+    def __init__(self, algebra):
+        self.masks, self.edges = algebra.dual_frame()
+        self.points = len(self.edges)
+        self.boolean = any(op == "box" for op, _ in algebra.signature[1])
+        self._ops, self._planes = {}, {}
+
+    def planes(self, rows):
+        """The planes of the value that takes each element e of the dict
+        rows on the rows of the mask rows[e]."""
+        planes = [0] * self.points
+        for e, m in rows.items():
+            for p in _bits(self.masks[e]):
+                planes[p] |= m
+        return planes
+
+    def column(self, elems):
+        """The planes of a column of elements, one row per element."""
+        rows = {}
+        for r, e in enumerate(elems):
+            rows[e] = rows.get(e, 0) | 1 << r
+        return self.planes(rows)
+
+    def ops(self, width):
+        """The operations over the planes of `width` rows, for
+        `run_program`."""
+        got = self._ops.get(width)
+        if got is not None:
+            return got
+        ones, edges, n = (1 << width) - 1, self.edges, self.points
+
+        def and_(x, y):
+            return list(map(operator.and_, x, y))
+
+        def or_(x, y):
+            return list(map(operator.or_, x, y))
+
+        if self.boolean:
+            def imp(x, y):
+                return [(a ^ ones) | b for a, b in zip(x, y)]
+
+            def neg(x):
+                return [a ^ ones for a in x]
+
+            def box(x):
+                out = []
+                for a, succ in zip(x, edges):
+                    for b in succ:
+                        a &= x[b]
+                    out.append(a)
+                return out
+        else:
+            def below(d):
+                # the points of d whose lower covers, all earlier, hold
+                out = []
+                for a, covers in zip(d, edges):
+                    for q in covers:
+                        a &= out[q]
+                    out.append(a)
+                return out
+
+            def imp(x, y):
+                return below([(a ^ ones) | b for a, b in zip(x, y)])
+
+            def neg(x):
+                return below([a ^ ones for a in x])
+
+            box = None
+        got = {"top": [ones] * n, "bot": [0] * n, "and": and_, "or": or_,
+               "imp": imp, "neg": neg}
+        if box is not None:
+            got["box"] = box
+        return self._ops.setdefault(width, got)
+
+    def digit_planes(self, domain, k):
+        """The planes of k variables over the m**k rows of their valuations
+        in `domain`, of size m: row r gives the pos-th variable the pos-th
+        base-m digit of r, most significant first."""
+        key = (domain if isinstance(domain, (range, tuple)) else tuple(domain),
+               k)
+        got = self._planes.get(key)
+        if got is not None:
+            return got
+        m = len(domain)
+        width = m ** k
+        ones = (1 << width) - 1
+        got = []
+        for pos in range(k):
+            run = m ** (k - 1 - pos)      # rows per digit
+            period = run * m
+            digit = []                    # the rows of each digit
+            for d in range(m):
+                x, length = ((1 << run) - 1) << (d * run), period
+                while length < width:
+                    x |= x << length
+                    length *= 2
+                digit.append(x & ones)
+            got.append(self.planes(dict(zip(domain, digit))))
+        return self._planes.setdefault(key, got)
+
+
+def _frame(algebra):
+    """The algebra's `_Frame`, built on first use and kept on it."""
+    if algebra._frame is None:
+        algebra._frame = _Frame(algebra)
+    return algebra._frame
+
+
+def _not_top(planes, ones):
+    """The rows at which the value with these planes is not top."""
+    return ones ^ functools.reduce(operator.and_, planes, ones)
+
+
+def refuting_rows(prog, algebra, cols):
+    """The rows at which prog is not top, as a bitmask, with each variable
+    v bound to the column cols[v] of elements, the columns of equal
+    length: one bit-sliced run of the program over all of them."""
+    _assertoric(prog, algebra)
+    frame = _frame(algebra)
+    width = len(next(iter(cols.values()), ()))
+    ones = (1 << width) - 1
+    planes = {v: frame.column(col) for v, col in cols.items()}
+    return _not_top(run_program(prog, frame.ops(width), planes), ones)
 
 
 # valuations `first_refutation` evaluates one at a time before its batch;
 # on the `modal` benchmark 2 was faster than 1 and than 4
 _PROBE_ROWS = 2
 
+# rows of a batch block are capped so that one value, a plane per point,
+# holds at most this many bits
+_BLOCK_BITS = 1 << 18
 
-def first_refutation(prog, scalar, batch, domain, top):
+
+def first_refutation(prog, algebra, domain):
     """Lexicographically least valuation of prog.vars over domain whose value
     is not top, as {variable: element}, or None when there is none.
 
     Row r of the order is the valuation whose pos-th variable takes the
     pos-th base-len(domain) digit of r, most significant first.  The first
     `_PROBE_ROWS` rows are evaluated one at a time with the scalar
-    operations; if none refutes, all len(domain)**k rows are one batch with
-    the batch operations, and the first refuting row is the least refuting
-    valuation.  When the probe has covered every row, no batch is run.  The
-    digit grid depends only on (len(domain), k) and is cached when small;
-    the domain's elements are gathered through it on every call.
+    operations; if none refutes, the rest are scanned by `_sliced_scan`,
+    unless the probe has covered every row.
     """
     m, k = len(domain), len(prog.vars)
     rows = m ** k
+    scalar = _ops_for(prog, algebra)
     for r in range(min(_PROBE_ROWS, rows)):
-        values = []
-        for _ in range(k):
-            r, d = divmod(r, m)
-            values.append(domain[d])
-        valuation = dict(zip(prog.vars, reversed(values)))
-        if run_program(prog, scalar, valuation) != top:
+        valuation = _valuation(prog, domain, r)
+        if run_program(prog, scalar, valuation) != algebra.top:
             return valuation
     if rows <= _PROBE_ROWS:
         return None
-    cached = rows * k <= _GRID_CACHE_CELLS
-    grid = (_digits if cached else _digits.__wrapped__)(m, k)
-    cols = np.asarray(domain, dtype=np.int32)[grid]
-    bad = run_program(prog, batch, dict(zip(prog.vars, cols))) != top
-    if not np.any(bad):
-        return None
-    return dict(zip(prog.vars, cols[:, np.argmax(bad)].tolist()))
+    r = _sliced_scan(prog, algebra, domain)
+    return None if r is None else _valuation(prog, domain, r)
+
+
+def _valuation(prog, domain, r):
+    """The valuation at row r of the order of `first_refutation`."""
+    m, values = len(domain), []
+    for _ in prog.vars:
+        r, d = divmod(r, m)
+        values.append(domain[d])
+    return dict(zip(prog.vars, reversed(values)))
+
+
+def _sliced_scan(prog, algebra, domain):
+    """The least row of the order of `first_refutation` at which prog is
+    not top, or None: the rows in order, in blocks of m**j rows for the
+    greatest j <= k whose block keeps a value within `_BLOCK_BITS` bits.
+    In a block the last j variables take the planes of `digit_planes`, and
+    the first k - j are constant, so the least refuting row is the lowest
+    bit of the first block that has one."""
+    frame = _frame(algebra)
+    m, k = len(domain), len(prog.vars)
+    j = k
+    while j and m ** j * frame.points > _BLOCK_BITS:
+        j -= 1
+    width = m ** j
+    ones = (1 << width) - 1
+    ops, low = frame.ops(width), frame.digit_planes(domain, j)
+    high = [frame.planes({e: ones}) for e in domain] if j < k else []
+    for block, digits in enumerate(itertools.product(range(m), repeat=k - j)):
+        planes = [high[d] for d in digits] + low
+        bad = _not_top(run_program(prog, ops, dict(zip(prog.vars, planes))),
+                       ones)
+        if bad:
+            return block * width + (bad & -bad).bit_length() - 1
+    return None
 
 
 # -- engine limits ------------------------------------------------------------
 
 
-# the naive engine's variable cap and its budget of digit-grid cells
+# the naive engine's variable cap and its budget of cells, valuations times
+# variables
 NAIVE_MAX_VARS = 6
 NAIVE_BUDGET = 4_000_000
 # the propagation engine's default variable cap (`is_valid`'s max_vars)
@@ -620,16 +785,15 @@ def _naive_domain(algebra, prog):
 def _naive_search(algebra, prog):
     """Enumeration of all valuations over `_naive_domain` by
     `first_refutation`; returns (valid, witness).  SizeLimit is raised,
-    before any valuation is evaluated, when the cells of the digit grid,
+    before any valuation is evaluated, when the cells of the valuations,
     valuations times variables, exceed `NAIVE_BUDGET`."""
-    batch = _ops_for(prog, algebra.batch_ops())
+    _assertoric(prog, algebra)
     domain = _naive_domain(algebra, prog)
     k = len(prog.vars)
     total = len(domain) ** k
     if total * max(1, k) > NAIVE_BUDGET:
         raise SizeLimit(f"naive search needs {total} valuations")
-    witness = first_refutation(prog, algebra.scalar_ops(), batch, domain,
-                               algebra.top)
+    witness = first_refutation(prog, algebra, domain)
     return witness is None, witness
 
 
@@ -707,7 +871,7 @@ class _Slots:
 
     def __init__(self, algebra, prog):
         self.algebra, self.prog = algebra, prog
-        self.ops = ops = _ops_for(prog, algebra.scalar_ops())
+        self.ops = ops = _ops_for(prog, algebra)
         self.full = (1 << algebra.size) - 1
         self.svars, self.var_slot = prog._reach
         ground = [None] * len(prog.code)
@@ -1166,7 +1330,7 @@ def is_valid(algebra, f, engine="auto", max_vars=PROP_MAX_VARS):
     """
     prog = compile_formula(f)
     if engine == "auto":
-        _ops_for(prog, algebra.batch_ops())  # before the box-aware sizing
+        _assertoric(prog, algebra)  # before the box-aware sizing
         k = len(prog.vars)
         m = len(_naive_domain(algebra, prog))
         cells = m ** min(k, NAIVE_MAX_VARS + 1) * max(1, k)

@@ -7,12 +7,16 @@ the other way, from a Heyting algebra to the smallest interior algebra
 whose opens realize it.
 
 Formulas are evaluated by their compiled programs, with the operations an
-interior algebra gives in `scalar_ops` and `batch_ops`: the Boolean ones
-bitwise on masks, box a lookup in the interior table.  `evaluate_modal` is
+interior algebra gives in `scalar_ops`: the Boolean ones bitwise on masks,
+box a lookup in the interior table.  `evaluate_modal` is
 `formula.evaluate`, and validity is `formula.is_valid`, whose two engines
 serve both algebra kinds.  `modal_validity` is `is_valid` by its naive
-engine: the program runs over every valuation in one numpy batch, over
-open values only when every variable occurs boxed.
+engine: the program runs over every valuation in bit-sliced blocks over
+the dual frame, whose points are the atoms, each with the atoms of the
+least open containing it (`successors`, the preorder of McKinsey and
+Tarski), over open values only when every variable occurs boxed.  The
+opens are the up-sets of that preorder, so the carcass is built as any
+up-set algebra is (`algebra._set_algebra`).
 
 The GMT translation of a formula is kept on the formula object, as its
 compiled program is, so a formula checked on many spans is translated,
@@ -32,10 +36,8 @@ import json
 import operator
 from collections.abc import Sequence
 
-import numpy as np
-
-from .algebra import (SizeLimit, is_si, opremum, _Trusted, _bits, _op_table,
-                      _set_algebra)
+from .algebra import (SizeLimit, is_si, opremum, _Trusted, _bits, _set_algebra,
+                      _transpose)
 from . import formula
 from .formula import (Formula, box, compile_formula, conj, evaluate, iff, imp,
                       neg, var)
@@ -73,7 +75,7 @@ class InteriorAlgebra(_Trusted):
     """
 
     __slots__ = ("atoms", "size", "full", "box", "opens", "atom_labels",
-                 "_batch_ops", "_op_table", "_plans")
+                 "_frame", "_plans")
 
     bottom = 0
     # the Boolean operations are set-theoretic on atoms; the signature
@@ -109,7 +111,7 @@ class InteriorAlgebra(_Trusted):
         self.box = tuple(box_table)
         self.opens = tuple(sorted(set(self.box)))
         self.atom_labels = tuple(atom_labels) if atom_labels else None
-        self._batch_ops = self._op_table = self._plans = None
+        self._frame = self._plans = None
 
     def _validate(self):
         b = self.box
@@ -141,18 +143,6 @@ class InteriorAlgebra(_Trusted):
                 "or": operator.or_, "imp": lambda x, y: (x ^ full) | y,
                 "neg": lambda x: x ^ full, "box": self.box.__getitem__}
 
-    def batch_ops(self):
-        """The operations over numpy arrays of masks, for
-        `formula.run_program`: the scalar ones, which numpy broadcasts, with
-        box as a gather from the box table.  Built on first use."""
-        if self._batch_ops is None:
-            box_table = np.asarray(self.box, dtype=np.int32)
-            self._batch_ops = dict(self.scalar_ops(),
-                                   box=box_table.__getitem__)
-        return self._batch_ops
-
-    op_table = _op_table
-
     def join_irreducibles(self):
         """The atoms, as masks."""
         return [1 << i for i in range(self.atoms)]
@@ -173,6 +163,20 @@ class InteriorAlgebra(_Trusted):
             if c & ~o == 0:
                 out &= o
         return out
+
+    def successors(self):
+        """R(a) for each atom a, the least open containing it: the preorder
+        of McKinsey and Tarski, whose up-sets are the opens, so that box(x)
+        holds a exactly when x holds all of R(a)."""
+        return [self.box_floor(1 << a) for a in range(self.atoms)]
+
+    def dual_frame(self):
+        """The atoms as the points of the dual frame: each element is its
+        own point mask, and each atom a lists the other atoms of R(a)
+        (`successors`), whose planes box meets with its own."""
+        return range(self.size), tuple(
+            tuple(b for b in _bits(r) if b != a)
+            for a, r in enumerate(self.successors()))
 
     def __repr__(self):
         return f"InteriorAlgebra(atoms={self.atoms})"
@@ -208,9 +212,9 @@ def span(algebra):
 
 
 def heyting_carcass(b):
-    """Heyting algebra of the open elements, with x -> y = box(~x | y), box
-    gathered from the box table."""
-    return _set_algebra(b.opens, b.batch_ops()["box"])
+    """Heyting algebra of the open elements, the up-sets of the preorder of
+    `successors`, with x -> y = box(~x | y)."""
+    return _set_algebra(b.opens, _transpose(b.successors()))
 
 
 def _on_blocks(b, blocks):

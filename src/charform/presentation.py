@@ -10,18 +10,18 @@ unconditional yes.  The target may be a Heyting or an interior algebra
 
 The criterion runs on a `GenerationPlan`, built once per target and list of
 generators and kept on the target: how the valuation image generates the
-target (the steps of `jankov.generation_steps`), with the target's
-operation tables stacked as one index array (`op_table`).  For each corpus
-algebra B, all tuples at which the formula is top are checked in one numpy
-batch: the plan computes the map h each tuple forces on the whole target,
-one gather per depth of the steps, and checks it through the least filter
-it sends to top.  With f the element sent to top that has the fewest
-elements below it, a tuple passes when ↓f has at most |B| elements,
-h(x) = h(x & f) for every x, each unary operation commutes with h
-everywhere and each binary one on the pairs of ↓f, and bottom, top and the
-generators go where they should: about k |B|^2 + 2n entries per tuple for k
-binary operations and an n-element target.  The least failing tuple is the
-witness.
+target (the steps of `jankov.generation_steps`).  For each corpus algebra
+B, the tuples at which the formula is top are checked one at a time, in
+order, up to the first that fails: the plan replays its steps with B's
+scalar operations, which gives the map h the tuple forces on the whole
+target, and checks it through the least filter it sends to top.  With f
+the element sent to top that has the fewest elements below it, a tuple
+passes when ↓f has at most |B| elements, h(x) = h(x & f) for every x, each
+unary operation commutes with h everywhere and each binary one on the
+pairs of ↓f, and bottom, top and the generators go where they should:
+about k |B|^2 + 2n comparisons per tuple for k binary operations and an
+n-element target, each part stopping at its first mismatch.  The least
+failing tuple is the witness.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ from dataclasses import dataclass
 import json
 import re
 
-import numpy as np
-
 from .algebra import (Poset, canonical_key, close_set, concat,
                       concat_embedding, induced_subalgebra, is_si, opremum,
                       principal_filter, quotient, subalgebra_closure, _bits,
                       _sub_order)
 from .formula import (Formula, and_, compile_formula, conj, evaluate,
                       enumerate_top_valuations, iff, is_valid, neg, or_,
-                      parse, pretty, run_program, var, variables)
+                      parse, pretty, refuting_rows, var, variables)
 from .jankov import diagram_formula, generation_steps
 from .rn import TruncationTooSmall, trunc_zprime
 
@@ -225,25 +223,15 @@ class Verdict:
         return f"VERIFIED-UP-TO-BOUND({self.bound})"
 
 
-# Rows checked at once are capped so that one batch compares about this many
-# entries.  Per row the check compares each binary operation on the pairs of
-# the down-set of f, about k m^2 entries for k binary operations and m the
-# smaller of the two sizes, and n entries each for h(x) = h(x & f) and for
-# each unary operation, n the size of the source.
-_BATCH_ENTRIES = 1 << 16
-
-
 class GenerationPlan:
     """How a list of elements generates an algebra A, read once for checking
-    many candidate images of those elements at once.
+    many candidate images of those elements.
 
     Each candidate row forces a map h on all of A: the row on the
-    generators, then the steps of `jankov.generation_steps` replayed one
-    depth at a time in `levels`, each depth one gather from the target's
-    `op_table` at (op code, operand, operand), a unary step giving its
-    operand twice.  For each element x of A, `below[x]` counts the elements
-    below it and `downs[x]` lists them, ascending, padded with x to A's
-    size; `table` is A's own `op_table`.
+    generators, then the steps of `jankov.generation_steps` replayed in
+    their order, each with the target's scalar operation.  For each element
+    x of A, `below[x]` counts the elements below it; `by_below` lists the
+    elements by that count, ascending, the least index first on a tie.
 
     Criterion.  A row extends to a homomorphism into B exactly when h sends
     bottom, top and each generator where the row says and, for f the element
@@ -273,111 +261,126 @@ class GenerationPlan:
     A/↑f, which is isomorphic to ↓f.  The check reads only the pairs of
     ↓f, about k |B|^2 entries per row for k binary operations, plus about
     2n for (b) and (c) over the n elements of A, against k n^2 for
-    comparing every operation on all pairs of A.
+    comparing every operation on all pairs of A.  What it reads of A at f,
+    ↓f and the operations of A on it, is worked out for each f on first
+    use and kept.
     """
 
     def __init__(self, algebra, gens):
+        self.algebra = algebra
         self.size = n = algebra.size
         self.bottom, self.top = algebra.bottom, algebra.top
-        self.gens = np.asarray(gens, dtype=np.intp)
+        self.gens = list(gens)
         if gens:
             found = generation_steps(algebra, list(enumerate(gens)))
         else:
             # the empty set generates bottom and top
             found = {algebra.bottom: ("bot",), algebra.top: ("top",)}
         self.generates = len(found) == n
-        binary, unary = algebra.signature
-        names = [op for op, _, _ in binary] + [op for op, _ in unary]
-        depth, self.consts, levels = {}, [], {}
-        var_elems, var_cols = [], []
+        # generators, constants and steps (element, op, operand, operand or
+        # None), in the order generation_steps found them
+        self.vars, self.consts, self.steps = [], [], []
         for z, (op, *args) in found.items():
             if op == "var":
-                var_elems.append(z)
-                var_cols.append(args[0])
+                self.vars.append((z, args[0]))
             elif not args:
                 self.consts.append((z, op))
-            else:  # the generators are at depth 0
-                depth[z] = d = 1 + max(depth.get(x, 0) for x in args)
-                levels.setdefault(d, []).append(
-                    (z, names.index(op), args[0], args[-1]))
-        self.var_elems = np.asarray(var_elems, dtype=np.intp)
-        self.var_cols = np.asarray(var_cols, dtype=np.intp)
-        self.levels = [[np.asarray(c, dtype=np.intp) for c in zip(*steps)]
-                       for _, steps in sorted(levels.items())]
-        self.table = algebra.op_table()
-        self.binary = np.arange(len(binary))[:, None, None]
-        self.unary = np.arange(len(binary), len(names))[:, None]
-        self.unary_images = self.table[len(binary):, :, 0]
-        self.meet = self.table[names.index("and")]
-        every = np.arange(n)
-        leq = self.meet == every  # leq[f, x]: x <= f
-        self.below = leq.sum(axis=1)
-        self.downs = np.where(every < self.below[:, None],
-                              np.argsort(~leq, axis=1, kind="stable"),
-                              every[:, None])
+            else:
+                self.steps.append((z, op, args[0], args[1] if args[1:] else None))
+        binary, unary = algebra.signature
+        meet = binary[0][1]
+        every = range(n)
+        self.meet_rows = [list(meet(algebra, f, every)) for f in every]
+        self.below = [sum(x == y for x, y in zip(every, row))
+                      for row in self.meet_rows]
+        self.by_below = sorted(every, key=self.below.__getitem__)
+        self.unary = [(name, [op(algebra, x) for x in every])
+                      for name, op in unary]
+        self._at = {}
 
-    def homomorphic(self, target, rows):
-        """For each row of images of the generators, one per generator in
-        order, whether the map extends to a homomorphism into target (of
-        the same kind): a boolean array.  A plan whose elements do not
-        generate passes none.
+    def at(self, f):
+        """(↓f ascending, for each binary operation the rows of its values
+        on the pairs of ↓f), worked out on first use."""
+        got = self._at.get(f)
+        if got is None:
+            a = self.algebra
+            downs = [x for x, m in enumerate(self.meet_rows[f]) if m == x]
+            got = self._at[f] = (downs, [
+                [list(row(a, x, downs)) for x in downs]
+                for _, row, _ in a.signature[0]])
+        return got
 
-        A row passes when the map h it forces sends bottom, top and the
-        generators where they belong and, with f the element sent to top
-        that has the fewest elements below it, ↓f has at most target.size
-        elements, h(x) = h(x & f) for every x, each unary operation
-        commutes with h everywhere and each binary one on the pairs of ↓f
-        (proof in the class docstring).  That compares about k m^2 + 2n
-        entries per row, for k binary operations, n the plan's size and m
-        the smaller of n and target.size, and rows go in batches of about
-        `_BATCH_ENTRIES` entries.
-        """
-        rows = np.asarray(rows, dtype=np.int32).reshape(len(rows), len(self.gens))
-        if not self.generates:
-            return np.zeros(len(rows), dtype=bool)
-        m = min(target.size, self.size)
-        entries = len(self.binary) * m * m + (1 + len(self.unary)) * self.size
-        per = max(1, _BATCH_ENTRIES // entries)
-        return np.concatenate([self._homomorphic(target, rows[i:i + per])
-                               for i in range(0, max(len(rows), 1), per)])
+    def checker(self, target):
+        """The check of one row of images of the generators, one per
+        generator in order, into target (of the same kind): whether the map
+        h it forces extends to a homomorphism, by the criterion of the
+        class docstring, stopping at the first part that fails.  A plan
+        whose elements do not generate passes no row."""
+        ops = target.scalar_ops()
+        bot, top, size = ops["bot"], ops["top"], target.size
+        n, bottom, a_top, gens = self.size, self.bottom, self.top, self.gens
+        vars_, by_below, meet_rows = self.vars, self.by_below, self.meet_rows
+        consts = [(z, ops[op]) for z, op in self.consts]
+        steps = [(z, ops[op], x, y) for z, op, x, y in self.steps]
+        unary = [(ops[name], images) for name, images in self.unary]
+        rows = [row for _, row, _ in target.signature[0]]
+        at = self.at
 
-    def _homomorphic(self, target, rows):
-        ops, table = target.batch_ops(), target.op_table()
-        # img[r, x]: the image of element x that row r forces
-        img = np.empty((len(rows), self.size), dtype=np.int32)
-        img[:, self.var_elems] = rows[:, self.var_cols]
-        for z, op in self.consts:
-            img[:, z] = ops[op]
-        for zs, codes, xs, ys in self.levels:
-            img[:, zs] = table[codes, img[:, xs], img[:, ys]]
-        top = ops["top"]
-        f = np.where(img == top, self.below, self.size + 1).argmin(axis=1)
-        at = np.arange(len(rows))[:, None]
-        ok = ((self.below[f] <= target.size)
-              & (img[:, self.bottom] == ops["bot"]) & (img[:, self.top] == top)
-              & (img[:, self.gens] == rows).all(axis=1)
-              & (img == img[at, self.meet[f]]).all(axis=1))
-        ok &= (img[:, self.unary_images]
-               == table[self.unary, img[:, None, :], 0]).all(axis=(1, 2))
-        down = self.downs[f, :min(target.size, self.size)]
-        x, y = down[:, None, :, None], down[:, None, None, :]
-        h = img[at, down]
-        ok &= (img[at[:, :, None, None], self.table[self.binary, x, y]]
-               == table[self.binary, h[:, None, :, None], h[:, None, None, :]]
-               ).all(axis=(1, 2, 3))
-        return ok
+        def extends(row):
+            if not self.generates:
+                return False
+            img = [0] * n
+            for z, col in vars_:
+                img[z] = row[col]
+            for z, c in consts:
+                img[z] = c
+            for z, op, x, y in steps:
+                img[z] = op(img[x]) if y is None else op(img[x], img[y])
+            if (img[bottom] != bot or img[a_top] != top
+                    or any(img[g] != v for g, v in zip(gens, row))):
+                return False
+            f = next(x for x in by_below if img[x] == top)
+            downs, tables = at(f)
+            if len(downs) > size:                                  # (a)
+                return False
+            get = img.__getitem__
+            if list(map(get, meet_rows[f])) != img:                # (b)
+                return False
+            for op, images in unary:                               # (c)
+                if list(map(get, images)) != list(map(op, img)):
+                    return False
+            hd = list(map(get, downs))
+            for row_b, table in zip(rows, tables):                 # (d)
+                for hx, zs in zip(hd, table):
+                    if list(map(get, zs)) != list(row_b(target, hx, hd)):
+                        return False
+            return True
+
+        return extends
+
+    def homomorphic(self, target, row):
+        """Does the map that one row of generator images forces extend to a
+        homomorphism into target?  (`checker`)"""
+        return self.checker(target)(row)
+
+    def first_failure(self, target, rows):
+        """The index of the first of rows that does not extend to a
+        homomorphism into target, or None when every row does."""
+        extends = self.checker(target)
+        return next((i for i, row in enumerate(rows) if not extends(row)),
+                    None)
 
 
 def extends_to_homomorphism(source, target, pairs):
     """Does generator(i) -> image(i) extend to a homomorphism?
 
     pairs is a sequence of (source element, target element); source and
-    target are both Heyting algebras or both interior algebras.  The
-    one-row case of `GenerationPlan.homomorphic`, with the plan built on
-    the fly; the sources must generate.
+    target are both Heyting algebras or both interior algebras.  One row of
+    `GenerationPlan.homomorphic`, with the plan built on the fly; the
+    sources must generate.
     """
     plan = GenerationPlan(source, [x for x, _ in pairs])
-    return bool(plan.homomorphic(target, [[y for _, y in pairs]])[0])
+    return plan.homomorphic(target, [y for _, y in pairs])
 
 
 def check_defines(presentation, corpus=None, size_bound=None):
@@ -386,8 +389,9 @@ def check_defines(presentation, corpus=None, size_bound=None):
 
     For every corpus algebra B and every tuple b with A(b) = top, the map
     generator_i -> b_i must extend to a homomorphism; the first failure is
-    returned as a refutation.  Each corpus algebra is one batch check of
-    all its top tuples against the presentation's plan.
+    returned as a refutation.  The top tuples of each corpus algebra are
+    checked in order against the presentation's plan, up to the first that
+    fails (`GenerationPlan.first_failure`).
     """
     if corpus is None:
         if presentation.variety is None:
@@ -397,9 +401,9 @@ def check_defines(presentation, corpus=None, size_bound=None):
     bound = max((b.size for b in corpus), default=0)
     for b in corpus:
         tuples = enumerate_top_valuations(b, presentation.formula, vars_)
-        ok = presentation.plan.homomorphic(b, tuples)
-        if not ok.all():
-            return Verdict("refuted", bound, b, tuples[int(np.argmin(ok))])
+        i = presentation.plan.first_failure(b, tuples)
+        if i is not None:
+            return Verdict("refuted", bound, b, tuples[i])
     return Verdict("verified-up-to-bound", bound)
 
 
@@ -497,70 +501,27 @@ def zprime_conjuncts():
 
 def lemma_points(p, corpus):
     """The points at which the three lemma shadows evaluate a formula: per
-    corpus algebra c, int32 columns (xs, ys) of values of p1 and p2 holding
-    the substitution column (x, bottom) for every x, then the three corners
+    corpus algebra c, lists (xs, ys) of values of p1 and p2 holding the
+    substitution column (x, bottom) for every x, then the three corners
     (0, 0), (0, 1) and (1, 0), then, when c is s.i., the complemented
     satisfying pairs: the (x, y), in lexicographic order, at which p's
-    formula is top and y is complemented."""
+    formula is top and y is complemented, found by one `refuting_rows` run
+    over all pairs."""
     pairs = compile_formula(and_(p.formula, or_(var(1), neg(var(1)))))
     out = []
     for c in corpus:
         n, bot, top = c.size, c.bottom, c.top
-        gx, gy = np.divmod(np.arange(n * n, dtype=np.int32), n)
-        keep = is_si(c) & (run_program(pairs, c.batch_ops(),
-                                       {0: gx, 1: gy}) == top)
-        xs = np.r_[0:n, bot, bot, top, gx[keep]]
-        ys = np.r_[[bot] * n, bot, top, bot, gy[keep]]
-        out.append((xs.astype(np.int32), ys.astype(np.int32)))
+        xs = list(range(n)) + [bot, bot, top]
+        ys = [bot] * n + [bot, top, bot]
+        if is_si(c):
+            grid = [(x, y) for x in range(n) for y in range(n)]
+            bad = refuting_rows(pairs, c, {0: [x for x, _ in grid],
+                                           1: [y for _, y in grid]})
+            kept = [xy for r, xy in enumerate(grid) if not bad >> r & 1]
+            xs += [x for x, _ in kept]
+            ys += [y for _, y in kept]
+        out.append((xs, ys))
     return out
-
-
-def lemma_shadow_exhaustive(max_depth=3, trunc_k=12, corpus_bound=8):
-    """Check the three lemma shadows for EVERY 2-variable formula of bounded
-    depth, exhaustively.
-
-    The lemmas interrogate a formula only through its values at finitely many
-    evaluation points (the generator pair of the ladder presentation and the
-    `lemma_points` of the corpus), so formulas with equal value profiles are
-    indistinguishable; the check enumerates profiles compositionally, which
-    covers all ~1.85e6 depth-3 syntax trees at once.  A profile is a tuple
-    of int32 columns, one per algebra, combined by each algebra's
-    `batch_ops`.  Returns (tree count, distinct profile count, failure
-    count).
-    """
-    from .catalog import all_algebras
-
-    p = zprime_presentation(trunc_k)
-    corpus = all_algebras(corpus_bound)
-    ops = [a.batch_ops() for a in [p.target, *corpus]]
-    gens = np.asarray([[p.valuation[0]], [p.valuation[1]]], dtype=np.int32)
-    profiles = {}  # bytes of a profile -> (profile, least depth)
-
-    def add(profile, d):
-        profiles.setdefault(b"".join(col.tobytes() for col in profile),
-                            (profile, d))
-
-    # the profiles of p1 and of p2: the generator, then the lemma points
-    for profile in zip(gens, *lemma_points(p, corpus)):
-        add(profile, 0)
-    for d in range(1, max_depth + 1):
-        items = list(profiles.values())
-        for pa, da in items:
-            if da == d - 1:
-                add(tuple(o["neg"](x) for o, x in zip(ops, pa)), d)
-            for op in ("and", "or", "imp"):
-                for pb, db in items:
-                    if max(da, db) == d - 1:
-                        add(tuple(o[op](x, y) for o, x, y in zip(ops, pa, pb)),
-                            d)
-    trees = 2
-    for _ in range(max_depth):
-        trees = 2 + trees + 3 * trees ** 2
-    failures = sum(
-        1 for prof, _ in profiles.values()
-        if prof[0][0] == p.target.top
-        and not all(np.all(col == c.top) for col, c in zip(prof[1:], corpus)))
-    return trees, len(profiles), failures
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import functools
 import itertools
 
+import numpy as np
 import pytest
 
 from charform.algebra import (HeytingAlgebra, Homomorphism, _bits,
@@ -10,9 +12,10 @@ from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _conjuncts, and_, box, conj,
                               enumerate_top_valuations, iff, imp, neg, or_,
-                              var)
-from charform.jankov import terms_for_all
+                              run_program, substitute, var, variables)
+from charform.jankov import generation_steps, terms_for_all
 from charform.modal import InteriorAlgebra, quotient_by_open
+from charform.presentation import lemma_points, zprime_presentation
 
 
 @pytest.fixture(scope="session")
@@ -906,3 +909,277 @@ def upset_algebra_oracle():
 @pytest.fixture(scope="session")
 def heyting_carcass_oracle():
     return _heyting_carcass
+
+
+# -- the numpy kernels the library replaced, kept as oracles -----------------
+#
+# The digit-grid naive engine over `batch_ops`, the batched extension check
+# over `op_table` and the table builder over n x n arrays of masks, as they
+# were; the library's bit-sliced engine, per-row extension check and
+# dict-indexed tables are tested against them.
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_ops(a):
+    """The operations over numpy arrays of element indices, for
+    `formula.run_program`: in a Heyting algebra binary ones gather from a
+    flat table at x*size+y and neg gathers from its row; in an interior
+    algebra the scalar ones, which numpy broadcasts, with box as a gather
+    from the box table."""
+    if isinstance(a, InteriorAlgebra):
+        box_table = np.asarray(a.box, dtype=np.int32)
+        return dict(a.scalar_ops(), box=box_table.__getitem__)
+    s = a.size
+
+    def flat(table):
+        t = np.asarray(table, dtype=np.int32).reshape(-1)
+        return lambda x, y: t[x * s + y]
+
+    neg = np.asarray(a.neg, dtype=np.int32)
+    return {"top": a.top, "bot": a.bottom, "and": flat(a.meet),
+            "or": flat(a.join), "imp": flat(a.imp), "neg": neg.__getitem__}
+
+
+@functools.lru_cache(maxsize=64)
+def _digits(m, k):
+    """The k x m**k grid whose column r holds the base-m digits of r, most
+    significant first; read-only, since the cached grid is shared."""
+    weights = m ** np.arange(k - 1, -1, -1)
+    grid = np.arange(m ** k) // weights[:, None] % m
+    grid.flags.writeable = False
+    return grid
+
+
+def _first_refutation_grid(prog, algebra, domain):
+    """The least refuting valuation over domain, or None: every row of the
+    digit grid in one numpy batch over `_batch_ops`."""
+    k = len(prog.vars)
+    cols = np.asarray(domain, dtype=np.int32)[_digits(len(domain), k)]
+    bad = (run_program(prog, _batch_ops(algebra), dict(zip(prog.vars, cols)))
+           != algebra.top)
+    if not np.any(bad):
+        return None
+    return dict(zip(prog.vars, cols[:, np.argmax(bad)].tolist()))
+
+
+@pytest.fixture(scope="session")
+def first_refutation_oracle():
+    return _first_refutation_grid
+
+
+@pytest.fixture(scope="session")
+def batch_ops_oracle():
+    return _batch_ops
+
+
+@functools.lru_cache(maxsize=None)
+def _op_table(a):
+    """The operations of a's `signature` as one int32 index table of shape
+    (ops, size, size), in signature order: entry [k, x, y] is op_k(x, y)
+    for a binary op and op_k(x) for a unary one."""
+    ops = _batch_ops(a)
+    every = np.arange(a.size, dtype=np.int32)
+    x, y = np.broadcast_arrays(every[:, None], every[None, :])
+    binary, unary = a.signature
+    return np.stack([ops[op](x, y) for op, _, _ in binary]
+                    + [ops[op](x) for op, _ in unary]).astype(np.int32,
+                                                              copy=False)
+
+
+# one batch of the grid plan compares about this many entries
+_BATCH_ENTRIES = 1 << 16
+
+
+class _GridPlan:
+    """`presentation.GenerationPlan` as one numpy batch of rows: the steps
+    replayed one depth at a time, each depth one gather from the target's
+    `_op_table`, and the criterion checked on every row at once."""
+
+    def __init__(self, algebra, gens):
+        self.size = n = algebra.size
+        self.bottom, self.top = algebra.bottom, algebra.top
+        self.gens = np.asarray(gens, dtype=np.intp)
+        if gens:
+            found = generation_steps(algebra, list(enumerate(gens)))
+        else:
+            found = {algebra.bottom: ("bot",), algebra.top: ("top",)}
+        self.generates = len(found) == n
+        binary, unary = algebra.signature
+        names = [op for op, _, _ in binary] + [op for op, _ in unary]
+        depth, self.consts, levels = {}, [], {}
+        var_elems, var_cols = [], []
+        for z, (op, *args) in found.items():
+            if op == "var":
+                var_elems.append(z)
+                var_cols.append(args[0])
+            elif not args:
+                self.consts.append((z, op))
+            else:
+                depth[z] = d = 1 + max(depth.get(x, 0) for x in args)
+                levels.setdefault(d, []).append(
+                    (z, names.index(op), args[0], args[-1]))
+        self.var_elems = np.asarray(var_elems, dtype=np.intp)
+        self.var_cols = np.asarray(var_cols, dtype=np.intp)
+        self.levels = [[np.asarray(c, dtype=np.intp) for c in zip(*steps)]
+                       for _, steps in sorted(levels.items())]
+        self.table = _op_table(algebra)
+        self.binary = np.arange(len(binary))[:, None, None]
+        self.unary = np.arange(len(binary), len(names))[:, None]
+        self.unary_images = self.table[len(binary):, :, 0]
+        self.meet = self.table[names.index("and")]
+        every = np.arange(n)
+        leq = self.meet == every
+        self.below = leq.sum(axis=1)
+        self.downs = np.where(every < self.below[:, None],
+                              np.argsort(~leq, axis=1, kind="stable"),
+                              every[:, None])
+
+    def homomorphic(self, target, rows):
+        """For each row, whether the map it forces extends: a bool array."""
+        rows = np.asarray(rows, dtype=np.int32).reshape(len(rows), len(self.gens))
+        if not self.generates:
+            return np.zeros(len(rows), dtype=bool)
+        m = min(target.size, self.size)
+        entries = len(self.binary) * m * m + (1 + len(self.unary)) * self.size
+        per = max(1, _BATCH_ENTRIES // entries)
+        return np.concatenate([self._homomorphic(target, rows[i:i + per])
+                               for i in range(0, max(len(rows), 1), per)])
+
+    def _homomorphic(self, target, rows):
+        ops, table = _batch_ops(target), _op_table(target)
+        img = np.empty((len(rows), self.size), dtype=np.int32)
+        img[:, self.var_elems] = rows[:, self.var_cols]
+        for z, op in self.consts:
+            img[:, z] = ops[op]
+        for zs, codes, xs, ys in self.levels:
+            img[:, zs] = table[codes, img[:, xs], img[:, ys]]
+        top = ops["top"]
+        f = np.where(img == top, self.below, self.size + 1).argmin(axis=1)
+        at = np.arange(len(rows))[:, None]
+        ok = ((self.below[f] <= target.size)
+              & (img[:, self.bottom] == ops["bot"]) & (img[:, self.top] == top)
+              & (img[:, self.gens] == rows).all(axis=1)
+              & (img == img[at, self.meet[f]]).all(axis=1))
+        ok &= (img[:, self.unary_images]
+               == table[self.unary, img[:, None, :], 0]).all(axis=(1, 2))
+        down = self.downs[f, :min(target.size, self.size)]
+        x, y = down[:, None, :, None], down[:, None, None, :]
+        h = img[at, down]
+        ok &= (img[at[:, :, None, None], self.table[self.binary, x, y]]
+               == table[self.binary, h[:, None, :, None], h[:, None, None, :]]
+               ).all(axis=(1, 2, 3))
+        return ok
+
+
+@pytest.fixture(scope="session")
+def grid_plan_oracle():
+    return _GridPlan
+
+
+def _set_algebra_grid(sets, interior):
+    """The algebra on ascending masks `sets` over whole n x n arrays of
+    masks: `interior` maps an array of masks to the array of interiors,
+    np.searchsorted turns each mask into its index, the up mask of u has
+    the bits of the v with u & v = u and its down mask those of the v with
+    u & v = v.  Masks that do not fit in int64 are Python ints in a
+    dtype=object array."""
+    full = sets[-1]
+    masks = np.array(sets, dtype=np.int64 if full < 1 << 63 else object)
+    u, v = masks[:, None], masks[None, :]
+    meet = u & v
+
+    def index(table):
+        return [tuple(r) for r in np.searchsorted(masks, table).tolist()]
+
+    def masks_where(rel):
+        bits = np.packbits(rel, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+    tables = index(meet), index(u | v), index(interior((u ^ full) | v))
+    return HeytingAlgebra._trusted(masks_where(meet == u), *tables, 0,
+                                   len(sets) - 1, down=masks_where(meet == v))
+
+
+def _upset_interior_grid(poset):
+    """The interior of a set of points of poset, over an array of masks: the
+    set of points whose up-set it contains."""
+    def interior(w):
+        out = np.zeros_like(w)
+        for x, m in enumerate(poset.up):
+            out[(w & m) == m] |= 1 << x
+        return out
+
+    return interior
+
+
+@pytest.fixture(scope="session")
+def upset_algebra_grid_oracle():
+    return lambda p: _set_algebra_grid(p.upset_masks(), _upset_interior_grid(p))
+
+
+# -- test-only helpers --------------------------------------------------------
+
+
+def _normalize_variables(f):
+    """Renumber variables to a contiguous 0..k-1 block; returns (f, old list)."""
+    old = variables(f)
+    mapping = {o: var(i) for i, o in enumerate(old)}
+    return substitute(f, mapping), old
+
+
+@pytest.fixture(scope="session")
+def normalize_variables():
+    return _normalize_variables
+
+
+def _lemma_shadow_exhaustive(max_depth=3, trunc_k=12, corpus_bound=8):
+    """Check the three lemma shadows for EVERY 2-variable formula of bounded
+    depth, exhaustively.
+
+    The lemmas interrogate a formula only through its values at finitely many
+    evaluation points (the generator pair of the ladder presentation and the
+    `lemma_points` of the corpus), so formulas with equal value profiles are
+    indistinguishable; the check enumerates profiles compositionally, which
+    covers all ~1.85e6 depth-3 syntax trees at once.  A profile is a tuple
+    of int32 columns, one per algebra, combined by each algebra's
+    `_batch_ops`.  Returns (tree count, distinct profile count, failure
+    count).
+    """
+    p = zprime_presentation(trunc_k)
+    corpus = all_algebras(corpus_bound)
+    ops = [_batch_ops(a) for a in [p.target, *corpus]]
+    gens = np.asarray([[p.valuation[0]], [p.valuation[1]]], dtype=np.int32)
+    points = [tuple(np.asarray(col, dtype=np.int32) for col in cols)
+              for cols in lemma_points(p, corpus)]
+    profiles = {}  # bytes of a profile -> (profile, least depth)
+
+    def add(profile, d):
+        profiles.setdefault(b"".join(col.tobytes() for col in profile),
+                            (profile, d))
+
+    # the profiles of p1 and of p2: the generator, then the lemma points
+    for profile in zip(gens, *points):
+        add(profile, 0)
+    for d in range(1, max_depth + 1):
+        items = list(profiles.values())
+        for pa, da in items:
+            if da == d - 1:
+                add(tuple(o["neg"](x) for o, x in zip(ops, pa)), d)
+            for op in ("and", "or", "imp"):
+                for pb, db in items:
+                    if max(da, db) == d - 1:
+                        add(tuple(o[op](x, y) for o, x, y in zip(ops, pa, pb)),
+                            d)
+    trees = 2
+    for _ in range(max_depth):
+        trees = 2 + trees + 3 * trees ** 2
+    failures = sum(
+        1 for prof, _ in profiles.values()
+        if prof[0][0] == p.target.top
+        and not all(np.all(col == c.top) for col, c in zip(prof[1:], corpus)))
+    return trees, len(profiles), failures
+
+
+@pytest.fixture(scope="session")
+def lemma_shadow_exhaustive():
+    return _lemma_shadow_exhaustive

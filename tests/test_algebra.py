@@ -686,3 +686,21 @@ def test_upset_algebra_distributive(p):
             for z in range(a.size):
                 assert (a.meet[x][a.join[y][z]]
                         == a.join[a.meet[x][y]][a.meet[x][z]])
+
+
+def test_tables_match_grid_oracle_on_all15(upset_algebra_grid_oracle):
+    # the dict-indexed tables against the numpy builder they replaced, on
+    # every algebra of all_algebras(15), its up and down masks too
+    posets = _posets_with_few_upsets(15)
+    catalog = {canonical_key(a): a for a in all_algebras(15)}
+    assert len(catalog) == len(posets) == 1996
+    for p in posets:
+        want = upset_algebra_grid_oracle(p)
+        a = catalog[canonical_key(want)]
+        assert _same_tables(a, want) and a.down == want.down
+
+
+def test_all_algebras_keeps_every_poset():
+    # each poset with at most n up-sets gives an algebra of at most n
+    # elements, so none is dropped
+    assert len(all_algebras(15)) == len(_posets_with_few_upsets(15))

@@ -4,23 +4,23 @@ from collections import Counter
 import sys
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charform import formula as formula_module
 from charform.acceptance import KG_AXIOM, pretrue_formula
-from charform.algebra import (SizeLimit, concat, homomorphism_search,
-                              in_sh, make_algebra, relabel_algebra)
+from charform.algebra import (Poset, SizeLimit, concat, homomorphism_search,
+                              in_sh, make_algebra, relabel_algebra,
+                              upset_algebra)
 from charform.catalog import all_algebras, si_algebras
 from charform.formula import (BOT, TOP, Formula, FormulaSyntaxError,
                               NotAssertoric, UnboundVariable,
-                              _digits, _prop_search, _refuting_tasks,
+                              _Frame, _frame, _prop_search, _refuting_tasks,
                               _Slots, and_, box, compile_formula,
                               conj, consequence_refute,
                               enumerate_top_valuations, evaluate,
                               first_refutation, iff, imp, is_valid, neg,
-                              normalize_variables, or_, parse,
+                              or_, parse, refuting_rows,
                               pretty, random_formula, run_program, substitute,
                               var, variables)
 from charform.jankov import jankov_formula
@@ -105,7 +105,7 @@ def test_substitute():
     assert g == and_(var(1), var(0))
 
 
-def test_normalize_variables():
+def test_normalize_variables(normalize_variables):
     f = parse("p5 -> p2")
     g, old = normalize_variables(f)
     assert g == parse("p2 -> p1") and old == (1, 4)
@@ -123,7 +123,8 @@ def _variables_by_dfs(f):
     return tuple(sorted(out))
 
 
-def test_substitute_matches_oracle(random_test_formula, substitute_oracle):
+def test_substitute_matches_oracle(random_test_formula, substitute_oracle,
+                                   normalize_variables):
     # random formulas with and without box, a Jankov formula (its variable
     # nodes are shared objects) and a 5000-deep chain; each is substituted
     # under random mappings, some leaving variables unmapped and some
@@ -670,7 +671,7 @@ def test_compile_flags():
     assert p.vars == (1,) and not p.has_box and not p.boxed_only
 
 
-def test_deep_chain_naive_engine():
+def test_deep_chain_naive_engine(normalize_variables):
     # 5000 right-nested implications over three variables, ending in p1:
     # valid; ending in p4: refuted only at p1=p2=p3=top, p4=bottom in Z(2)
     z2 = rn_algebra(2)
@@ -728,7 +729,7 @@ def test_deep_chain_naive_engine():
 
 
 def test_naive_engine_many_variables_on_one_element():
-    # 70 variables: one valuation, far more variables than numpy dimensions
+    # 70 variables: one valuation, which the probe evaluates
     trivial = make_algebra([[1]])
     f = conj([var(i) for i in range(70)])
     assert is_valid(trivial, f, engine="naive") == (True, None)
@@ -737,8 +738,10 @@ def test_naive_engine_many_variables_on_one_element():
 def test_run_program_unbound_variable():
     z3 = rn_algebra(3)
     with pytest.raises(UnboundVariable):
-        run_program(compile_formula(parse("p1 & p2")), z3.batch_ops(),
-                    {0: np.arange(z3.size)})
+        run_program(compile_formula(parse("p1 & p2")), z3.scalar_ops(), {0: 0})
+    with pytest.raises(UnboundVariable):
+        refuting_rows(compile_formula(parse("p1 & p2")), z3,
+                      {0: list(range(z3.size))})
 
 
 def test_size_limit():
@@ -823,14 +826,15 @@ def _product_scan(prog, ops, domain, top):
 
 
 def test_first_refutation_matches_product_scan(random_test_formula):
-    # the digit grid is cached per (domain size, variable count), so equal
+    # the variable planes are cached per (domain, variable count), so equal
     # length domains with different elements alternate, and each case runs
-    # twice, the second time on the cached grid
+    # twice, the second time on the cached planes, which stay equal to
+    # planes built afresh
     rng = random.Random(12)
     alternated = 0
     for a in all_algebras(5):
         s = span(a)[0]
-        batch, scalar = s.batch_ops(), s.scalar_ops()
+        scalar = s.scalar_ops()
         closed = sorted(s.full ^ o for o in s.opens)
         alternated += closed != list(s.opens)
         for k in range(4):
@@ -841,22 +845,23 @@ def test_first_refutation_matches_product_scan(random_test_formula):
                 for domain in (range(s.size), s.opens, closed, s.opens, closed):
                     want = _product_scan(prog, scalar, domain, s.full)
                     for _ in range(2):
-                        assert first_refutation(prog, scalar, batch, domain,
-                                                s.full) == want
-                assert not _digits(len(s.opens), k).flags.writeable
-                assert _digits(s.size, k) is _digits(s.size, k)
+                        assert first_refutation(prog, s, domain) == want
+                planes = _frame(s).digit_planes(s.opens, k)
+                assert planes == _Frame(s).digit_planes(s.opens, k)
+                assert _frame(s).digit_planes(s.opens, k) is planes
     assert alternated
 
 
-def test_first_refutation_uncached_grid():
-    # 33**3 valuations of 3 variables exceed the cached grid size
+def test_first_refutation_across_blocks():
+    # 33**3 valuations of 3 variables over the 32 points of the chain are
+    # more bits than one block holds, so the scan runs 33**2-row blocks
     c = chain(33)
     f = parse("(p1 -> p2) | (p2 -> p3) | ~~p3 -> p1 | ~p1")
     prog = compile_formula(f)
+    assert 33 ** 3 * 32 > formula_module._BLOCK_BITS >= 33 ** 2 * 32
     want = _product_scan(prog, c.scalar_ops(), range(c.size), c.top)
     assert want is not None
-    assert first_refutation(prog, c.scalar_ops(), c.batch_ops(),
-                            range(c.size), c.top) == want
+    assert first_refutation(prog, c, range(c.size)) == want
 
 
 def test_first_refutation_probe_edges(all6, random_test_formula, monkeypatch):
@@ -867,13 +872,13 @@ def test_first_refutation_probe_edges(all6, random_test_formula, monkeypatch):
     # are ints, and a batch runs only when no probed row refutes and some
     # row is left unprobed
     P = formula_module._PROBE_ROWS
-    run, batches = formula_module.run_program, []
+    scan, batches = formula_module._sliced_scan, []
 
-    def counted_run(prog, ops, cols):
-        batches.append(ops is batch)
-        return run(prog, ops, cols)
+    def counted_scan(*args):
+        batches.append(True)
+        return scan(*args)
 
-    monkeypatch.setattr(formula_module, "run_program", counted_run)
+    monkeypatch.setattr(formula_module, "_sliced_scan", counted_scan)
     rng = random.Random(21)
     cases = []
     for a in all6:
@@ -883,7 +888,7 @@ def test_first_refutation_probe_edges(all6, random_test_formula, monkeypatch):
         cases += [(s, d, True) for d in (range(s.size), s.opens, closed)]
     rows = Counter()
     for alg, domain, modal in cases:
-        scalar, batch, m = alg.scalar_ops(), alg.batch_ops(), len(domain)
+        scalar, m = alg.scalar_ops(), len(domain)
         progs = [compile_formula(f) for f in (TOP, BOT, neg(TOP))]
         for k in range(1, 5):
             for _ in range(4 if m ** k <= 1296 else 0):
@@ -901,10 +906,62 @@ def test_first_refutation_probe_edges(all6, random_test_formula, monkeypatch):
             for probe in (P, 0):
                 monkeypatch.setattr(formula_module, "_PROBE_ROWS", probe)
                 batches.clear()
-                got = first_refutation(prog, scalar, batch, domain, alg.top)
+                got = first_refutation(prog, alg, domain)
                 assert got == want
                 assert all(type(x) is int for x in (got or {}).values())
                 ran = ((row is None or row >= probe)
                        and m ** len(prog.vars) > probe)
                 assert batches.count(True) == ran
     assert all(rows[r] for r in (0, P - 1, P, P + 1, None)), rows
+
+
+def test_sliced_scan_matches_grid_oracle(all6, random_test_formula,
+                                         first_refutation_oracle):
+    # the bit-sliced scan against the digit-grid batch it replaced, over
+    # every algebra of all_algebras(6) and its span, with 0 to 4 variables,
+    # random formulas with box on the spans and without on both
+    rng = random.Random(44)
+    refuted = valid = 0
+    for a in all6:
+        s = span(a)[0]
+        for alg, modal in ((a, False), (s, False), (s, True)):
+            for k in range(5):
+                for _ in range(3 if len(range(alg.size)) ** k <= 4096 else 0):
+                    prog = compile_formula(random_test_formula(rng, 4, k, modal))
+                    for domain in {range(alg.size), getattr(alg, "opens", ())}:
+                        if not domain or len(domain) ** len(prog.vars) > 4096:
+                            continue
+                        want = first_refutation_oracle(prog, alg, domain)
+                        got = formula_module._sliced_scan(prog, alg, domain)
+                        if want is None:
+                            assert got is None
+                            valid += 1
+                        else:
+                            assert formula_module._valuation(
+                                prog, domain, got) == want
+                            refuted += 1
+    assert refuted and valid
+
+
+def test_sliced_scan_finds_a_refutation_in_a_later_block(monkeypatch):
+    # with blocks of one row per valuation of the last variable, the least
+    # refuting row of p1 -> p2 over the 4-chain is 1 * 4 + 0, in the second
+    # block; and over a 200-element chain, whose blocks hold 200 rows,
+    # p1 -> p2 first fails in the row (1, 0), in the second block, and
+    # (p1 -> p2) | (p2 -> p1) never does
+    c4 = chain(4)
+    prog = compile_formula(parse("p1 -> p2"))
+    monkeypatch.setattr(formula_module, "_BLOCK_BITS", 4 * 3)
+    assert formula_module._sliced_scan(prog, c4, range(4)) == 4
+    assert first_refutation(prog, c4, range(4)) == {0: 1, 1: 0}
+    monkeypatch.undo()
+    big = upset_algebra(Poset._trusted([(1 << 199) - (1 << i)
+                                        for i in range(199)]))
+    assert big.size == 200 and big.bottom == 0
+    assert 200 ** 2 * 199 > formula_module._BLOCK_BITS >= 200 * 199
+    for text, want in (("p1 -> p2", {0: 1, 1: 0}),
+                       ("(p1 -> p2) | (p2 -> p1)", None)):
+        prog = compile_formula(parse(text))
+        assert first_refutation(prog, big, range(big.size)) == want
+        assert is_valid(big, parse(text), engine="naive") == (want is None,
+                                                              want)

@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from charform.algebra import (_bits, concat, enumerate_filters,
@@ -11,8 +10,8 @@ from charform.algebra import (_bits, concat, enumerate_filters,
                               quotient, principal_filter, relabel_algebra,
                               subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras
-from charform.formula import conj, evaluate, imp, is_valid, parse, \
-    substitute, var
+from charform.formula import conj, enumerate_top_valuations, evaluate, imp, \
+    is_valid, parse, substitute, var
 from charform.jankov import characteristic_formula, generation_steps
 from charform.modal import span
 from charform.presentation import (BadAnchor, GenerationPlan, Presentation,
@@ -22,12 +21,20 @@ from charform.presentation import (BadAnchor, GenerationPlan, Presentation,
                                    concat_defining_formula,
                                    diagram_presentation,
                                    extends_to_homomorphism, lemma_points,
-                                   lemma_shadow_exhaustive,
                                    presentation_from_json,
                                    presentation_to_json, zprime_conjuncts,
                                    zprime_presentation)
 from charform.rn import (TruncationTooSmall, chain, rn_algebra, trunc,
-                         trunc_zstar)
+                         trunc_zprime, trunc_zstar)
+
+
+def _verdicts(plan, target, rows):
+    """The plan's verdict on each row, checked to agree with the index of
+    the first failure."""
+    got = [plan.homomorphic(target, r) for r in rows]
+    assert plan.first_failure(target, rows) == (
+        got.index(False) if False in got else None)
+    return got
 
 
 def test_presentation_invariants():
@@ -122,7 +129,7 @@ def test_batched_extension_matches_oracle(all6, extends_oracle):
                 for t in all6:
                     rows = list(itertools.product(range(t.size), repeat=k))
                     want = [extends_oracle(s, t, list(zip(g, r))) for r in rows]
-                    assert plan.homomorphic(t, rows).tolist() == want
+                    assert _verdicts(plan, t, rows) == want
                     rows_checked += len(rows)
                     extend += sum(want)
     assert (rows_checked, extend) == (94251, 3268)
@@ -143,7 +150,7 @@ def test_batched_extension_matches_oracle_on_spans(extends_oracle):
                 if t is s:
                     rows.append(tuple(g))  # the identity extends when g generates
                 want = [extends_oracle(s, t, list(zip(g, r))) for r in rows]
-                assert plan.homomorphic(t, rows).tolist() == want
+                assert _verdicts(plan, t, rows) == want
                 outcomes.update(want)
     assert outcomes == {True, False}
 
@@ -163,7 +170,7 @@ def test_batched_extension_matches_oracle_on_relabelled_sources(
                 for t in all6:
                     rows = list(itertools.product(range(t.size), repeat=k))
                     want = [extends_oracle(a, t, list(zip(g, r))) for r in rows]
-                    assert plan.homomorphic(t, rows).tolist() == want
+                    assert _verdicts(plan, t, rows) == want
                     rows_checked += len(rows)
                     extend += sum(want)
     assert (rows_checked, extend) == (94082, 3254)
@@ -191,7 +198,7 @@ def test_extension_through_least_filter_matches_oracle(extends_oracle):
             for b in corpus:
                 rows = list(itertools.product(range(b.size), repeat=2))
                 want = [extends_oracle(a, b, list(zip(g, r))) for r in rows]
-                assert plan.homomorphic(b, rows).tolist() == want
+                assert _verdicts(plan, b, rows) == want
                 ops = b.scalar_ops()
                 for r in rows:
                     h = {}
@@ -406,10 +413,43 @@ def test_lemma_points_match_scalar_loops(all6):
                 want += [(x, y) for x in range(c.size) for y in range(c.size)
                          if evaluate(p.formula, c, {0: x, 1: y}) == top
                          and c.join[y][c.neg[y]] == top]
-            assert xs.dtype == ys.dtype == np.int32
-            assert list(zip(xs.tolist(), ys.tolist())) == want
+            assert all(type(v) is int for v in xs + ys)
+            assert list(zip(xs, ys)) == want
 
 
-def test_lemma_shadow_exhaustive_depth3():
+def test_lemma_shadow_exhaustive_depth3(lemma_shadow_exhaustive):
     assert lemma_shadow_exhaustive(max_depth=3) == (1854176, 17, 0)
     assert lemma_shadow_exhaustive(max_depth=2) == (786, 12, 0)
+
+
+def test_extension_check_matches_grid_oracle_on_zprime_corpora(
+        grid_plan_oracle):
+    # the per-row check against the numpy batch it replaced: for k = 8..12,
+    # the zprime(k) presentation and its three conjunct mutations, over the
+    # s.i. corpus of the variety trunc(Zprime, k) generates, every top
+    # tuple of every member; the verdicts, the first failure and the
+    # verdict of check_defines agree
+    cs = zprime_conjuncts()
+    mutations = [conj([cs[1], cs[2], cs[3]]), conj([cs[0], cs[2], cs[3]]),
+                 conj([cs[0], cs[1]])]
+    rows_checked, extend, refuted = 0, 0, 0
+    for k in range(8, 13):
+        p = zprime_presentation(k)
+        corpus = build_corpus(VarietyHandle.generated((trunc_zprime(k),), 8))
+        gens = [p.valuation[v] for v in sorted(p.valuation)]
+        oracle = grid_plan_oracle(p.target, gens)
+        for f in [p.formula, *mutations]:
+            q = Presentation(f, p.target, p.valuation)
+            for b in corpus:
+                rows = enumerate_top_valuations(b, f, [0, 1])
+                want = oracle.homomorphic(b, rows).tolist()
+                assert _verdicts(q.plan, b, rows) == want
+                rows_checked += len(rows)
+                extend += sum(want)
+            verdict = check_defines(q, corpus)
+            refuted += verdict.refuted
+            assert verdict.refuted == any(
+                not all(oracle.homomorphic(
+                    b, enumerate_top_valuations(b, f, [0, 1])))
+                for b in corpus)
+    assert (rows_checked, extend, refuted) == (1688, 1356, 14)
