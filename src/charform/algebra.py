@@ -164,7 +164,7 @@ class HeytingAlgebra(_Trusted):
     """
 
     __slots__ = ("size", "up", "down", "meet", "join", "imp", "neg",
-                 "bottom", "top", "labels", "_frame", "_plans")
+                 "bottom", "top", "labels", "_scalar", "_frame", "_plans")
 
     signature = ((("and", _meet_row, None), ("or", _join_row, None),
                   ("imp", _imp_row, _imp_col)),
@@ -197,7 +197,7 @@ class HeytingAlgebra(_Trusted):
         self.top = top
         self.neg = tuple(self.imp[a][bottom] for a in range(self.size))
         self.labels = tuple(labels) if labels is not None else None
-        self._frame = self._plans = None
+        self._scalar = self._frame = self._plans = None
 
     def _validate(self):
         n = self.size
@@ -245,11 +245,15 @@ class HeytingAlgebra(_Trusted):
 
     def scalar_ops(self):
         """The operations on single elements, for `formula.run_program` and
-        the propagation engine: lookups in the operation tables."""
-        meet, join, imp = self.meet, self.join, self.imp
-        return {"top": self.top, "bot": self.bottom,
+        the propagation engine: lookups in the operation tables.  Built on
+        first use and kept; callers only read it."""
+        if self._scalar is None:
+            meet, join, imp = self.meet, self.join, self.imp
+            self._scalar = {
+                "top": self.top, "bot": self.bottom,
                 "and": lambda x, y: meet[x][y], "or": lambda x, y: join[x][y],
                 "imp": lambda x, y: imp[x][y], "neg": self.neg.__getitem__}
+        return self._scalar
 
     def covers(self):
         """Cover pairs (i, j) with j covering i, lexicographic."""
@@ -273,10 +277,11 @@ class HeytingAlgebra(_Trusted):
         """The join-irreducibles as the points of the dual frame (Birkhoff:
         each element is the join of those below it), ordered by the size of
         their down-sets, so that each point comes after every point below
-        it.  Returns the point mask of each element, the points below it,
-        and for each point its lower covers among the points, by position;
-        x -> y holds a point p exactly when every point q <= p in x is in y,
-        which the covers of p reach step by step."""
+        it.  Returns the point mask of each element (the points below it)
+        and, for each point, its lower covers among the points, by
+        position: x -> y holds a point p exactly when every point q <= p
+        that x holds y holds too, which the covers of p reach step by
+        step."""
         down = self.down
         ji = sorted(self.join_irreducibles(),
                     key=lambda j: (down[j].bit_count(), j))

@@ -519,10 +519,16 @@ def run_program(prog, ops, cols):
     return vals[-1]
 
 
+def _has_box(algebra):
+    """Does the algebra's `signature` have a box?  A box is the last unary
+    operation of a signature that has one, by the signature's term order."""
+    return algebra.signature[1][-1][0] == "box"
+
+
 def _assertoric(prog, algebra):
-    """NotAssertoric when prog has a box and the algebra's `signature` has
-    none: a box needs an interior algebra."""
-    if prog.has_box and all(op != "box" for op, _ in algebra.signature[1]):
+    """NotAssertoric when prog has a box and the algebra has none
+    (`_has_box`): a box needs an interior algebra."""
+    if prog.has_box and not _has_box(algebra):
         raise NotAssertoric("box in a Heyting algebra")
 
 
@@ -572,7 +578,7 @@ class _Frame:
     def __init__(self, algebra):
         self.masks, self.edges = algebra.dual_frame()
         self.points = len(self.edges)
-        self.boolean = any(op == "box" for op, _ in algebra.signature[1])
+        self.boolean = _has_box(algebra)
         self._ops, self._planes = {}, {}
 
     def planes(self, rows):

@@ -75,7 +75,7 @@ class InteriorAlgebra(_Trusted):
     """
 
     __slots__ = ("atoms", "size", "full", "box", "opens", "atom_labels",
-                 "_frame", "_plans")
+                 "_scalar", "_frame", "_plans")
 
     bottom = 0
     # the Boolean operations are set-theoretic on atoms; the signature
@@ -111,7 +111,7 @@ class InteriorAlgebra(_Trusted):
         self.box = tuple(box_table)
         self.opens = tuple(sorted(set(self.box)))
         self.atom_labels = tuple(atom_labels) if atom_labels else None
-        self._frame = self._plans = None
+        self._scalar = self._frame = self._plans = None
 
     def _validate(self):
         b = self.box
@@ -137,11 +137,14 @@ class InteriorAlgebra(_Trusted):
     def scalar_ops(self):
         """The operations on single masks, for `formula.run_program` and the
         propagation engine: bitwise Boolean operations and a lookup in the
-        box table."""
-        full = self.full
-        return {"top": full, "bot": 0, "and": operator.and_,
+        box table.  Built on first use and kept; callers only read it."""
+        if self._scalar is None:
+            full = self.full
+            self._scalar = {
+                "top": full, "bot": 0, "and": operator.and_,
                 "or": operator.or_, "imp": lambda x, y: (x ^ full) | y,
                 "neg": lambda x: x ^ full, "box": self.box.__getitem__}
+        return self._scalar
 
     def join_irreducibles(self):
         """The atoms, as masks."""

@@ -299,14 +299,14 @@ class GenerationPlan:
         self._at = {}
 
     def at(self, f):
-        """(↓f ascending, for each binary operation the rows of its values
-        on the pairs of ↓f), worked out on first use."""
+        """(↓f ascending, for each binary operation its values on the pairs
+        of ↓f, row after row), worked out on first use."""
         got = self._at.get(f)
         if got is None:
             a = self.algebra
             downs = [x for x, m in enumerate(self.meet_rows[f]) if m == x]
             got = self._at[f] = (downs, [
-                [list(row(a, x, downs)) for x in downs]
+                [z for x in downs for z in row(a, x, downs)]
                 for _, row, _ in a.signature[0]])
         return got
 
@@ -351,9 +351,9 @@ class GenerationPlan:
                     return False
             hd = list(map(get, downs))
             for row_b, table in zip(rows, tables):                 # (d)
-                for hx, zs in zip(hd, table):
-                    if list(map(get, zs)) != list(row_b(target, hx, hd)):
-                        return False
+                if list(map(get, table)) != [
+                        v for hx in hd for v in row_b(target, hx, hd)]:
+                    return False
             return True
 
         return extends

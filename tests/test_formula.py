@@ -728,11 +728,16 @@ def test_deep_chain_naive_engine(normalize_variables):
     assert normalize_variables(moved) == (g, (5, 7, 9))
 
 
-def test_naive_engine_many_variables_on_one_element():
-    # 70 variables: one valuation, which the probe evaluates
+def test_naive_engine_many_variables_on_one_element(monkeypatch):
+    # 70 variables: one valuation, which the probe evaluates, or, with no
+    # probe, a bit-sliced scan of one row over a frame with no points
     trivial = make_algebra([[1]])
     f = conj([var(i) for i in range(70)])
     assert is_valid(trivial, f, engine="naive") == (True, None)
+    monkeypatch.setattr(formula_module, "_PROBE_ROWS", 0)
+    assert is_valid(trivial, f, engine="naive") == (True, None)
+    assert formula_module._sliced_scan(compile_formula(f), trivial,
+                                       range(1)) is None
 
 
 def test_run_program_unbound_variable():
