@@ -380,42 +380,42 @@ def _image(a, elems, img, labels=None):
     return _from_tables(read(a.meet), read(a.join), read(a.imp), labels)
 
 
-class _Unions(dict):
-    """The union of down[shift + x] over the bits x of each key, filled on
+class _Meets(dict):
+    """The meet of masks[shift + x] over the bits x of each key, filled on
     first use, one bit at a time down to a key already held."""
 
-    __slots__ = ("down", "shift")
+    __slots__ = ("masks", "shift")
 
     def __missing__(self, key):
-        value, rest = 0, key
+        value, rest = -1, key
         while rest not in self:
             low = rest & -rest
-            value |= self.down[self.shift + low.bit_length() - 1]
+            value &= self.masks[self.shift + low.bit_length() - 1]
             rest ^= low
-        value = self[key] = value | self[rest]
+        value = self[key] = value & self[rest]
         return value
 
 
-def _union_table(masks):
-    """The union of masks[x] over the bits x of t, at index t."""
-    table = [0]
+def _meet_table(masks, full):
+    """The meet of full and masks[x] over the bits x of t, at index t."""
+    table = [full]
     for m in masks:
-        table += [t | m for t in table]
+        table += [t & m for t in table]
     return table
 
 
-def _unions(down):
-    """(lo, hi, shift) with the union of down[x] over the bits x of t equal
-    to lo[t & (1 << shift) - 1] | hi[t >> shift]: lo is a table over the
-    first points, at most 8, and hi one over the others, or, past 8 of
-    them, a dict filled on first use."""
-    n = len(down)
+def _meets(masks, full):
+    """(lo, hi, shift) with the meet of full and masks[x] over the bits x
+    of t equal to lo[t & (1 << shift) - 1] & hi[t >> shift]: lo is a table
+    over the first points, at most 8, and hi one over the others, or, past
+    8 of them, a dict filled on first use."""
+    n = len(masks)
     shift = min((n + 1) // 2, 8)
-    lo = _union_table(down[:shift])
+    lo = _meet_table(masks[:shift], full)
     if n - shift <= 8:
-        return lo, _union_table(down[shift:]), shift
-    hi = _Unions({0: 0})
-    hi.down, hi.shift = down, shift
+        return lo, _meet_table(masks[shift:], full), shift
+    hi = _Meets({0: full})
+    hi.masks, hi.shift = masks, shift
     return lo, hi, shift
 
 
@@ -423,8 +423,9 @@ def _set_algebra(sets, down, shared=None):
     """The algebra of the up-sets of a preorder on points, given by the down
     mask of each point: `sets` lists them as ascending bitmasks, closed
     under & and |, ordered by inclusion, the first empty and the last the
-    whole carrier, bottom and top.  u -> v, the interior of ~u | v, is the
-    complement of the down-closure of u & ~v, read off `_unions`.
+    whole carrier, bottom and top.  u -> v, the interior of ~u | v, holds
+    the points below no point of u & ~v: the meet of the complements of
+    their down masks, read off `_meets`.
 
     Each entry is an index found through a dict from each set to its
     index.  The up mask of the set at index i has the bits of the j >= i
@@ -442,17 +443,19 @@ def _set_algebra(sets, down, shared=None):
     keep = ({} if shared is None else shared).setdefault
     idx = {s: i for i, s in enumerate(sets)}
     full, n = sets[-1], len(sets)
-    lo, hi, shift = _unions(down)
+    lo, hi, shift = _meets([full ^ d for d in down], full)
     low = (1 << shift) - 1
     nots = [~v for v in sets]
-    meet, join, imp, ups, downs = [], [], [], [], []
+
+    def rows(table):
+        return [keep(r, r) for r in map(tuple, table)]
+
+    meet = rows([idx[u & v] for v in sets] for u in sets)
+    join = rows([idx[u | v] for v in sets] for u in sets)
+    imp = rows([idx[lo[(t := u & nv) & low] & hi[t >> shift]] for nv in nots]
+               for u in sets)
+    ups, downs = [], []
     for i, u in enumerate(sets):
-        for table, row in (
-                (meet, tuple([idx[u & v] for v in sets])),
-                (join, tuple([idx[u | v] for v in sets])),
-                (imp, tuple([idx[full ^ (lo[(t := u & nv) & low] | hi[t >> shift])]
-                             for nv in nots]))):
-            table.append(keep(row, row))
         m = 0
         for j in range(i, n):
             if u & sets[j] == u:

@@ -288,24 +288,25 @@ class GenerationPlan:
             else:
                 self.steps.append((z, op, args[0], args[1] if args[1:] else None))
         binary, unary = algebra.signature
-        meet = binary[0][1]
+        self.meet_row = meet = binary[0][1]
         every = range(n)
-        self.meet_rows = [list(meet(algebra, f, every)) for f in every]
-        self.below = [sum(x == y for x, y in zip(every, row))
-                      for row in self.meet_rows]
+        self.below = [sum(x == y for x, y in zip(every, meet(algebra, f, every)))
+                      for f in every]
         self.by_below = sorted(every, key=self.below.__getitem__)
         self.unary = [(name, [op(algebra, x) for x in every])
                       for name, op in unary]
         self._at = {}
 
     def at(self, f):
-        """(↓f ascending, for each binary operation its values on the pairs
-        of ↓f, row after row), worked out on first use."""
+        """(↓f ascending, x & f for each x, and for each binary operation its
+        values on the pairs of ↓f, row after row), worked out on first
+        use."""
         got = self._at.get(f)
         if got is None:
             a = self.algebra
-            downs = [x for x, m in enumerate(self.meet_rows[f]) if m == x]
-            got = self._at[f] = (downs, [
+            meet_f = list(self.meet_row(a, f, range(self.size)))
+            downs = [x for x, m in enumerate(meet_f) if m == x]
+            got = self._at[f] = (downs, meet_f, [
                 [z for x in downs for z in row(a, x, downs)]
                 for _, row, _ in a.signature[0]])
         return got
@@ -319,7 +320,7 @@ class GenerationPlan:
         ops = target.scalar_ops()
         bot, top, size = ops["bot"], ops["top"], target.size
         n, bottom, a_top, gens = self.size, self.bottom, self.top, self.gens
-        vars_, by_below, meet_rows = self.vars, self.by_below, self.meet_rows
+        vars_, by_below = self.vars, self.by_below
         consts = [(z, ops[op]) for z, op in self.consts]
         steps = [(z, ops[op], x, y) for z, op, x, y in self.steps]
         unary = [(ops[name], images) for name, images in self.unary]
@@ -340,11 +341,11 @@ class GenerationPlan:
                     or any(img[g] != v for g, v in zip(gens, row))):
                 return False
             f = next(x for x in by_below if img[x] == top)
-            downs, tables = at(f)
+            downs, meet_f, tables = at(f)
             if len(downs) > size:                                  # (a)
                 return False
             get = img.__getitem__
-            if list(map(get, meet_rows[f])) != img:                # (b)
+            if list(map(get, meet_f)) != img:                      # (b)
                 return False
             for op, images in unary:                               # (c)
                 if list(map(get, images)) != list(map(op, img)):

@@ -962,9 +962,23 @@ def _first_refutation_grid(prog, algebra, domain):
     return dict(zip(prog.vars, cols[:, np.argmax(bad)].tolist()))
 
 
+def _refuting_rows_grid(prog, algebra, cols):
+    """The rows at which prog is not top, as a bitmask, with each variable
+    bound to a column of elements: one numpy batch over `_batch_ops`."""
+    bad = (run_program(prog, _batch_ops(algebra),
+                       {v: np.asarray(col, dtype=np.int32)
+                        for v, col in cols.items()}) != algebra.top)
+    return sum(1 << r for r in np.flatnonzero(bad).tolist())
+
+
 @pytest.fixture(scope="session")
 def first_refutation_oracle():
     return _first_refutation_grid
+
+
+@pytest.fixture(scope="session")
+def refuting_rows_oracle():
+    return _refuting_rows_grid
 
 
 @pytest.fixture(scope="session")

@@ -921,20 +921,24 @@ def test_first_refutation_probe_edges(all6, random_test_formula, monkeypatch):
 
 
 def test_sliced_scan_matches_grid_oracle(all6, random_test_formula,
-                                         first_refutation_oracle):
+                                         first_refutation_oracle,
+                                         refuting_rows_oracle):
     # the bit-sliced scan against the digit-grid batch it replaced, over
     # every algebra of all_algebras(6) and its span, with 0 to 4 variables,
-    # random formulas with box on the spans and without on both
+    # random formulas with box on the spans and without on both: the least
+    # refuting valuation, and every refuting row of a bit-sliced run over
+    # the explicit columns of all valuations
     rng = random.Random(44)
     refuted = valid = 0
     for a in all6:
         s = span(a)[0]
         for alg, modal in ((a, False), (s, False), (s, True)):
             for k in range(5):
-                for _ in range(3 if len(range(alg.size)) ** k <= 4096 else 0):
-                    prog = compile_formula(random_test_formula(rng, 4, k, modal))
+                for _ in range(4 if alg.size ** k <= 4096 else 0):
+                    prog = compile_formula(random_test_formula(rng, 5, k, modal))
                     for domain in {range(alg.size), getattr(alg, "opens", ())}:
-                        if not domain or len(domain) ** len(prog.vars) > 4096:
+                        used = len(prog.vars)
+                        if not domain or len(domain) ** used > 4096:
                             continue
                         want = first_refutation_oracle(prog, alg, domain)
                         got = formula_module._sliced_scan(prog, alg, domain)
@@ -945,6 +949,12 @@ def test_sliced_scan_matches_grid_oracle(all6, random_test_formula,
                             assert formula_module._valuation(
                                 prog, domain, got) == want
                             refuted += 1
+                        if used:
+                            rows = list(itertools.product(domain, repeat=used))
+                            cols = {v: [r[i] for r in rows]
+                                    for i, v in enumerate(prog.vars)}
+                            assert (refuting_rows(prog, alg, cols)
+                                    == refuting_rows_oracle(prog, alg, cols))
     assert refuted and valid
 
 
