@@ -611,6 +611,7 @@ class _Frame:
         def or_(x, y):
             return list(map(operator.or_, x, y))
 
+        got = {"top": [ones] * n, "bot": [0] * n, "and": and_, "or": or_}
         if self.boolean:
             def imp(x, y):
                 return [(a ^ ones) | b for a, b in zip(x, y)]
@@ -625,6 +626,8 @@ class _Frame:
                         a &= x[b]
                     out.append(a)
                 return out
+
+            got["box"] = box
         else:
             def below(d):
                 # the points of d whose lower covers, all earlier, hold
@@ -641,11 +644,7 @@ class _Frame:
             def neg(x):
                 return below([a ^ ones for a in x])
 
-            box = None
-        got = {"top": [ones] * n, "bot": [0] * n, "and": and_, "or": or_,
-               "imp": imp, "neg": neg}
-        if box is not None:
-            got["box"] = box
+        got["imp"], got["neg"] = imp, neg
         return self._ops.setdefault(width, got)
 
     def digit_planes(self, domain, k):
