@@ -10,7 +10,7 @@ finite presentation of the algebra.
 from __future__ import annotations
 
 from .algebra import is_si, opremum
-from .formula import Formula, and_, conj, iff, imp, neg, var
+from .formula import Formula, _has_box, and_, conj, iff, imp, neg, var
 
 
 class NotSI(ValueError):
@@ -139,14 +139,17 @@ def dejongh_formula(algebra):
 
 
 def characteristic_formula(presentation):
-    """A(p) -> B(p) where B defines the opremum through the presentation.
+    """A(p) -> B(p) where B defines the opremum through the presentation:
+    of a Heyting target, or the greatest open element below top of an
+    interior one (`InteriorAlgebra.opremum_open`).
 
     The presentation must target a s.i. algebra whose generators are the
     valuation image.
     """
     target = presentation.target
-    if not is_si(target):
+    op = target.opremum_open() if _has_box(target) else opremum(target)
+    if op is None:
         raise NotSI("characteristic formula needs a s.i. target")
     gens = sorted(presentation.valuation.items())
-    b = term_for_element(target, gens, opremum(target))
+    b = term_for_element(target, gens, op)
     return imp(presentation.formula, b)

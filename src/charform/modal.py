@@ -1,22 +1,24 @@
 """Finite interior algebras: spans, carcasses, and the modal bridge.
 
-Interior algebras are always powersets of an atom set (bitmask-indexed)
-with an explicit interior-operator table; the open elements under the
-relativized arrow form the Heyting carcass, and the span construction goes
-the other way, from a Heyting algebra to the smallest interior algebra
-whose opens realize it.
+A finite interior algebra is the complex algebra of the preorder R on its
+atoms, R(a) the least open element containing a (McKinsey and Tarski):
+box(x) holds a exactly when x holds all of R(a).  `InteriorAlgebra` keeps
+R, `successors`, and derives its box table and its opens, the up-sets of
+R.  The helpers read R: the span's R(i) is the image of the i-th
+join-irreducible, a quotient by an open restricts R to it, the
+open-generated subalgebra's atoms are the clusters of R (atoms with equal
+R), and the algebra is s.i. when its root cluster, the atoms whose R is
+the whole carrier, is not empty.  The opens form the Heyting carcass,
+built as any up-set algebra is (`algebra._set_algebra`).
 
 Formulas are evaluated by their compiled programs, with the operations an
 interior algebra gives in `scalar_ops`: the Boolean ones bitwise on masks,
-box a lookup in the interior table.  `evaluate_modal` is
-`formula.evaluate`, and validity is `formula.is_valid`, whose two engines
-serve both algebra kinds.  `modal_validity` is `is_valid` by its naive
-engine: the program runs over every valuation in bit-sliced blocks over
-the dual frame, whose points are the atoms, each with the atoms of the
-least open containing it (`successors`, the preorder of McKinsey and
-Tarski), over open values only when every variable occurs boxed.  The
-opens are the up-sets of that preorder, so the carcass is built as any
-up-set algebra is (`algebra._set_algebra`).
+box a lookup in the box table.  `evaluate_modal` is `formula.evaluate`,
+and validity is `formula.is_valid`, whose two engines serve both algebra
+kinds.  `modal_validity` is `is_valid` by its naive engine: the program
+runs over every valuation in bit-sliced blocks over the dual frame, whose
+points are the atoms, each with the atoms of its R, over open values only
+when every variable occurs boxed.
 
 The GMT translation of a formula is kept on the formula object, as its
 compiled program is, so a formula checked on many spans is translated,
@@ -24,9 +26,9 @@ and its translation compiled, once.
 
 Diagrams, presentations, `check_defines` and Sub-Hom (`algebra.in_sh`, over
 the quotients by opens that `quotients` lists) read an algebra's
-`signature`, so they serve interior algebras as they serve Heyting algebras;
-`gmt_presentation` carries a Heyting presentation over to the span as a
-`Presentation`.
+`signature`, so they serve interior algebras as they serve Heyting
+algebras; `gmt_presentation` carries a Heyting presentation over to the
+span as a `Presentation`.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ import json
 import operator
 from collections.abc import Sequence
 
-from .algebra import (SizeLimit, is_si, opremum, _Trusted, _bits, _set_algebra,
-                      _transpose)
+from .algebra import SizeLimit, _Trusted, _bits, _set_algebra, _transpose
 from . import formula
 from .formula import (Formula, box, compile_formula, conj, evaluate, iff, imp,
                       neg, var)
-from .jankov import NotSI, term_for_element
+from .jankov import characteristic_formula
 from .presentation import Presentation
 
 
@@ -68,14 +69,17 @@ def _imp_col(b, x, ys):
 
 
 class InteriorAlgebra(_Trusted):
-    """Powerset of an atom set with an S4 interior operator.
+    """Powerset of an atom set with an S4 interior operator, kept as the
+    preorder on the atoms: `successors[a]` is the mask of R(a), the least
+    open element containing the atom a.
 
-    Carrier elements are subset bitmasks 0 .. 2^atoms - 1; box is a table
-    indexed by carrier element.
+    Carrier elements are subset bitmasks 0 .. 2^atoms - 1.  `box`, a table
+    indexed by carrier element, and `opens`, its values ascending, are
+    derived from R: box(x) holds the atoms a with R(a) inside x.
     """
 
-    __slots__ = ("atoms", "size", "full", "box", "opens", "atom_labels",
-                 "_scalar", "_frame", "_plans")
+    __slots__ = ("atoms", "size", "full", "successors", "box", "opens",
+                 "atom_labels", "_scalar", "_frame", "_plans")
 
     bottom = 0
     # the Boolean operations are set-theoretic on atoms; the signature
@@ -88,7 +92,9 @@ class InteriorAlgebra(_Trusted):
     def __init__(self, atoms, box_table, atom_labels=None):
         """Check a caller-given box table: ValueError on a table that is not
         a sequence of ints, a wrong length, entry or label count, `NotS4` on
-        a broken law."""
+        a broken law.  The S4 tables are the boxes of preorders, so R is read
+        off the table (b in R(a) iff a is not in box(~b)), checked to be
+        reflexive and transitive, and its box compared with the table."""
         if not (isinstance(box_table, Sequence)
                 and all(type(e) is int for e in box_table)):
             raise ValueError("box is not a list of integers")
@@ -101,31 +107,33 @@ class InteriorAlgebra(_Trusted):
             raise ValueError(f"box table needs {size} entries in 0..{size - 1}")
         if atom_labels and len(atom_labels) != atoms:
             raise ValueError(f"{len(atom_labels)} labels for {atoms} atoms")
-        self._fill(atoms, box_table, atom_labels)
-        self._validate()
+        full = size - 1
+        succ = _transpose([full ^ box_table[full ^ (1 << b)]
+                           for b in range(atoms)])
+        for a, r in enumerate(succ):
+            if not r >> a & 1:
+                raise NotS4(f"box({full ^ (1 << a)}) holds atom {a}")
+            for b in _bits(r):
+                if succ[b] & ~r:
+                    raise NotS4(f"atom preorder not transitive at {a}, {b}")
+        self._fill(atoms, succ, atom_labels)
+        if self.box != tuple(box_table):
+            raise NotS4("box is not the interior of its atom preorder")
 
-    def _fill(self, atoms, box_table, atom_labels=None):
+    def _fill(self, atoms, successors, atom_labels=None):
         self.atoms = atoms
         self.size = 1 << atoms
-        self.full = self.size - 1
-        self.box = tuple(box_table)
+        self.full = full = self.size - 1
+        self.successors = tuple(successors)
+        # box(x) misses the atoms below some atom outside x: below[y] is
+        # the union of the down-sets of the atoms of y, built by doubling
+        below = [0]
+        for d in _transpose(successors):
+            below += [v | d for v in below]
+        self.box = tuple(full ^ v for v in reversed(below))
         self.opens = tuple(sorted(set(self.box)))
         self.atom_labels = tuple(atom_labels) if atom_labels else None
         self._scalar = self._frame = self._plans = None
-
-    def _validate(self):
-        b = self.box
-        if b[self.full] != self.full:
-            raise NotS4("box(top) != top")
-        for x in range(self.size):
-            if b[x] & ~x:
-                raise NotS4(f"box({x}) not below {x}")
-            if b[b[x]] != b[x]:
-                raise NotS4(f"box not idempotent at {x}")
-        for x in range(self.size):
-            for y in range(self.size):
-                if b[x & y] != b[x] & b[y]:
-                    raise NotS4(f"box not multiplicative at {x},{y}")
 
     @property
     def top(self):
@@ -160,26 +168,27 @@ class InteriorAlgebra(_Trusted):
                 yield o, quotient_by_open(self, o)
 
     def box_floor(self, c):
-        """Least open element containing c."""
-        out = self.full
-        for o in self.opens:
-            if c & ~o == 0:
-                out &= o
+        """Least open element containing c: the union of R over its atoms."""
+        out = 0
+        for a in _bits(c):
+            out |= self.successors[a]
         return out
 
-    def successors(self):
-        """R(a) for each atom a, the least open containing it: the preorder
-        of McKinsey and Tarski, whose up-sets are the opens, so that box(x)
-        holds a exactly when x holds all of R(a)."""
-        return [self.box_floor(1 << a) for a in range(self.atoms)]
+    def opremum_open(self):
+        """The greatest open element below top, the carcass's opremum: top
+        minus the root cluster C = {a : R(a) = top}, or None when C is
+        empty, as then the R(a), all below top, cover the carrier."""
+        root = sum(1 << a for a, r in enumerate(self.successors)
+                   if r == self.full)
+        return self.full & ~root if root else None
 
     def dual_frame(self):
         """The atoms as the points of the dual frame: each element is its
-        own point mask, and each atom a lists the other atoms of R(a)
-        (`successors`), whose planes box meets with its own."""
+        own point mask, and each atom a lists the other atoms of R(a),
+        whose planes box meets with its own."""
         return range(self.size), tuple(
             tuple(b for b in _bits(r) if b != a)
-            for a, r in enumerate(self.successors()))
+            for a, r in enumerate(self.successors))
 
     def __repr__(self):
         return f"InteriorAlgebra(atoms={self.atoms})"
@@ -188,8 +197,10 @@ class InteriorAlgebra(_Trusted):
 def span(algebra):
     """Modal span of a Heyting algebra and the embedding onto its opens.
 
-    Atoms are the join-irreducible elements; a maps to the set of
-    join-irreducibles below it, and box(x) is the largest open below x.
+    Atoms are the join-irreducible elements, and a maps to the set of
+    join-irreducibles below it.  R(i), the least open containing atom i,
+    is the image of the i-th join-irreducible, so box(x) is the largest
+    open below x.
     """
     ji = algebra.join_irreducibles()
     m = len(ji)
@@ -202,56 +213,41 @@ def span(algebra):
             if algebra.leq(j, a):
                 mask |= 1 << i
         embed.append(mask)
-    opens = sorted(set(embed))
-    box_table = []
-    for x in range(1 << m):
-        best = 0
-        for o in opens:
-            if o & ~x == 0:
-                best |= o
-        box_table.append(best)
     labels = [algebra.label(j) for j in ji]
-    return InteriorAlgebra._trusted(m, box_table, labels), tuple(embed)
+    return (InteriorAlgebra._trusted(m, [embed[j] for j in ji], labels),
+            tuple(embed))
 
 
 def heyting_carcass(b):
-    """Heyting algebra of the open elements, the up-sets of the preorder of
+    """Heyting algebra of the open elements, the up-sets of the preorder
     `successors`, with x -> y = box(~x | y)."""
-    return _set_algebra(b.opens, _transpose(b.successors()))
+    return _set_algebra(b.opens, _transpose(b.successors))
 
 
 def _on_blocks(b, blocks):
     """The interior algebra whose atoms are `blocks`, disjoint lists of b's
-    atoms such that box maps unions of blocks to unions of blocks.  A set
-    of blocks stands for its union, and a mask of b for the blocks whose
-    first atom it holds."""
-    expand = [0]
-    for blk in blocks:
-        m = sum(1 << a for a in blk)
-        expand += [e | m for e in expand]
-
-    def collapse(mask):
-        return sum(1 << i for i, blk in enumerate(blocks) if (mask >> blk[0]) & 1)
-
-    box_table = [collapse(b.box[e]) for e in expand]
+    atoms, the atoms of each block sharing one R, a union of blocks: a
+    block's R is the blocks whose first atom lies in that union."""
+    succ = [sum(1 << i for i, other in enumerate(blocks)
+                if b.successors[blk[0]] >> other[0] & 1) for blk in blocks]
     labels = None
     if b.atom_labels:
         labels = ["+".join(b.atom_labels[a] for a in blk) for blk in blocks]
-    return InteriorAlgebra._trusted(len(blocks), box_table, atom_labels=labels)
+    return InteriorAlgebra._trusted(len(blocks), succ, atom_labels=labels)
 
 
 def open_generated(b):
     """Subalgebra generated by the opens, on the reduced atom set.
 
-    Atoms indistinguishable by every open collapse into blocks; the block
-    unions are exactly the Boolean closure of the opens, and they are
-    already closed under box.
+    Atoms with equal R lie in the same opens, so they collapse into the
+    clusters of R, ordered by least atom; the cluster unions are exactly
+    the Boolean closure of the opens, and they are already closed under
+    box.
     """
-    sig = {}
-    for a in range(b.atoms):
-        key = tuple((o >> a) & 1 for o in b.opens)
-        sig.setdefault(key, []).append(a)
-    return _on_blocks(b, sorted(sig.values(), key=min))
+    clusters = {}
+    for a, r in enumerate(b.successors):
+        clusters.setdefault(r, []).append(a)
+    return _on_blocks(b, list(clusters.values()))
 
 
 # -- Goedel-McKinsey-Tarski translation ----------------------------------------
@@ -308,12 +304,13 @@ modal_validity = functools.partial(formula.is_valid, engine="naive")
 
 
 def is_si_modal(b):
-    return is_si(heyting_carcass(b))
+    """Subdirect irreducibility: a greatest open below top (`opremum_open`)."""
+    return b.opremum_open() is not None
 
 
 def quotient_by_open(b, o):
     """Quotient by the filter of an open element, on the atoms inside it:
-    the interior of a set inside o is inside o."""
+    R restricted to o, an up-set, which holds R of each of its atoms."""
     return _on_blocks(b, [[a] for a in _bits(o)])
 
 
@@ -337,20 +334,14 @@ def gmt_presentation(p, span_pair=None):
 
 
 def modal_characteristic_formula(p, connective="box-imp"):
-    """chi = box(A) -> B (default) or A -> B, with B naming the opremum of
-    the carcass; the connective is a configuration point."""
-    b = p.target
-    carc = heyting_carcass(b)
-    if not is_si(carc):
-        raise NotSI("modal characteristic formula needs a s.i. carcass")
-    # carcass elements are the opens in ascending mask order
-    op_open = sorted(b.opens)[opremum(carc)]
-    gens = sorted(p.valuation.items())
-    bterm = term_for_element(b, gens, op_open)
+    """chi = box(A) -> B (default) or A -> B, the characteristic formula of
+    the presentation, with B naming the greatest open below top; the
+    connective is a configuration point."""
+    chi = characteristic_formula(p)
     if connective == "box-imp":
-        return imp(box(p.formula), bterm)
+        return imp(box(chi.args[0]), chi.args[1])
     if connective == "imp":
-        return imp(p.formula, bterm)
+        return chi
     raise ValueError(f"unknown connective {connective!r}")
 
 

@@ -34,9 +34,9 @@ from .algebra import (Poset, canonical_key, close_set, concat,
                       concat_embedding, induced_subalgebra, is_si, opremum,
                       principal_filter, quotient, subalgebra_closure, _bits,
                       _sub_order)
-from .formula import (Formula, and_, compile_formula, conj, evaluate,
-                      enumerate_top_valuations, iff, is_valid, neg, or_,
-                      parse, pretty, refuting_rows, var, variables)
+from .formula import (Formula, _has_box, and_, compile_formula, conj,
+                      evaluate, enumerate_top_valuations, iff, is_valid, neg,
+                      or_, parse, pretty, refuting_rows, var, variables)
 from .jankov import diagram_formula, generation_steps
 from .rn import TruncationTooSmall, trunc_zprime
 
@@ -230,8 +230,10 @@ class GenerationPlan:
     Each candidate row forces a map h on all of A: the row on the
     generators, then the steps of `jankov.generation_steps` replayed in
     their order, each with the target's scalar operation.  For each element
-    x of A, `below[x]` counts the elements below it; `by_below` lists the
-    elements by that count, ascending, the least index first on a tie.
+    x of A, `below[x]` counts the elements below it: the bits of its down
+    mask in a Heyting algebra, the 2^|x| subsets of x in an interior one.
+    `by_below` lists the elements by that count, ascending, the least index
+    first on a tie.
 
     Criterion.  A row extends to a homomorphism into B exactly when h sends
     bottom, top and each generator where the row says and, for f the element
@@ -288,10 +290,10 @@ class GenerationPlan:
             else:
                 self.steps.append((z, op, args[0], args[1] if args[1:] else None))
         binary, unary = algebra.signature
-        self.meet_row = meet = binary[0][1]
+        self.meet_row = binary[0][1]
         every = range(n)
-        self.below = [sum(x == y for x, y in zip(every, meet(algebra, f, every)))
-                      for f in every]
+        self.below = ([1 << x.bit_count() for x in every] if _has_box(algebra)
+                      else [m.bit_count() for m in algebra.down])
         self.by_below = sorted(every, key=self.below.__getitem__)
         self.unary = [(name, [op(algebra, x) for x in every])
                       for name, op in unary]

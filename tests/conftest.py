@@ -6,14 +6,15 @@ import pytest
 
 from charform.algebra import (HeytingAlgebra, Homomorphism, _bits,
                               _from_tables, _image, _transpose, close_set,
-                              enumerate_filters, homomorphism_search, opremum,
-                              quotient, subalgebra_closure)
+                              enumerate_filters, homomorphism_search, is_si,
+                              opremum, quotient, subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _conjuncts, and_, box, conj,
                               enumerate_top_valuations, iff, imp, neg, or_,
                               run_program, substitute, var, variables)
-from charform.jankov import generation_steps, terms_for_all
+from charform.jankov import (NotSI, generation_steps, term_for_element,
+                             terms_for_all)
 from charform.modal import InteriorAlgebra, quotient_by_open
 from charform.presentation import lemma_points, zprime_presentation
 
@@ -529,7 +530,7 @@ def _push_per_c(slots, s, c, want):
             s = a
             continue
         if op == "box":
-            parts = [(a, 1 << i) for i in _bits(slots.algebra.box_floor(c))]
+            parts = [(a, 1 << i) for i in _bits(_least_open(slots.algebra, c))]
             stack.append([s, c, want, parts[:0:-1], [[]] if want else []])
             s, c = parts[0]
             continue
@@ -672,8 +673,17 @@ def preserves_oracle():
     return _preserves
 
 
+def _least_open(b, c):
+    """The least open element containing c: the meet of the opens over c."""
+    out = b.full
+    for o in b.opens:
+        if c & ~o == 0:
+            out &= o
+    return out
+
+
 def _atom_neighborhoods(b):
-    return [b.box_floor(1 << a) for a in range(b.atoms)]
+    return [_least_open(b, 1 << a) for a in range(b.atoms)]
 
 
 def _in_sh_frames(a, b):
@@ -889,6 +899,113 @@ def _upset_algebra(poset):
 def _heyting_carcass(b):
     """The carcass through the per-pair builder, box read per mask."""
     return _set_algebra(b.opens, b.box.__getitem__)
+
+
+@pytest.fixture(scope="session")
+def least_open_oracle():
+    return _least_open
+
+
+# -- the box-table code the atom preorder replaced, kept as oracles -----------
+
+
+def _s4_laws(box):
+    """Does the box table obey the S4 laws?  box(top) = top, deflation and
+    idempotence at each element, and multiplicativity on all 4^m pairs."""
+    full = len(box) - 1
+    if box[full] != full:
+        return False
+    every = range(len(box))
+    if any(box[x] & ~x or box[box[x]] != box[x] for x in every):
+        return False
+    return all(box[x & y] == box[x] & box[y] for x in every for y in every)
+
+
+def _span_box(algebra):
+    """The box table of the span, each mask joined with every open below
+    it, the opens being the sets of join-irreducibles below an element."""
+    ji = algebra.join_irreducibles()
+    opens = {sum(1 << i for i, j in enumerate(ji) if algebra.leq(j, a))
+             for a in range(algebra.size)}
+    table = []
+    for x in range(1 << len(ji)):
+        best = 0
+        for o in opens:
+            if o & ~x == 0:
+                best |= o
+        table.append(best)
+    return tuple(table)
+
+
+def _on_blocks_box(b, blocks):
+    """The box table and atom labels of the algebra on `blocks`: a set of
+    blocks expands to the union of their atoms, and a mask of b collapses
+    to the blocks whose first atom it holds."""
+    expand = [0]
+    for blk in blocks:
+        m = sum(1 << a for a in blk)
+        expand += [e | m for e in expand]
+
+    def collapse(mask):
+        return sum(1 << i for i, blk in enumerate(blocks)
+                   if (mask >> blk[0]) & 1)
+
+    labels = None
+    if b.atom_labels:
+        labels = tuple("+".join(b.atom_labels[a] for a in blk)
+                       for blk in blocks)
+    return tuple(collapse(b.box[e]) for e in expand), labels or None
+
+
+def _open_generated_box(b):
+    """`open_generated` through atoms grouped by the opens holding them."""
+    sig = {}
+    for a in range(b.atoms):
+        sig.setdefault(tuple((o >> a) & 1 for o in b.opens), []).append(a)
+    return _on_blocks_box(b, sorted(sig.values(), key=min))
+
+
+def _quotient_by_open_box(b, o):
+    """`quotient_by_open` through single-atom blocks."""
+    return _on_blocks_box(b, [[a] for a in _bits(o)])
+
+
+def _modal_characteristic_formula(p, connective):
+    """box(A) -> B or A -> B, B the term of the opremum of the carcass
+    (the per-pair builder), found among the opens."""
+    b = p.target
+    carc = _heyting_carcass(b)
+    if not is_si(carc):
+        raise NotSI("modal characteristic formula needs a s.i. carcass")
+    op_open = sorted(b.opens)[opremum(carc)]
+    bterm = term_for_element(b, sorted(p.valuation.items()), op_open)
+    return imp(box(p.formula) if connective == "box-imp" else p.formula,
+               bterm)
+
+
+@pytest.fixture(scope="session")
+def s4_laws_oracle():
+    return _s4_laws
+
+
+@pytest.fixture(scope="session")
+def span_box_oracle():
+    return _span_box
+
+
+@pytest.fixture(scope="session")
+def open_generated_oracle():
+    return _open_generated_box
+
+
+@pytest.fixture(scope="session")
+def quotient_by_open_oracle():
+    return _quotient_by_open_box
+
+
+@pytest.fixture(scope="session")
+def modal_characteristic_oracle():
+    return _modal_characteristic_formula
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from charform.catalog import all_algebras
 from charform.formula import (Formula, UnboundVariable, box, compile_formula,
                               conj, imp, is_valid, parse, pretty,
                               random_formula, substitute, var, variables)
-from charform.jankov import NotSI
+from charform.jankov import NotSI, characteristic_formula, jankov_formula
 from charform.modal import (InteriorAlgebra, NotS4, box_from_meet_of_arrows,
                             evaluate_modal, gmt_presentation, gmt_translate,
                             heyting_carcass, interior_from_json,
@@ -45,6 +45,96 @@ def test_not_s4():
         InteriorAlgebra(1, (1, 1))  # box(0) = 1 is not below 0
     with pytest.raises(NotS4):
         InteriorAlgebra(2, (0, 1, 2, 0))  # box(top) != top
+
+
+def _corpus_interior(all8):
+    """The spans of all_algebras(8), their open-generated subalgebras and
+    their quotients by opens: 307 interior algebras."""
+    out = []
+    for a in all8:
+        s, _ = span(a)
+        out += [s, open_generated(s)] + [quotient_by_open(s, o) for o in s.opens]
+    return out
+
+
+def _accepts(atoms, table):
+    try:
+        InteriorAlgebra(atoms, table)
+    except NotS4:
+        return False
+    return True
+
+
+def test_preorder_check_matches_s4_laws_oracle(all8, s4_laws_oracle):
+    # the check through the atom preorder accepts and rejects exactly the
+    # tables that obey the S4 laws: the corpus tables; seeded one-entry
+    # corruptions of them, each entry changed to a random value or to a
+    # random part of its own mask, which keeps box below the identity;
+    # every table on at most two atoms; seeded random tables on three atoms,
+    # uniform or below the identity
+    rng = random.Random(2025)
+    corpus = [(b.atoms, b.box) for b in _corpus_interior(all8)]
+    corrupted = []
+    for atoms, table in corpus:
+        for k in range(20 if atoms else 0):
+            x = rng.randrange(len(table))
+            bad = list(table)
+            bad[x] = rng.choice([v for v in range(len(table)) if v != table[x]
+                                 and (k % 2 or v & ~x == 0)] or [x ^ 1])
+            corrupted.append((atoms, bad))
+    small = [(atoms, t) for atoms in (0, 1, 2)
+             for t in itertools.product(range(1 << atoms), repeat=1 << atoms)]
+    small += [(3, [rng.randrange(x + 1) & x if k % 2 else rng.randrange(8)
+                   for x in range(8)]) for k in range(9000)]
+    counts = []
+    for cases in (corpus, corrupted, small):
+        verdicts = [_accepts(atoms, t) for atoms, t in cases]
+        assert verdicts == [s4_laws_oracle(t) for _, t in cases]
+        counts.append((len(cases), sum(verdicts)))
+    assert counts == [(307, 307), (5380, 396), (9261, 37)]
+
+
+def test_frame_helpers_match_box_table_oracles(
+        all8, span_box_oracle, open_generated_oracle, quotient_by_open_oracle,
+        heyting_carcass_oracle, least_open_oracle):
+    # span, box_floor, open_generated, quotient_by_open, heyting_carcass and
+    # the s.i. test read the atom preorder; the oracles read box tables
+    for a in all8:
+        s, _ = span(a)
+        assert s.box == span_box_oracle(a)
+        for b in [s, open_generated(s)] + [quotient_by_open(s, o)
+                                           for o in s.opens]:
+            assert b.opens == tuple(sorted(set(b.box)))
+            assert all(b.box_floor(c) == least_open_oracle(b, c)
+                       for c in range(b.size))
+            og = open_generated(b)
+            assert (og.box, og.atom_labels) == open_generated_oracle(b)
+            for o in b.opens:
+                q = quotient_by_open(b, o)
+                assert (q.box, q.atom_labels) == quotient_by_open_oracle(b, o)
+            h, want = heyting_carcass(b), heyting_carcass_oracle(b)
+            assert all(getattr(h, k) == getattr(want, k) for k in
+                       ("up", "meet", "join", "imp", "neg", "bottom", "top"))
+            assert is_si_modal(b) == is_si(want)
+
+
+def test_large_chain_frame_table_is_checked():
+    # the box of the 14-atom chain frame, R(a) the atoms from a up: box(x)
+    # holds the atoms above the highest one missing from x.  The check is
+    # O(2^m m), where the pairwise laws took 4^14 steps
+    m = 14
+    full = (1 << m) - 1
+    table = [full ^ ((1 << (full ^ x).bit_length()) - 1) for x in range(1 << m)]
+    b = interior_from_json(json.dumps({"atoms": m, "box": table}))
+    assert b.box == tuple(table)
+    assert b.successors == tuple(full ^ ((1 << a) - 1) for a in range(m))
+    # one entry changed: an interior that is not the preorder's, and a
+    # co-atom's interior that splits the chain at atom 7
+    for x, wrong in ((0b11 << 12, 1 << 13), (full ^ (1 << 7), full ^ (1 << 7))):
+        broken = list(table)
+        broken[x] = wrong
+        with pytest.raises(NotS4):
+            interior_from_json(json.dumps({"atoms": m, "box": broken}))
 
 
 @pytest.mark.parametrize("atoms, box, labels", [
@@ -335,8 +425,9 @@ def test_boxed_search_has_a_budget():
 def test_extension_check_answers_on_a_large_target():
     # the check builds no table of the target's operations, so it answers
     # on the discrete interior algebra of 2^12 elements, where the identity
-    # on the two-element span extends and the constant top map does not
-    big = InteriorAlgebra._trusted(12, list(range(1 << 12)))
+    # on the two-element span extends and the constant top map does not;
+    # its box table passes the public constructor's check
+    big = InteriorAlgebra(12, list(range(1 << 12)))
     p = gmt_presentation(diagram_presentation(chain(2)))
     assert p.plan.homomorphic(big, (0, big.full)) is True
     assert p.plan.homomorphic(big, (big.full, big.full)) is False
@@ -446,6 +537,34 @@ def test_modal_characteristic_formula():
     assert is_valid(s2, chi, engine="propagate")[0]
     with pytest.raises(NotSI):
         modal_characteristic_formula(diagram_presentation(span(boolean(2))[0]))
+
+
+def test_characteristic_formula_serves_both_kinds(
+        all6, modal_characteristic_oracle):
+    # on the diagram presentations of si_algebras(6), the Jankov formula;
+    # on those of their spans and on the GMT presentations, the formula
+    # built through the carcass, and both connectives of the modal one; a
+    # span that is not s.i. raises NotSI in both builders
+    interior = 0
+    for a in all6:
+        s, _ = span(a)
+        mps = [diagram_presentation(s)]
+        if not is_si(a):
+            assert not is_si_modal(s)
+            for f in (characteristic_formula, modal_characteristic_formula):
+                with pytest.raises(NotSI):
+                    f(mps[0])
+            continue
+        hp = diagram_presentation(a)
+        assert characteristic_formula(hp) == jankov_formula(a)
+        for p in mps + [gmt_presentation(hp)]:
+            want = modal_characteristic_oracle(p, "imp")
+            assert characteristic_formula(p) == want
+            assert modal_characteristic_formula(p, "imp") == want
+            assert (modal_characteristic_formula(p, "box-imp")
+                    == modal_characteristic_oracle(p, "box-imp"))
+            interior += 1
+    assert interior == 16
 
 
 def test_modal_characteristic_connectives():

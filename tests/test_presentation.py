@@ -13,7 +13,7 @@ from charform.catalog import all_algebras, si_algebras
 from charform.formula import conj, enumerate_top_valuations, evaluate, imp, \
     is_valid, parse, substitute, var
 from charform.jankov import characteristic_formula, generation_steps
-from charform.modal import span
+from charform.modal import InteriorAlgebra, span
 from charform.presentation import (BadAnchor, GenerationPlan, Presentation,
                                    VariableClash,
                                    VarietyHandle, _bounded_subalgebras,
@@ -115,6 +115,24 @@ def test_extends_to_homomorphism_matches_search(all6):
                     assert extends_to_homomorphism(s, t, pairs) == bool(found)
                     cases += 1
     assert cases == 9862
+
+
+def test_plan_counts_match_meet_rows(all8):
+    # the count of the elements below each element, read off down masks or
+    # atom counts, against the meet row of the element, on all_algebras(8)
+    # and their spans; and a plan over the discrete algebra on 11 atoms,
+    # whose meet rows would take 2^22 steps
+    for a in all8:
+        for b in (a, span(a)[0]):
+            every = range(b.size)
+            meet = b.signature[0][0][1]
+            assert GenerationPlan(b, []).below == [
+                sum(x == y for x, y in zip(every, meet(b, f, every)))
+                for f in every]
+    big = InteriorAlgebra(11, list(range(1 << 11)))
+    plan = GenerationPlan(big, [1])
+    assert plan.below[big.full] == big.size
+    assert plan.by_below[:3] == [0, 1, 2] and not plan.generates
 
 
 def test_batched_extension_matches_oracle(all6, extends_oracle):
