@@ -125,8 +125,9 @@ class InteriorAlgebra(_Trusted):
         self.size = 1 << atoms
         self.full = full = self.size - 1
         self.successors = tuple(successors)
-        # box(x) misses the atoms below some atom outside x: below[y] is
-        # the union of the down-sets of the atoms of y, built by doubling
+        # box(x) misses the atoms a whose R(a) meets ~x: below[y] is the
+        # union, over the atoms b of y, of the a with b in R(a), built by
+        # doubling
         below = [0]
         for d in _transpose(successors):
             below += [v | d for v in below]
@@ -339,7 +340,7 @@ def modal_characteristic_formula(p, connective="box-imp"):
     connective is a configuration point."""
     chi = characteristic_formula(p)
     if connective == "box-imp":
-        return imp(box(chi.args[0]), chi.args[1])
+        return imp(box(p.formula), chi.args[1])
     if connective == "imp":
         return chi
     raise ValueError(f"unknown connective {connective!r}")

@@ -530,7 +530,8 @@ def _push_per_c(slots, s, c, want):
             s = a
             continue
         if op == "box":
-            parts = [(a, 1 << i) for i in _bits(_least_open(slots.algebra, c))]
+            parts = [(a, 1 << i)
+                     for i in _bits(_least_open(slots.algebra, c))]
             stack.append([s, c, want, parts[:0:-1], [[]] if want else []])
             s, c = parts[0]
             continue
