@@ -2,7 +2,7 @@
 """A quick tour: small one-generated algebras, built-in truncations, and
 the antichain of ladder concatenations."""
 
-from charform.algebra import concat, in_sh, is_si, opremum
+from charform.algebra import concat, in_sh, is_si
 from charform.formula import is_valid
 from charform.jankov import jankov_formula
 from charform.rn import rn_algebra, trunc
@@ -13,8 +13,9 @@ def main():
     for n in range(2, 9):
         a = rn_algebra(n)
         covers = " ".join(f"{a.label(i)}<{a.label(j)}" for i, j in a.covers())
+        op = a.opremum()
         print(f"  Z({n}): si={is_si(a)} opremum="
-              f"{a.label(opremum(a)) if opremum(a) is not None else '-'}  {covers}")
+              f"{a.label(op) if op is not None else '-'}  {covers}")
 
     print("built-in truncations at k = 8")
     for name in ("Zinf", "Zprime", "Zstar", "KG"):

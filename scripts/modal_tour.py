@@ -21,12 +21,11 @@ a diagram, a characteristic formula, a verdict or a witness shows:
 import hashlib
 import random
 
-from charform.algebra import in_sh
+from charform.algebra import in_sh, is_si
 from charform.catalog import all_algebras
 from charform.formula import is_valid, pretty, random_formula
-from charform.jankov import diagram_formula
-from charform.modal import (gmt_presentation, gmt_translate, is_si_modal,
-                            modal_characteristic_formula, modal_validity,
+from charform.jankov import characteristic_formula, diagram_formula
+from charform.modal import (gmt_presentation, gmt_translate, modal_validity,
                             open_generated, quotient_by_open, span)
 from charform.presentation import check_defines, diagram_presentation
 
@@ -71,10 +70,10 @@ def main():
         for name, b in parts:
             print(f"span {i} {name}: {b.atoms} atoms, box {list(b.box)}")
             print(f"  diagram {digest(diagram_formula(b)[0])}")
-            if is_si_modal(b):
+            if is_si(b):
                 mp = diagram_presentation(b)
                 for connective in ("box-imp", "imp"):
-                    chi = modal_characteristic_formula(mp, connective)
+                    chi = characteristic_formula(mp, connective)
                     print(f"  chi {connective} {digest(chi)}")
     for i, a in enumerate(heyting):
         v = check_defines(gmt_presentation(diagram_presentation(a)), spans)

@@ -7,8 +7,8 @@ from .algebra import (AlgebraError, Filter, HeytingAlgebra, Homomorphism,
                       canonical_key, concat, dense_elements,
                       enumerate_filters, generated_subalgebra,
                       homomorphism_search, in_sh, is_isomorphic, is_si,
-                      make_algebra, opremum, principal_filter, product,
-                      quotient, regular_elements, upset_algebra)
+                      make_algebra, principal_filter, product, quotient,
+                      regular_elements, upset_algebra)
 from .catalog import all_algebras, si_algebras, standard_corpus
 from .formula import (Formula, FormulaSyntaxError,
                       NotAssertoric, UnboundVariable, consequence_refute,
@@ -18,8 +18,7 @@ from .jankov import (NotGenerated, NotSI, characteristic_formula,
                      dejongh_formula, diagram_formula, jankov_formula,
                      term_for_element)
 from .modal import (InteriorAlgebra, NotS4, evaluate_modal, gmt_translate,
-                    heyting_carcass, modal_characteristic_formula,
-                    modal_validity, open_generated, span)
+                    heyting_carcass, modal_validity, open_generated, span)
 from .presentation import (BadAnchor, Presentation, VariableClash, VarietyHandle,
                            Verdict, build_corpus, check_defines,
                            concat_defining_formula, diagram_presentation,

@@ -273,6 +273,14 @@ class HeytingAlgebra(_Trusted):
             lower[j] += 1
         return [x for x in range(self.size) if x != self.bottom and lower[x] == 1]
 
+    def opremum(self):
+        """Greatest element below top, or None (the algebra is not s.i.)."""
+        rest = ((1 << self.size) - 1) & ~(1 << self.top)
+        for x in _bits(rest):
+            if rest & ~self.down[x] == 0:
+                return x
+        return None
+
     def dual_frame(self):
         """The join-irreducibles as the points of the dual frame (Birkhoff:
         each element is the join of those below it), ordered by the size of
@@ -845,20 +853,9 @@ def in_sh(a, b):
 # -- structure predicates ---------------------------------------------------
 
 
-def opremum(a):
-    """Greatest element below top, if it exists."""
-    if a.size < 2:
-        return None
-    rest = ((1 << a.size) - 1) & ~(1 << a.top)
-    for x in _bits(rest):
-        if rest & ~a.down[x] == 0:
-            return x
-    return None
-
-
 def is_si(a):
-    """Subdirect irreducibility: at least 2 elements and an opremum."""
-    return a.size >= 2 and opremum(a) is not None
+    """Subdirect irreducibility, of either algebra kind: an opremum."""
+    return a.opremum() is not None
 
 
 def dense_elements(a):

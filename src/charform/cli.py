@@ -12,7 +12,7 @@ import re
 import sys
 
 from .algebra import (SizeLimit, algebra_to_json, dense_elements, in_sh,
-                      is_si, opremum, regular_elements)
+                      is_si, regular_elements)
 from .exprs import ExprError, parse_algebra_expr
 from .formula import (PROP_MAX_VARS, FormulaSyntaxError, evaluate, is_valid,
                       parse, pretty, variables)
@@ -58,7 +58,7 @@ def cmd_show(args):
                                  for i, j in a.covers())]
     si = is_si(a)
     out.append(f"si: {'yes' if si else 'no'}")
-    op = opremum(a)
+    op = a.opremum()
     out.append(f"opremum: {a.label(op) if op is not None else '-'}")
     dn = dense_elements(a)
     out.append("dense: " + " ".join(a.label(x) for x in dn.elements()))

@@ -2,15 +2,16 @@
 
 The diagram of a finite Heyting or interior algebra writes out the
 operation tables of its `signature` as one big conjunction of
-biconditionals; the Jankov formula is the diagram implying the variable of
-the opremum.  Characteristic formulas generalize this to an arbitrary
-finite presentation of the algebra.
+biconditionals.  Every characteristic formula, of either kind, is
+box(A) -> B or A -> B with B the term of the opremum (`_characteristic`):
+A is the diagram in the Jankov formula, the diagram over the terms of the
+join-irreducibles in the de Jongh one, a presentation's formula in
+`characteristic_formula`.
 """
 
 from __future__ import annotations
 
-from .algebra import is_si, opremum
-from .formula import Formula, _has_box, and_, conj, iff, imp, neg, var
+from .formula import Formula, _has_box, and_, box, conj, iff, imp, neg, var
 
 
 class NotSI(ValueError):
@@ -48,12 +49,25 @@ def diagram_formula(algebra):
             {x: x for x in range(n)})
 
 
+def _characteristic(formula, target, gens, connective):
+    """box(formula) -> B ("box-imp") or formula -> B ("imp"), B the term
+    over gens, (variable, element) pairs, of the target's opremum (`NotSI`
+    if none); a Heyting target has no box, so both give formula -> B."""
+    if connective not in ("box-imp", "imp"):
+        raise ValueError(f"unknown connective {connective!r}")
+    op = target.opremum()
+    if op is None:
+        raise NotSI("characteristic formula needs a subdirectly irreducible "
+                    "algebra")
+    if connective == "box-imp" and _has_box(target):
+        formula = box(formula)
+    return imp(formula, term_for_element(target, gens, op))
+
+
 def jankov_formula(algebra):
-    """Diagram implying the opremum's variable; requires a s.i. algebra."""
-    if not is_si(algebra):
-        raise NotSI("Jankov formula needs a subdirectly irreducible algebra")
-    d, _ = diagram_formula(algebra)
-    return imp(d, var(opremum(algebra)))
+    """Characteristic formula of the diagram; requires a s.i. algebra."""
+    d, val = diagram_formula(algebra)
+    return _characteristic(d, algebra, val.items(), "box-imp")
 
 
 def generation_steps(algebra, gens, want=None):
@@ -62,8 +76,9 @@ def generation_steps(algebra, gens, want=None):
     gens is a sequence of (variable index, element) pairs; algebra is a
     Heyting or an interior algebra, searched through its `signature`.
     Returns a dict, in discovery order, from each element reached to its
-    step: ("var", v) for a generator (the first variable naming it), or
-    (op, x) or (op, x, y) with operands reached at an earlier depth, the
+    step: ("var", v) for a generator (the first variable naming it),
+    ("bot",) and ("top",) for the constants when there are no generators,
+    or (op, x) or (op, x, y) with operands reached at an earlier depth, the
     greatest of them one depth below.  Ties are broken by connective order
     and < or < imp < neg < box, then by operand discovery order.  With want
     given, the search stops after the depth at which want is reached.
@@ -71,6 +86,8 @@ def generation_steps(algebra, gens, want=None):
     steps = {}
     for v, e in gens:
         steps.setdefault(e, ("var", v))
+    if not steps:  # the empty set generates bottom and top
+        steps = {algebra.bottom: ("bot",), algebra.top: ("top",)}
     order = list(steps)
     binary, unary = algebra.signature
     start = 0  # order[start:] are the elements of the greatest depth
@@ -125,31 +142,20 @@ def dejongh_formula(algebra):
     term.  Distinct elements have distinct terms, as the terms take their
     elements' values at the generators, so no conjunct repeats.
     """
-    if not is_si(algebra):
-        raise NotSI("de Jongh formula needs a subdirectly irreducible algebra")
-    gens = [x for x in algebra.join_irreducibles() if x != algebra.top]
-    if not gens:
+    if algebra.size == 2:
         # the two-element algebra has no generators below top; its
         # characteristic formula is the contradiction
         return and_(var(0), neg(var(0)))
+    gens = list(enumerate(x for x in algebra.join_irreducibles()
+                          if x != algebra.top))
     # the join-irreducibles generate every element, as joins
-    terms = terms_for_all(algebra, list(enumerate(gens)))
-    return imp(conj(_diagram_conjuncts(algebra, terms)),
-               terms[opremum(algebra)])
+    terms = terms_for_all(algebra, gens)
+    return _characteristic(conj(_diagram_conjuncts(algebra, terms)), algebra,
+                           gens, "box-imp")
 
 
-def characteristic_formula(presentation):
-    """A(p) -> B(p) where B defines the opremum through the presentation:
-    of a Heyting target, or the greatest open element below top of an
-    interior one (`InteriorAlgebra.opremum_open`).
-
-    The presentation must target a s.i. algebra whose generators are the
-    valuation image.
-    """
-    target = presentation.target
-    op = target.opremum_open() if _has_box(target) else opremum(target)
-    if op is None:
-        raise NotSI("characteristic formula needs a s.i. target")
-    gens = sorted(presentation.valuation.items())
-    b = term_for_element(target, gens, op)
-    return imp(presentation.formula, b)
+def characteristic_formula(presentation, connective="box-imp"):
+    """`_characteristic` of the presentation's formula, target and
+    valuation, its generators being the valuation image."""
+    return _characteristic(presentation.formula, presentation.target,
+                           sorted(presentation.valuation.items()), connective)

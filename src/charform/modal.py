@@ -7,8 +7,8 @@ R, `successors`, and derives its box table and its opens, the up-sets of
 R.  The helpers read R: the span's R(i) is the image of the i-th
 join-irreducible, a quotient by an open restricts R to it, the
 open-generated subalgebra's atoms are the clusters of R (atoms with equal
-R), and the algebra is s.i. when its root cluster, the atoms whose R is
-the whole carrier, is not empty.  The opens form the Heyting carcass,
+R), and `opremum` is top minus the root cluster, the atoms whose R is the
+whole carrier, when it is not empty.  The opens form the Heyting carcass,
 built as any up-set algebra is (`algebra._set_algebra`).
 
 Formulas are evaluated by their compiled programs, with the operations an
@@ -28,7 +28,7 @@ Diagrams, presentations, `check_defines` and Sub-Hom (`algebra.in_sh`, over
 the quotients by opens that `quotients` lists) read an algebra's
 `signature`, so they serve interior algebras as they serve Heyting
 algebras; `gmt_presentation` carries a Heyting presentation over to the
-span as a `Presentation`.
+span as a `Presentation`, and `jankov` builds its characteristic formulas.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .algebra import SizeLimit, _Trusted, _bits, _set_algebra, _transpose
 from . import formula
 from .formula import (Formula, box, compile_formula, conj, evaluate, iff, imp,
                       neg, var)
-from .jankov import characteristic_formula
 from .presentation import Presentation
 
 
@@ -175,7 +174,7 @@ class InteriorAlgebra(_Trusted):
             out |= self.successors[a]
         return out
 
-    def opremum_open(self):
+    def opremum(self):
         """The greatest open element below top, the carcass's opremum: top
         minus the root cluster C = {a : R(a) = top}, or None when C is
         empty, as then the R(a), all below top, cover the carrier."""
@@ -301,12 +300,7 @@ evaluate_modal = evaluate
 modal_validity = functools.partial(formula.is_valid, engine="naive")
 
 
-# -- modal subdirect irreducibility and quotients --------------------------------
-
-
-def is_si_modal(b):
-    """Subdirect irreducibility: a greatest open below top (`opremum_open`)."""
-    return b.opremum_open() is not None
+# -- quotients -----------------------------------------------------------------
 
 
 def quotient_by_open(b, o):
@@ -315,7 +309,7 @@ def quotient_by_open(b, o):
     return _on_blocks(b, [[a] for a in _bits(o)])
 
 
-# -- GMT presentations and modal characteristic formulas -----------------------
+# -- GMT presentations ---------------------------------------------------------
 
 
 def gmt_presentation(p, span_pair=None):
@@ -332,18 +326,6 @@ def gmt_presentation(p, span_pair=None):
     formula = conj([t] + open_conjs)
     valuation = {v: embed[e] for v, e in p.valuation.items()}
     return Presentation(formula, s, valuation, name=f"gmt({p.name})")
-
-
-def modal_characteristic_formula(p, connective="box-imp"):
-    """chi = box(A) -> B (default) or A -> B, the characteristic formula of
-    the presentation, with B naming the greatest open below top; the
-    connective is a configuration point."""
-    chi = characteristic_formula(p)
-    if connective == "box-imp":
-        return imp(box(p.formula), chi.args[1])
-    if connective == "imp":
-        return chi
-    raise ValueError(f"unknown connective {connective!r}")
 
 
 # -- the interior operator the long way ------------------------------------------

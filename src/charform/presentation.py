@@ -31,7 +31,7 @@ import json
 import re
 
 from .algebra import (Poset, canonical_key, close_set, concat,
-                      concat_embedding, induced_subalgebra, is_si, opremum,
+                      concat_embedding, induced_subalgebra, is_si,
                       principal_filter, quotient, subalgebra_closure, _bits,
                       _sub_order)
 from .formula import (Formula, _has_box, and_, compile_formula, conj,
@@ -273,11 +273,7 @@ class GenerationPlan:
         self.size = n = algebra.size
         self.bottom, self.top = algebra.bottom, algebra.top
         self.gens = list(gens)
-        if gens:
-            found = generation_steps(algebra, list(enumerate(gens)))
-        else:
-            # the empty set generates bottom and top
-            found = {algebra.bottom: ("bot",), algebra.top: ("top",)}
+        found = generation_steps(algebra, list(enumerate(gens)))
         self.generates = len(found) == n
         # generators, constants and steps (element, op, operand, operand or
         # None), in the order generation_steps found them
@@ -414,7 +410,7 @@ def check_defines(presentation, corpus=None, size_bound=None):
 
 
 def _coatom(a):
-    coat = opremum(a)
+    coat = a.opremum()
     if coat is None:
         raise BadAnchor("target has no unique coatom")
     return coat

@@ -6,8 +6,8 @@ import pytest
 
 from charform.algebra import (HeytingAlgebra, Homomorphism, _bits,
                               _from_tables, _image, _transpose, close_set,
-                              enumerate_filters, homomorphism_search, is_si,
-                              opremum, quotient, subalgebra_closure)
+                              enumerate_filters, homomorphism_search,
+                              quotient, subalgebra_closure)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _conjuncts, and_, box, conj,
@@ -236,6 +236,26 @@ def _modal_diagram_formula(b):
     return conj(conjuncts), {i: i for i in range(n)}
 
 
+def _opremum(a):
+    """The greatest element below top of a Heyting algebra, by pairwise
+    `leq`, or None."""
+    below = [x for x in range(a.size) if x != a.top]
+    for x in below:
+        if all(a.leq(y, x) for y in below):
+            return x
+    return None
+
+
+def _jankov_formula(algebra):
+    """The Jankov formula of a s.i. Heyting algebra: its diagram (the
+    table loop) implying the variable of its opremum."""
+    op = _opremum(algebra)
+    if op is None:
+        raise NotSI("Jankov formula needs a subdirectly irreducible algebra")
+    d, _ = _diagram_formula(algebra)
+    return imp(d, var(op))
+
+
 def _dejongh_formula(algebra):
     """The de Jongh formula of a s.i. algebra by its own table loop over
     the terms of the join-irreducibles below top, duplicates dropped."""
@@ -261,7 +281,7 @@ def _dejongh_formula(algebra):
                 add(iff(make(x, y), terms[tab[x][y]]))
     for x in range(n):
         add(iff(neg(terms[x]), terms[algebra.neg[x]]))
-    return imp(conj(conjuncts), terms[opremum(algebra)])
+    return imp(conj(conjuncts), terms[_opremum(algebra)])
 
 
 @pytest.fixture(scope="session")
@@ -272,6 +292,11 @@ def diagram_oracle():
 @pytest.fixture(scope="session")
 def modal_diagram_oracle():
     return _modal_diagram_formula
+
+
+@pytest.fixture(scope="session")
+def jankov_oracle():
+    return _jankov_formula
 
 
 @pytest.fixture(scope="session")
@@ -975,10 +1000,10 @@ def _modal_characteristic_formula(p, connective):
     """box(A) -> B or A -> B, B the term of the opremum of the carcass
     (the per-pair builder), found among the opens."""
     b = p.target
-    carc = _heyting_carcass(b)
-    if not is_si(carc):
+    op = _opremum(_heyting_carcass(b))
+    if op is None:
         raise NotSI("modal characteristic formula needs a s.i. carcass")
-    op_open = sorted(b.opens)[opremum(carc)]
+    op_open = sorted(b.opens)[op]
     bterm = term_for_element(b, sorted(p.valuation.items()), op_open)
     return imp(box(p.formula) if connective == "box-imp" else p.formula,
                bterm)

@@ -13,7 +13,7 @@ from charform.algebra import (Filter, HeytingAlgebra, Homomorphism,
                               dense_elements,
                               enumerate_filters, generated_subalgebra,
                               homomorphism_search, in_sh, induced_subalgebra,
-                              is_isomorphic, is_si, make_algebra, opremum,
+                              is_isomorphic, is_si, make_algebra,
                               principal_filter, product, quotient,
                               regular_elements, relabel_algebra,
                               subalgebra_closure, upset_algebra, _bits,
@@ -469,11 +469,11 @@ def test_in_sh_builds_no_quotient_smaller_than_the_source(
 
 
 def test_si_and_opremum():
-    assert is_si(Z2) and opremum(Z2) == Z2.bottom
-    assert not is_si(SQUARE) and opremum(SQUARE) is None
+    assert is_si(Z2) and Z2.opremum() == Z2.bottom
+    assert not is_si(SQUARE) and SQUARE.opremum() is None
     zp = concat(product(rn_algebra(8), Z2), Z2)
     assert is_si(zp)
-    assert zp.label(opremum(zp)) == "⟨1,1⟩"
+    assert zp.label(zp.opremum()) == "⟨1,1⟩"
 
 
 def test_dense_regular():

@@ -1,13 +1,15 @@
 import pytest
 
-from charform.algebra import concat, homomorphism_search, in_sh, opremum
-from charform.catalog import si_algebras
-from charform.formula import evaluate, is_valid, pretty, var, variables
+from charform.algebra import concat, homomorphism_search, in_sh
+from charform.catalog import all_algebras, si_algebras
+from charform.formula import (BOT, TOP, evaluate, is_valid, pretty, var,
+                              variables)
 from charform.jankov import (NotGenerated, NotSI, characteristic_formula,
                              dejongh_formula, diagram_formula, jankov_formula,
                              term_for_element, terms_for_all)
 from charform.modal import open_generated, quotient_by_open, span
-from charform.presentation import diagram_presentation, zprime_presentation
+from charform.presentation import (Presentation, diagram_presentation,
+                                   zprime_presentation)
 from charform.rn import boolean, rn_algebra, trunc_zprime
 
 
@@ -43,8 +45,13 @@ def test_diagram_formula_matches_oracles(all6, diagram_oracle,
 
 
 def test_dejongh_formula_matches_oracle(dejongh_oracle):
-    for a in si_algebras(7):
+    for a in si_algebras(10):
         assert dejongh_formula(a) == dejongh_oracle(a)
+
+
+def test_jankov_formula_matches_oracle(jankov_oracle):
+    for a in si_algebras(10):
+        assert jankov_formula(a) == jankov_oracle(a)
 
 
 def test_diagram_identity_valuation(si6):
@@ -104,9 +111,9 @@ def test_term_for_element_examples():
     assert pretty(term_for_element(sq, [(0, atom)], sq.bottom)) == "p1 & ~p1"
     zp = trunc_zprime(12)
     gens = [(0, zp.element_by_label("a")), (1, zp.element_by_label("b"))]
-    t = term_for_element(zp, gens, opremum(zp))
+    t = term_for_element(zp, gens, zp.opremum())
     assert pretty(t) == "p2 | (p2 -> p1)"
-    assert evaluate(t, zp, dict(gens)) == opremum(zp)
+    assert evaluate(t, zp, dict(gens)) == zp.opremum()
     with pytest.raises(NotGenerated):
         # the second generator itself is outside the subalgebra of the first
         term_for_element(zp, gens[:1], zp.element_by_label("b"))
@@ -155,10 +162,47 @@ def test_characteristic_formula_zprime():
 
 
 def test_characteristic_formula_needs_si():
-    from charform.presentation import Presentation
     sq = boolean(2)
     with pytest.raises(NotSI):
         characteristic_formula(diagram_presentation(sq))
+
+
+def test_characteristic_formula_without_generators():
+    # the empty valuation generates bottom and top, so the target is the
+    # two-element algebra, Heyting or interior, whose opremum is bottom: B
+    # is BOT, and every nontrivial algebra refutes the formula
+    heyting = all_algebras(4)
+    spans = [span(a)[0] for a in heyting]
+    for z2, corpus in ((rn_algebra(2), heyting),
+                       (span(rn_algebra(2))[0], spans)):
+        chi = characteristic_formula(Presentation(TOP, z2, {}))
+        assert chi.args[1] == BOT
+        for b in corpus:
+            assert is_valid(b, chi)[0] == (b.size == 1)
+
+
+def test_interior_jankov_and_dejongh_refuted_iff_sub_hom():
+    # the theorem's shadow for interior algebras: the Jankov and de Jongh
+    # formulas of each s.i. source of at most 3 atoms (the spans of
+    # all_algebras(5), their open-generated parts and open quotients) are
+    # refuted on a target exactly when the source is in SH of it, over the
+    # spans of all_algebras(4) and their open quotients
+    sources = []
+    for a in all_algebras(5):
+        s, _ = span(a)
+        for b in [s, open_generated(s)] + [quotient_by_open(s, o)
+                                           for o in s.opens]:
+            if b.atoms <= 3 and b.opremum() is not None:
+                sources.append(b)
+    targets = []
+    for a in all_algebras(4):
+        s, _ = span(a)
+        targets += [s] + [quotient_by_open(s, o) for o in s.opens]
+    assert (len(sources), len(targets)) == (25, 19)
+    for b in sources:
+        for chi in (jankov_formula(b), dejongh_formula(b)):
+            for t in targets:
+                assert (not is_valid(t, chi)[0]) == in_sh(b, t)[0]
 
 
 def test_golden_formulas():
@@ -173,6 +217,8 @@ def test_golden_formulas():
         "jankov_Z6_Z2_Z2": jankov_formula(
             concat(concat(rn_algebra(6), rn_algebra(2)), rn_algebra(2))),
         "dejongh_Z5": dejongh_formula(rn_algebra(5)),
+        "jankov_span_Z3": jankov_formula(span(rn_algebra(3))[0]),
+        "dejongh_span_Z3": dejongh_formula(span(rn_algebra(3))[0]),
     }
     for name, f in built.items():
         text = pretty(f)

@@ -15,8 +15,7 @@ from charform.jankov import NotSI, characteristic_formula, jankov_formula
 from charform.modal import (InteriorAlgebra, NotS4, box_from_meet_of_arrows,
                             evaluate_modal, gmt_presentation, gmt_translate,
                             heyting_carcass, interior_from_json,
-                            interior_to_json, is_si_modal,
-                            modal_characteristic_formula, modal_validity,
+                            interior_to_json, modal_validity,
                             open_generated, quotient_by_open, span)
 from charform.presentation import (Presentation, check_defines,
                                    diagram_presentation)
@@ -117,7 +116,7 @@ def test_frame_helpers_match_box_table_oracles(
             h, want = heyting_carcass(b), heyting_carcass_oracle(b)
             assert all(getattr(h, k) == getattr(want, k) for k in
                        ("up", "meet", "join", "imp", "neg", "bottom", "top"))
-            assert is_si_modal(b) == is_si(want)
+            assert is_si(b) == is_si(want)
 
 
 def test_large_chain_frame_table_is_checked():
@@ -488,9 +487,9 @@ def test_box_from_meet_of_arrows(all6):
 
 def test_modal_si_and_quotients():
     s3, _ = span(rn_algebra(3))
-    assert is_si_modal(s3)
+    assert is_si(s3)
     sq, _ = span(boolean(2))
-    assert not is_si_modal(sq)
+    assert not is_si(sq)
     for o in s3.opens:
         q = quotient_by_open(s3, o)
         assert q.atoms == bin(o).count("1")
@@ -535,40 +534,48 @@ def test_sub_hom_answers_on_spans_of_all8(all8, in_sh_frames_oracle):
 def test_modal_characteristic_formula():
     s3, _ = span(rn_algebra(3))
     mp = diagram_presentation(s3)
-    chi = modal_characteristic_formula(mp)
+    chi = characteristic_formula(mp)
     assert evaluate_modal(chi, s3, mp.valuation) != s3.full
     s2, _ = span(rn_algebra(2))
     assert is_valid(s2, chi, engine="propagate")[0]
     with pytest.raises(NotSI):
-        modal_characteristic_formula(diagram_presentation(span(boolean(2))[0]))
+        characteristic_formula(diagram_presentation(span(boolean(2))[0]))
 
 
 def test_characteristic_formula_serves_both_kinds(
-        all6, modal_characteristic_oracle):
-    # on the diagram presentations of si_algebras(6), the Jankov formula;
-    # on those of their spans and on the GMT presentations, the formula
-    # built through the carcass, and both connectives of the modal one; a
-    # span that is not s.i. raises NotSI in both builders
+        all6, jankov_oracle, modal_characteristic_oracle):
+    # on the diagram presentations of all_algebras(6), the Jankov formula
+    # under both connectives; on those of their spans and on the GMT
+    # presentations, the formula built through the carcass, box-guarded by
+    # default, and the span's Jankov formula is the guarded one; a span
+    # that is not s.i. raises NotSI
     interior = 0
     for a in all6:
         s, _ = span(a)
         mps = [diagram_presentation(s)]
         if not is_si(a):
-            assert not is_si_modal(s)
-            for f in (characteristic_formula, modal_characteristic_formula):
+            assert not is_si(s)
+            for connective in ("box-imp", "imp"):
                 with pytest.raises(NotSI):
-                    f(mps[0])
+                    characteristic_formula(mps[0], connective)
             continue
         hp = diagram_presentation(a)
-        assert characteristic_formula(hp) == jankov_formula(a)
+        assert characteristic_formula(hp) == jankov_oracle(a)
+        assert (characteristic_formula(hp, "box-imp")
+                == characteristic_formula(hp, "imp"))
+        assert jankov_formula(s) == modal_characteristic_oracle(mps[0],
+                                                                "box-imp")
         for p in mps + [gmt_presentation(hp)]:
-            want = modal_characteristic_oracle(p, "imp")
-            assert characteristic_formula(p) == want
-            assert modal_characteristic_formula(p, "imp") == want
-            assert (modal_characteristic_formula(p, "box-imp")
+            assert (characteristic_formula(p)
                     == modal_characteristic_oracle(p, "box-imp"))
+            assert (characteristic_formula(p, "imp")
+                    == modal_characteristic_oracle(p, "imp"))
             interior += 1
     assert interior == 16
+    z3 = rn_algebra(3)
+    for p in (diagram_presentation(z3), diagram_presentation(span(z3)[0])):
+        with pytest.raises(ValueError, match="unknown connective"):
+            characteristic_formula(p, "iff")
 
 
 def test_modal_characteristic_connectives():
@@ -582,8 +589,8 @@ def test_modal_characteristic_connectives():
     for a in (rn_algebra(3), chain(4)):
         s, _ = span(a)
         mp = diagram_presentation(s)
-        chi_box = modal_characteristic_formula(mp, "box-imp")
-        chi_plain = modal_characteristic_formula(mp, "imp")
+        chi_box = characteristic_formula(mp, "box-imp")
+        chi_plain = characteristic_formula(mp, "imp")
         assert evaluate_modal(chi_box, s, mp.valuation) != s.full
         assert evaluate_modal(chi_plain, s, mp.valuation) != s.full
         for b in corpus:
@@ -604,7 +611,7 @@ def test_theorem_shadow_refutation_iff_sub_hom():
     spans = [span(a)[0] for a in small]
     for a in sis:
         sa, _ = span(a)
-        chi = modal_characteristic_formula(diagram_presentation(sa))
+        chi = characteristic_formula(diagram_presentation(sa))
         for sb in spans:
             refuted = not is_valid(sb, chi, engine="propagate")[0]
             assert refuted == in_sh(sa, sb)[0]
