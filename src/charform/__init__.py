@@ -10,10 +10,9 @@ from .algebra import (AlgebraError, Filter, HeytingAlgebra, Homomorphism,
                       make_algebra, principal_filter, product, quotient,
                       regular_elements, upset_algebra)
 from .catalog import all_algebras, si_algebras, standard_corpus
-from .formula import (Formula, FormulaSyntaxError,
-                      NotAssertoric, UnboundVariable, consequence_refute,
-                      evaluate, is_valid, parse, pretty, random_formula,
-                      substitute, variables)
+from .formula import (Formula, FormulaSyntaxError, NotAssertoric,
+                      UnboundVariable, evaluate, is_valid, parse, pretty,
+                      random_formula, substitute, variables)
 from .jankov import (NotGenerated, NotSI, characteristic_formula,
                      dejongh_formula, diagram_formula, jankov_formula,
                      term_for_element)

@@ -18,6 +18,7 @@ quotients an algebra lists in `quotients`, and `is_isomorphic` run too.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -41,11 +42,39 @@ class NoSuchAlgebra(AlgebraError):
     pass
 
 
+# _CHUNKS[c][v]: the set bits of v << 8c, ascending, for the 8 chunks of a
+# 64-bit mask; chunk 0 is built here, the others on first use
+_CHUNKS = [[tuple(i for i in range(8) if v >> i & 1) for v in range(256)]]
+_CHUNKS += [None] * 7
+
+
+def _chunk(c):
+    """The table of chunk c, built from chunk 0."""
+    _CHUNKS[c] = [tuple([i + 8 * c for i in t]) for t in _CHUNKS[0]]
+    return _CHUNKS[c]
+
+
 def _bits(mask):
+    """The set bits of a mask, ascending, as a tuple: read off the chunk
+    tables up to 64 bits, lowest bit first beyond."""
+    if mask < 256:
+        return _CHUNKS[0][mask]
+    if mask >> 64:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+    out = ()
+    c = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        v = mask & 255
+        if v:
+            out += (_CHUNKS[c] or _chunk(c))[v]
+        mask >>= 8
+        c += 1
+    return out
 
 
 def _transpose(up):
@@ -61,10 +90,9 @@ def _transpose(up):
 def _sub_order(up, mask):
     """The up masks of the order that up induces on the elements of mask,
     each element renumbered by its position in mask, ascending."""
-    elems = list(_bits(mask))
-    pos = {x: i for i, x in enumerate(elems)}
-    return tuple(sum(1 << pos[y] for y in _bits(up[x] & mask))
-                 for x in elems)
+    elems = _bits(mask)
+    bit = {x: 1 << i for i, x in enumerate(elems)}.__getitem__
+    return tuple([sum(map(bit, _bits(up[x] & mask))) for x in elems])
 
 
 class _Trusted:
@@ -875,33 +903,62 @@ def regular_elements(a):
 # -- isomorphism and canonical forms ---------------------------------------
 
 
-def _refine_profile(above):
-    """Iterated neighbourhood refinement of an order given by `above`, where
-    above[i] lists the elements j >= i; returns a per-element colour.
+def _refine_cells(above, below):
+    """Iterated neighbourhood refinement of an order given by `above` and
+    `below`, where above[i] lists the elements j >= i and below[i] those
+    j <= i; returns the colour classes, each a list of elements, in colour
+    order.
 
-    The elements below each element are listed once, from `above`.  The
-    first colours are the ranks of the (below, above) counts.  A round
-    keys each element by its colour and the sorted colours below and above
-    it, and ranks the keys in sorted order, so colours are comparable
-    across algebras; the rounds stop at the first that splits no colour.
+    The first classes are those of the (below, above) counts, in sorted order.
+    A round keys each element by its colour and the sorted colours below
+    and above it, and orders the keys, so colours are comparable across
+    algebras.  A key starts with the old colour, so a round splits each
+    class of two or more elements by its members' (below, above) colours,
+    in sorted order, and keeps the others; the rounds stop at the first
+    that splits no class.
     """
-    size = len(above)
-    below = [[] for _ in range(size)]
+    counts = {}
+    for i, ys in enumerate(above):
+        counts.setdefault((len(below[i]), len(ys)), []).append(i)
+    cells = [counts[k] for k in sorted(counts)]
+    colour = [0] * len(above)
+    while True:
+        for c, cell in enumerate(cells):
+            for i in cell:
+                colour[i] = c
+        get = colour.__getitem__
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            keyed = {}
+            for i in cell:
+                keyed.setdefault((tuple(sorted(map(get, below[i]))),
+                                  tuple(sorted(map(get, above[i])))),
+                                 []).append(i)
+            split.extend(keyed[k] for k in sorted(keyed))
+        if len(split) == len(cells):
+            return cells
+        cells = split
+
+
+def _below(above):
+    """The elements below each element, ascending, from `above`."""
+    below = [[] for _ in above]
     for x, ys in enumerate(above):
         for y in ys:
             below[y].append(x)
-    counts = [(len(below[i]), len(above[i])) for i in range(size)]
-    rank = {k: r for r, k in enumerate(sorted(set(counts)))}
-    colour = [rank[k] for k in counts]
-    for _ in range(size):
-        get = colour.__getitem__
-        keys = [(colour[i], tuple(sorted(map(get, below[i]))),
-                 tuple(sorted(map(get, above[i])))) for i in range(size)]
-        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == colour:
-            break
-        colour = new
+    return below
+
+
+def _refine_profile(above):
+    """The colour of each element, the index of its class in
+    `_refine_cells`."""
+    colour = [0] * len(above)
+    for c, cell in enumerate(_refine_cells(above, _below(above))):
+        for i in cell:
+            colour[i] = c
     return colour
 
 
@@ -913,8 +970,8 @@ def is_isomorphic(a, b):
     """
     if a.size != b.size:
         return False, None
-    ca = _refine_profile([list(_bits(m)) for m in a.up])
-    cb = _refine_profile([list(_bits(m)) for m in b.up])
+    ca = _refine_profile([_bits(m) for m in a.up])
+    cb = _refine_profile([_bits(m) for m in b.up])
     if sorted(ca) != sorted(cb):
         return False, None
     classes = {}
@@ -925,6 +982,71 @@ def is_isomorphic(a, b):
     return (True, found[0].map) if found else (False, None)
 
 
+# `canonical_key` looks for automorphisms to prune its search by only when
+# the search has at least this many leaves, the product of the factorials
+# of the colour class sizes
+_ORBIT_MIN_LEAVES = 720
+
+
+def _automorphisms(up, above, colour):
+    """The automorphisms of the order given by up masks (and `above`, their
+    bits) that keep every element's colour, each a list g with g[x] the
+    image of x, the identity left out.
+
+    They are the colour-keeping automorphisms of the join-irreducibles, the
+    elements with one lower cover, each lifted through the join-irreducibles
+    below each element, and kept only when the lift is a permutation that
+    keeps colours and maps every up mask onto an up mask.  A finite
+    distributive lattice gets every such automorphism (Birkhoff); another
+    order gets some or none, each one an automorphism.
+    """
+    n = len(up)
+    down = _transpose(up)
+    ji = []
+    for x in range(n):
+        strict = down[x] & ~(1 << x)
+        if sum(up[y] & strict == 1 << y for y in _bits(strict)) == 1:
+            ji.append(x)
+    points = sum(1 << j for j in ji)
+    ji_below = [d & points for d in down]
+    element = {m: x for x, m in enumerate(ji_below)}
+    if len(element) < n:
+        return []
+    found = []
+    sigma = {}
+
+    def lift():
+        # distinct masks have distinct images, so a lift defined everywhere
+        # is a permutation
+        g = [element.get(sum([1 << sigma[j] for j in _bits(m)]))
+             for m in ji_below]
+        if None in g or g == list(range(n)):
+            return
+        if all(colour[g[x]] == colour[x]
+               and sum([1 << g[y] for y in above[x]]) == up[g[x]]
+               for x in range(n)):
+            found.append(g)
+
+    def extend(i):
+        if i == len(ji):
+            lift()
+            return
+        j = ji[i]
+        used = sigma.values()
+        for t in ji:
+            if colour[t] != colour[j] or t in used:
+                continue
+            if all((up[j] >> k & 1) == (up[t] >> sigma[k] & 1)
+                   and (up[k] >> j & 1) == (up[sigma[k]] >> t & 1)
+                   for k in ji[:i]):
+                sigma[j] = t
+                extend(i + 1)
+                del sigma[j]
+
+    extend(0)
+    return found
+
+
 def canonical_key(a):
     """Relabelling-invariant key of an order, usable for dedup and
     deterministic order.
@@ -932,47 +1054,113 @@ def canonical_key(a):
     Reads only `a.size` and the up-set masks `a.up`, so it keys posets and
     algebras alike; an algebra's key is the key of its order.  The key is
     (n,) and the least code, the tuple of the relabelled up masks, over the
-    labellings that place the `_refine_profile` colour classes in ascending
-    order; a backtracking search tries every order within each class.
+    labellings that place the `_refine_cells` colour classes in ascending
+    order.
+
+    Labellings are left out only where an automorphism maps them onto ones
+    kept, with equal codes.  Twins go in ascending order, so a class of
+    one element, or of twins alone, is placed before the search; when every
+    class is, the one labelling's code is the key.  Otherwise a
+    backtracking search orders the other classes, and compares each leaf's
+    code with the least so far row by row, leaving it at the first larger
+    row.  A search of at least `_ORBIT_MIN_LEAVES` leaves skips a candidate
+    x when an automorphism (`_automorphisms`) that fixes every element
+    placed maps a candidate already tried to x: it maps that subtree onto
+    x's, code for code.
     """
     n = a.size
-    above = [list(_bits(m)) for m in a.up]
-    colour = _refine_profile(above)
-    best = None
-    order = sorted(range(n), key=lambda x: (colour[x], x))
-    groups = {}
-    for x in order:
-        groups.setdefault(colour[x], []).append(x)
+    up = a.up
+    above = [_bits(m) for m in up]
+    below = _below(above)
+    cells = _refine_cells(above, below)
+    # the bit of x's position, 0 while x is unplaced; pos[n] stands for
+    # an element placed before the search
+    pos = [0] * n + [1]
+    inv = [0] * n
+    # twins, elements with the same elements strictly above and below them,
+    # are placed in ascending order: swapping two unplaced twins is an
+    # automorphism that fixes every other element
+    twin = [n] * n  # the twin before x in that order, else n
+    slots = []  # (position, class) for each position searched
+    spans = []  # (members, positions) of each class searched, as masks
+    k = 0
+    for cell in cells:
+        last = {}
+        if len(cell) > 1:
+            for x in cell:
+                t = (up[x] ^ 1 << x, tuple([y for y in below[x] if y != x]))
+                twin[x] = last.get(t, n)
+                last[t] = x
+        if len(last) < 2:  # one element, or twins: one order
+            for i, x in enumerate(cell, k):
+                pos[x] = 1 << i
+                inv[i] = x
+        else:
+            slots += [(k + i, cell) for i in range(len(cell))]
+            spans.append((sum(1 << x for x in cell),
+                          (1 << k + len(cell)) - (1 << k)))
+        k += len(cell)
+    get = pos.__getitem__
+    if not slots:
+        return (n,) + tuple([sum(map(get, above[x])) for x in inv])
+    # a row is a fixed part, the positions of the one-element classes and of
+    # the whole classes above its element, plus the positions of the other
+    # elements above it, read at the leaf; a row of a one-element class
+    # with no such elements is the same at every leaf and is not compared
+    fixed = [sum(map(get, ys)) for ys in above]
+    loose = [[] for _ in range(n)]
+    for x, m in enumerate(up):
+        for members, positions in spans:
+            if m & members == members:
+                fixed[x] += positions
+            elif m & members:
+                loose[x] += _bits(m & members)
+    best = [fixed[x] for x in inv]
+    for k, _ in slots:
+        best[k] = 1 << n  # above every row
+    varying = [k for k in range(n) if best[k] >> n or loose[inv[k]]]
 
-    perm = [0] * n  # the bit of x's new position, 0 while x is unplaced
-    inv = [-1] * n
-    bit = perm.__getitem__
+    def leaf():
+        for i, k in enumerate(varying):
+            x = inv[k]
+            row = fixed[x] + sum(map(get, loose[x]))
+            if row != best[k]:
+                if row < best[k]:
+                    best[k] = row
+                    for k in varying[i + 1:]:
+                        x = inv[k]
+                        best[k] = fixed[x] + sum(map(get, loose[x]))
+                return
 
-    def encode():
-        # row k: the new positions of the up-set of the element placed at k
-        return tuple([sum(map(bit, above[x])) for x in inv])
-
-    def backtrack(k, slots):
-        nonlocal best
-        if k == n:
-            code = encode()
-            if best is None or code < best:
-                best = code
+    def search(i, stab):
+        if i == len(slots):
+            leaf()
             return
-        for x in slots[k]:
-            if not perm[x]:
-                perm[x] = 1 << k
-                inv[k] = x
-                backtrack(k + 1, slots)
-                perm[x] = 0
-        # keep the search bounded: if the colouring is discrete this loops once
+        k, cell = slots[i]
+        seen = 0  # the candidates an automorphism maps one tried onto
+        for x in cell:
+            if pos[x] or not pos[twin[x]] or seen >> x & 1:
+                continue
+            for g in stab:
+                seen |= 1 << g[x]
+            pos[x] = 1 << k
+            inv[k] = x
+            search(i + 1, [g for g in stab if g[x] == x])
+            pos[x] = 0
 
-    slots = [groups[c] for c in sorted(groups)]
-    flat = []
-    for g in slots:
-        flat.extend([g] * len(g))
-    backtrack(0, flat)
-    return (n,) + best
+    leaves = 1
+    for _, positions in spans:
+        leaves *= math.factorial(positions.bit_count())
+    stab = []
+    if leaves >= _ORBIT_MIN_LEAVES:
+        # an element placed is its own colour, so the automorphisms fix it
+        colour = pos[:n]
+        for members, positions in spans:
+            for x in _bits(members):
+                colour[x] = positions
+        stab = _automorphisms(up, above, colour)
+    search(0, stab)
+    return (n,) + tuple(best)
 
 
 # -- JSON ------------------------------------------------------------------

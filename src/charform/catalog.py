@@ -28,11 +28,15 @@ def _extend_posets(posets, max_upsets):
     The new point lies above the down-set d of p and below nothing, so an
     up-set of the extension is an up-set of p, with the new point, or one
     disjoint from d, without it: the extension has as many up-sets as p
-    plus those of p disjoint from d, counted without listing its own."""
+    plus those of p disjoint from d, counted without listing its own.  So
+    a poset that already has max_upsets up-sets has no extension: each adds
+    at least the empty up-set."""
     out = {}
     for p in posets:
         n = p.size
         upsets = p.upset_masks()
+        if len(upsets) >= max_upsets:
+            continue
         # downsets of p = upsets of the dual
         downsets = Poset._trusted(_transpose(p.up)).upset_masks()
         for d in downsets:

@@ -1224,8 +1224,8 @@ def _refuting_tasks(slots, ji=None):
 
 # a c is looked up in, and added to, a program's set of unrefuted keys only
 # when the order below c has at most this many elements: the worst
-# `canonical_key` over `all_algebras(n)` takes about 1.5 ms at n = 12,
-# 3.5 ms at 14, 40 ms at 15 and 8.5 s (B(4)) at 16 on a 2-core Xeon
+# `canonical_key` over `all_algebras(n)` takes about 0.2 ms at n = 12,
+# 0.3 ms at 14, 1.2 ms at 15 and 35 ms (B(4)) at 16 on a 2-core Xeon
 _MEMO_MAX = 12
 
 
@@ -1356,16 +1356,6 @@ def is_valid(algebra, f, engine="auto", max_vars=PROP_MAX_VARS):
             raise AssertionError(f"engines disagree: naive={rn} propagate={rp}")
         return rn
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def consequence_refute(premises, conclusion, corpus):
-    """First corpus algebra validating all premises and refuting the
-    conclusion, or None.  None only means: no witness in this corpus."""
-    for algebra in corpus:
-        if all(is_valid(algebra, p)[0] for p in premises):
-            if not is_valid(algebra, conclusion)[0]:
-                return algebra
-    return None
 
 
 # -- random formulas ----------------------------------------------------------

@@ -49,10 +49,12 @@ def diagram_formula(algebra):
             {x: x for x in range(n)})
 
 
-def _characteristic(formula, target, gens, connective):
+def _characteristic(formula, target, gens, connective, terms=None):
     """box(formula) -> B ("box-imp") or formula -> B ("imp"), B the term
     over gens, (variable, element) pairs, of the target's opremum (`NotSI`
-    if none); a Heyting target has no box, so both give formula -> B."""
+    if none); a Heyting target has no box, so both give formula -> B.
+    `terms`, when given, is `terms_for_all` over the same generators, and
+    B is read from it."""
     if connective not in ("box-imp", "imp"):
         raise ValueError(f"unknown connective {connective!r}")
     op = target.opremum()
@@ -61,7 +63,8 @@ def _characteristic(formula, target, gens, connective):
                     "algebra")
     if connective == "box-imp" and _has_box(target):
         formula = box(formula)
-    return imp(formula, term_for_element(target, gens, op))
+    return imp(formula, terms[op] if terms is not None
+               else term_for_element(target, gens, op))
 
 
 def jankov_formula(algebra):
@@ -148,10 +151,12 @@ def dejongh_formula(algebra):
         return and_(var(0), neg(var(0)))
     gens = list(enumerate(x for x in algebra.join_irreducibles()
                           if x != algebra.top))
-    # the join-irreducibles generate every element, as joins
+    # the join-irreducibles generate every element, as joins; the search
+    # with no element wanted reaches each one's term as the search for it
+    # alone would, so the opremum's term is read from the same terms
     terms = terms_for_all(algebra, gens)
     return _characteristic(conj(_diagram_conjuncts(algebra, terms)), algebra,
-                           gens, "box-imp")
+                           gens, "box-imp", terms)
 
 
 def characteristic_formula(presentation, connective="box-imp"):

@@ -116,10 +116,6 @@ class VarietyHandle:
     def generated(cls, generators, bound=8, name=""):
         return cls(tuple(generators), (), bound, name)
 
-    @classmethod
-    def axiomatic(cls, axioms, bound=8, name=""):
-        return cls((), tuple(axioms), bound, name)
-
 
 def build_corpus(handle, size_bound=None, with_evidence=False):
     """All s.i. algebras of the variety up to the bound, up to isomorphism.

@@ -11,12 +11,14 @@ from charform.algebra import (HeytingAlgebra, Homomorphism, _bits,
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _conjuncts, and_, box, conj,
-                              enumerate_top_valuations, iff, imp, neg, or_,
-                              run_program, substitute, var, variables)
+                              enumerate_top_valuations, iff, imp, is_valid,
+                              neg, or_, run_program, substitute, var,
+                              variables)
 from charform.jankov import (NotSI, generation_steps, term_for_element,
                              terms_for_all)
 from charform.modal import InteriorAlgebra, quotient_by_open
-from charform.presentation import lemma_points, zprime_presentation
+from charform.presentation import (VarietyHandle, lemma_points,
+                                   zprime_presentation)
 
 
 @pytest.fixture(scope="session")
@@ -1340,3 +1342,31 @@ def _lemma_shadow_exhaustive(max_depth=3, trunc_k=12, corpus_bound=8):
 @pytest.fixture(scope="session")
 def lemma_shadow_exhaustive():
     return _lemma_shadow_exhaustive
+
+
+# -- test-only helpers that lived in the library -----------------------------
+
+
+def _consequence_refute(premises, conclusion, corpus):
+    """First corpus algebra validating all premises and refuting the
+    conclusion, or None.  None only means: no witness in this corpus."""
+    for algebra in corpus:
+        if all(is_valid(algebra, p)[0] for p in premises):
+            if not is_valid(algebra, conclusion)[0]:
+                return algebra
+    return None
+
+
+def _axiomatic_handle(axioms, bound=8, name=""):
+    """The variety of the axioms, its corpus checked over the catalog."""
+    return VarietyHandle((), tuple(axioms), bound, name)
+
+
+@pytest.fixture(scope="session")
+def consequence_refute():
+    return _consequence_refute
+
+
+@pytest.fixture(scope="session")
+def axiomatic_handle():
+    return _axiomatic_handle

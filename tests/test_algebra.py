@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charform.algebra import (Filter, HeytingAlgebra, Homomorphism,
                               NotALattice, NotResiduated, Poset, SizeLimit,
@@ -16,8 +16,9 @@ from charform.algebra import (Filter, HeytingAlgebra, Homomorphism,
                               is_isomorphic, is_si, make_algebra,
                               principal_filter, product, quotient,
                               regular_elements, relabel_algebra,
-                              subalgebra_closure, upset_algebra, _bits,
-                              _from_tables, _refine_profile)
+                              subalgebra_closure, upset_algebra,
+                              _automorphisms, _bits, _from_tables,
+                              _refine_profile)
 from charform import algebra as algebra_module
 from charform import rn as rn_module
 from charform.catalog import _posets_with_few_upsets, all_algebras
@@ -561,13 +562,15 @@ def test_canonical_key_matches_oracle_on_the_catalog(canonical_key_oracle):
     for p in _posets_with_few_upsets(13):
         want = canonical_key_oracle(p)
         assert canonical_key(p) == want
-        q = _relabel_poset(p, _shuffled(p.size, rng))
-        assert canonical_key(q) == canonical_key_oracle(q) == want
+        for _ in range(2):
+            q = _relabel_poset(p, _shuffled(p.size, rng))
+            assert canonical_key(q) == canonical_key_oracle(q) == want
     for a in all_algebras(13):
         want = canonical_key_oracle(a)
         assert canonical_key(a) == want
-        b = relabel_algebra(a, _shuffled(a.size, rng))
-        assert canonical_key(b) == canonical_key_oracle(b) == want
+        for _ in range(2):
+            b = relabel_algebra(a, _shuffled(a.size, rng))
+            assert canonical_key(b) == canonical_key_oracle(b) == want
 
 
 def test_canonical_key_matches_oracle_on_symmetric_orders(canonical_key_oracle):
@@ -582,12 +585,97 @@ def test_canonical_key_matches_oracle_on_symmetric_orders(canonical_key_oracle):
         assert canonical_key(a) == want
 
 
+def test_canonical_key_matches_oracle_on_b4(canonical_key_oracle):
+    # 414,720 leaves each, and 23 automorphisms of B(4) to prune by; the
+    # oracle takes about 17 s a call, so it runs on one relabelling
+    rng = random.Random(47)
+    for expr in ["B(4)", "B(4) + C(2)"]:
+        a = parse_algebra_expr(expr)
+        b = relabel_algebra(a, _shuffled(a.size, rng))
+        want = canonical_key_oracle(b)
+        assert canonical_key(b) == want
+        assert canonical_key(a) == want
+
+
+def _poset(n, pairs):
+    """The poset on 0..n-1 generated by the pairs (x, y), x below y."""
+    up = [1 << x for x in range(n)]
+    for _ in range(n):
+        for x, y in pairs:
+            up[x] |= up[y]
+    return Poset(up)
+
+
+# orders that are not lattices: 2+2, the 4-crown, five 2-chains side by
+# side and the 10-element crown (no join-irreducible below any minimal
+# point, so no lift), and that crown with a least element added (only the
+# ten rotations and reflections of the crown lift)
+NON_LATTICES = [
+    _poset(4, [(0, 1), (2, 3)]),
+    _poset(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+    _poset(10, [(i, i + 5) for i in range(5)]),
+    _poset(10, [(i, 5 + j) for i in range(5) for j in (i, (i + 1) % 5)]),
+    _poset(11, [(i, 5 + j) for i in range(5) for j in (i, (i + 1) % 5)]
+           + [(10, i) for i in range(5)]),
+]
+
+
+def test_canonical_key_matches_oracle_on_non_lattices(canonical_key_oracle):
+    rng = random.Random(15)
+    for p in NON_LATTICES:
+        want = canonical_key_oracle(p)
+        assert canonical_key(p) == want
+        for _ in range(3):
+            q = _relabel_poset(p, _shuffled(p.size, rng))
+            assert canonical_key(q) == canonical_key_oracle(q) == want
+
+
+def _is_automorphism(up, g):
+    return (sorted(g) == list(range(len(up)))
+            and all(sum(1 << g[y] for y in _bits(up[x])) == up[g[x]]
+                    for x in range(len(up))))
+
+
+def test_automorphisms_are_the_lifts_that_hold():
+    one = lambda p: [0] * p.size
+    # every automorphism of B(4) lifts; none of an order with no lift
+    b4 = parse_algebra_expr("B(4)")
+    auts = _automorphisms(b4.up, [_bits(m) for m in b4.up],
+                          _refine_profile([_bits(m) for m in b4.up]))
+    assert len(auts) == 23
+    assert all(_is_automorphism(b4.up, g) for g in auts)
+    for p in NON_LATTICES[:4]:
+        assert _automorphisms(p.up, [_bits(m) for m in p.up], one(p)) == []
+    # the crown with a least element: of the 120 maps of its five
+    # join-irreducibles, only the dihedral ones lift
+    p = NON_LATTICES[4]
+    auts = _automorphisms(p.up, [_bits(m) for m in p.up], one(p))
+    assert len(auts) == 9
+    assert all(_is_automorphism(p.up, g) for g in auts)
+
+
 def test_refine_profile_matches_oracle(refine_profile_oracle):
     rng = random.Random(34)
     for a in all_algebras(12):
         for b in (a, relabel_algebra(a, _shuffled(a.size, rng))):
             want = refine_profile_oracle(b.up, b.down, b.size)
             assert _refine_profile([list(_bits(m)) for m in b.up]) == want
+    for p in [*_posets_with_few_upsets(12), *NON_LATTICES]:
+        for q in (p, _relabel_poset(p, _shuffled(p.size, rng))):
+            down = [sum(1 << x for x in range(q.size) if q.up[x] >> y & 1)
+                    for y in range(q.size)]
+            want = refine_profile_oracle(q.up, down, q.size)
+            assert _refine_profile([_bits(m) for m in q.up]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 300 - 1))
+@example(255)
+@example(256)
+@example(2 ** 64 - 1)
+@example(2 ** 64)
+def test_bits_lists_the_set_bits(m):
+    assert _bits(m) == tuple(i for i in range(m.bit_length()) if m >> i & 1)
 
 
 def _same_tables(a, b):

@@ -16,8 +16,7 @@ from charform.catalog import all_algebras, si_algebras
 from charform.formula import (BOT, TOP, Formula, FormulaSyntaxError,
                               NotAssertoric, UnboundVariable,
                               _Frame, _frame, _prop_search, _refuting_tasks,
-                              _Slots, and_, box, compile_formula,
-                              conj, consequence_refute,
+                              _Slots, and_, box, compile_formula, conj,
                               enumerate_top_valuations, evaluate,
                               first_refutation, iff, imp, is_valid, neg,
                               or_, parse, refuting_rows,
@@ -757,7 +756,7 @@ def test_size_limit():
     assert is_valid(rn_algebra(4), f, engine="propagate")[0] is False
 
 
-def test_consequence_refute():
+def test_consequence_refute(consequence_refute):
     z2, z3 = rn_algebra(2), rn_algebra(3)
     wem, em = parse("~p1 | ~~p1"), parse("p1 | ~p1")
     assert consequence_refute([wem], em, [z2, z3]) is z3

@@ -85,8 +85,8 @@ def test_build_corpus_evidence():
         assert is_isomorphic(sub, algebra)[0]
 
 
-def test_axiomatic_corpus():
-    handle = VarietyHandle.axiomatic((parse("p1 | ~p1"),), bound=6)
+def test_axiomatic_corpus(axiomatic_handle):
+    handle = axiomatic_handle((parse("p1 | ~p1"),), bound=6)
     corp = build_corpus(handle)
     # Boolean s.i. algebras: just the two-element one
     assert [a.size for a in corp] == [2]
