@@ -1085,28 +1085,31 @@ def canonical_key(a):
     spans = []  # (members, positions) of each class searched, as masks
     k = 0
     for cell in cells:
-        last = {}
         if len(cell) > 1:
+            last = {}
             for x in cell:
                 t = (up[x] ^ 1 << x, tuple([y for y in below[x] if y != x]))
                 twin[x] = last.get(t, n)
                 last[t] = x
-        if len(last) < 2:  # one element, or twins: one order
-            for i, x in enumerate(cell, k):
-                pos[x] = 1 << i
-                inv[i] = x
-        else:
-            slots += [(k + i, cell) for i in range(len(cell))]
-            spans.append((sum(1 << x for x in cell),
-                          (1 << k + len(cell)) - (1 << k)))
-        k += len(cell)
+            if len(last) > 1:
+                slots += [(k + i, cell) for i in range(len(cell))]
+                spans.append((sum(1 << x for x in cell),
+                              (1 << k + len(cell)) - (1 << k)))
+                k += len(cell)
+                continue
+        for x in cell:  # one element, or twins: one order
+            pos[x] = 1 << k
+            inv[k] = x
+            k += 1
     get = pos.__getitem__
     if not slots:
         return (n,) + tuple([sum(map(get, above[x])) for x in inv])
-    # a row is a fixed part, the positions of the one-element classes and of
-    # the whole classes above its element, plus the positions of the other
-    # elements above it, read at the leaf; a row of a one-element class
-    # with no such elements is the same at every leaf and is not compared
+    # a row is a fixed part, the positions of the placed elements and of
+    # the whole searched classes above its element, plus the positions of
+    # the other elements above it, read at the leaf.  The classes are
+    # equitable and twins have the same elements above them, so a searched
+    # class is wholly above a placed element or not at all: the rows of the
+    # placed elements are the same at every leaf and are not compared
     fixed = [sum(map(get, ys)) for ys in above]
     loose = [[] for _ in range(n)]
     for x, m in enumerate(up):
@@ -1116,9 +1119,9 @@ def canonical_key(a):
             elif m & members:
                 loose[x] += _bits(m & members)
     best = [fixed[x] for x in inv]
-    for k, _ in slots:
+    varying = [k for k, _ in slots]
+    for k in varying:
         best[k] = 1 << n  # above every row
-    varying = [k for k in range(n) if best[k] >> n or loose[inv[k]]]
 
     def leaf():
         for i, k in enumerate(varying):
