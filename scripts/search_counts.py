@@ -12,9 +12,16 @@ valuations the probe left) and the calls whose verdict is valid.  With
 tasks of the `corpus` workload instead: the calls of
 `GenerationPlan.first_failure`, the rows (top tuples) they are given, the
 rows that extend to a homomorphism, each checked again here, and the
-members on which a presentation is refuted.
+members on which a presentation is refuted.  With --subalgebras, the
+work of the subalgebra scan behind `build_corpus` instead, one line for
+each generator of the `corpus` workload at its bound: the quotients
+searched, the carriers `_bounded_subalgebras` lists in them, the s.i.
+carriers among those, the distinct orders of the s.i. carriers (each
+relabelled by its elements' positions, ascending) and the members of the
+corpus.
 
-    python3 scripts/search_counts.py [--seed 2025] [--fresh | --modal | --corpus]
+    python3 scripts/search_counts.py [--seed 2025] \
+        [--fresh | --modal | --corpus | --subalgebras]
 
 With --fresh every validity check gets a formula object of its own,
 parsed from the printed formula, so that nothing a program keeps (its set
@@ -149,6 +156,44 @@ def install_corpus(counts):
     presentation.check_defines = counted_check_defines
 
 
+def si_order(a, mask):
+    """The up masks of the subalgebra of a on the carrier mask, each element
+    renumbered by its position in the carrier, or None when it is not s.i.
+    (no element below top lies above every other element below top)."""
+    elems = [x for x in range(a.size) if mask >> x & 1]
+    below_top = [x for x in elems if x != a.top]
+    if not any(all(a.leq(y, x) for y in below_top) for x in below_top):
+        return None
+    return tuple(sum(1 << j for j, y in enumerate(elems) if a.leq(x, y))
+                 for x in elems)
+
+
+def subalgebra_counts(seed):
+    """The counts of --subalgebras, one dict per generator, in workload
+    order.  A carrier is taken as a mask or as a set of elements, so the
+    script reads either form of `_bounded_subalgebras`."""
+    bound = workloads.CORPUS_BOUND
+    out = []
+    for (kind, k), _, gen in workloads.CorpusWorkload(seed, "full").generators:
+        counts = dict.fromkeys(("quotients", "carriers", "si_carriers"), 0)
+        orders = set()
+        for _, q in gen.quotients(2):
+            counts["quotients"] += 1
+            for carrier in presentation._bounded_subalgebras(q, bound):
+                if not isinstance(carrier, int):
+                    carrier = sum(1 << x for x in carrier)
+                counts["carriers"] += 1
+                order = si_order(q, carrier)
+                if order is not None:
+                    counts["si_carriers"] += 1
+                    orders.add(order)
+        counts["si_orders"] = len(orders)
+        handle = presentation.VarietyHandle.generated((gen,), bound)
+        counts["members"] = len(presentation.build_corpus(handle))
+        out.append((f"{kind}({k})", counts))
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
@@ -160,7 +205,18 @@ def main(argv=None):
     group.add_argument("--corpus", action="store_true",
                        help="count the extension check over the corpus "
                        "workload")
+    group.add_argument("--subalgebras", action="store_true",
+                       help="count the subalgebra scan of the corpus "
+                       "workload's generators")
     args = ap.parse_args(argv)
+    if args.subalgebras:
+        rows = subalgebra_counts(args.seed)
+        for name, counts in rows:
+            print(name, " ".join(f"{k} {v}" for k, v in counts.items()))
+        print(json.dumps({"generators": dict(rows), "seed": args.seed,
+                          "bound": workloads.CORPUS_BOUND,
+                          "subalgebras": True}))
+        return
     if args.corpus:
         tasks = workloads.CorpusWorkload(args.seed, "full").tasks()
         counts = dict.fromkeys(("plan_calls", "plan_rows", "plan_rows_extend",

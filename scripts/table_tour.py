@@ -24,9 +24,9 @@ a constructor's tables, element indices or labels shows:
 import hashlib
 import random
 
-from charform.algebra import (canonical_key, concat, induced_subalgebra,
-                              principal_filter, product, quotient,
-                              relabel_algebra)
+from charform.algebra import (_bits, canonical_key, concat,
+                              induced_subalgebra, principal_filter, product,
+                              quotient, relabel_algebra)
 from charform.catalog import _posets_with_few_upsets, all_algebras
 from charform.modal import heyting_carcass, open_generated, quotient_by_open, span
 from charform.presentation import _bounded_subalgebras
@@ -61,8 +61,9 @@ def main():
             show(f"algebra {i} quotient by {x}",
                  quotient(a, principal_filter(a, x))[0])
         for carrier in _bounded_subalgebras(a, 6):
-            show(f"algebra {i} subalgebra {sorted(carrier)}",
-                 induced_subalgebra(a, carrier)[1])
+            elems = _bits(carrier)
+            show(f"algebra {i} subalgebra {list(elems)}",
+                 induced_subalgebra(a, elems)[1])
     small = all_algebras(4)
     for i, a in enumerate(small):
         for j, b in enumerate(small):

@@ -13,6 +13,12 @@ work on any algebra that lists its operations as a `signature`; interior
 algebras (`modal`) give theirs too, so both kinds share one closure, one
 generation search and one homomorphism search, which `in_sh`, over the
 quotients an algebra lists in `quotients`, and `is_isomorphic` run too.
+`close_set` closes a mask of elements round by round through a reach: one
+read from the signature at each call (`subalgebra_closure`), or one over
+pair rows, the masks of every binary value at each pair of elements,
+built once by a caller that closes many sets in one algebra
+(`presentation._bounded_subalgebras`).  A closure is unique, so the order
+in which either combines the elements cannot change it.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 
 class AlgebraError(Exception):
@@ -713,38 +721,87 @@ def induced_subalgebra(a, carrier):
     return elems, sub
 
 
-def close_set(algebra, closed, frontier, limit=None):
-    """Close a set of elements under the operations of the algebra's
-    `signature`.
+def close_set(reach, closed, frontier, limit=None, avoid=0):
+    """Close a set of elements, a mask, under the operations that `reach`
+    applies, and return the closed mask.
 
-    `closed` is a set and is extended in place; `frontier` lists its
-    members not yet combined with the others (all of them, for a fresh
-    set).  With a limit, a set that outgrows it is returned at once,
-    unclosed, for a caller that would discard it.
+    `frontier` masks the members of `closed` not yet combined with the
+    others (all of them, for a fresh set).  reach(zs, items) is the mask of
+    the values of every operation at each element z of zs and at each pair
+    of z with a member of items; a round passes the frontier as zs and the
+    closed elements as items, both ascending, and the elements it adds are
+    the next frontier.  Every pair of the result is combined: the later of
+    its two elements to enter, on its round, meets the earlier in items.
+    The closure of a set is unique, so the order in which pairs are
+    combined cannot change it.  A set that outgrows the limit, or that
+    gains an element of the mask `avoid`, is returned at once, unclosed,
+    for a caller that would discard it.
     """
-    binary, unary = algebra.signature
     while frontier:
-        items = list(closed)
-        new = []
-        for x in frontier:
-            reached = {op(algebra, x) for _, op in unary}
-            for _, row, col in binary:
-                reached.update(row(algebra, x, items))
-                if col is not None:
-                    reached.update(col(algebra, x, items))
-            reached -= closed
-            closed |= reached
-            new += reached
-            if limit is not None and len(closed) > limit:
-                return closed
-        frontier = new
+        start = closed
+        closed |= reach(_bits(frontier), _bits(closed))
+        if closed & avoid or limit is not None and closed.bit_count() > limit:
+            return closed
+        frontier = closed & ~start
     return closed
+
+
+def _signature_reach(algebra):
+    """A reach for `close_set` read from the algebra's `signature` at each
+    call, for one closure: no table is built, so it serves an algebra of
+    any size."""
+    binary, unary = algebra.signature
+
+    def reach(zs, items):
+        values = set()
+        for z in zs:
+            values.update([op(algebra, z) for _, op in unary])
+            for _, row, col in binary:
+                values.update(row(algebra, z, items))
+                if col is not None:
+                    values.update(col(algebra, z, items))
+        values.difference_update(items)
+        return sum(map((1).__lshift__, values))
+
+    return reach
+
+
+def _pair_reach(algebra):
+    """A reach for `close_set` over pair rows, for many closures in one
+    algebra: rows[z][x] masks the value of every binary operation of the
+    algebra's `signature` at (z, x) and at (x, z), and unary[z] the values
+    of its unary ones at z.  The rows take size^3 bits; they live as long
+    as the reach returned."""
+    binary, unary_ops = algebra.signature
+    first, *rest = [f for _, row, col in binary for f in (row, col)
+                    if f is not None]
+    xs = range(algebra.size)
+    bit = [1 << x for x in xs]
+    get = bit.__getitem__
+    rows = []
+    for z in xs:
+        row = map(get, first(algebra, z, xs))
+        for f in rest:
+            row = map(or_, row, map(get, f(algebra, z, xs)))
+        rows.append(list(row))
+    unary = [reduce(or_, [bit[op(algebra, z)] for _, op in unary_ops], 0)
+             for z in xs]
+
+    def reach(zs, items):
+        out = 0
+        for z in zs:
+            out |= reduce(or_, map(rows[z].__getitem__, items), unary[z])
+        return out
+
+    return reach
 
 
 def subalgebra_closure(a, gens):
     """Least subset containing gens, bottom and top, closed under the ops."""
-    start = {a.bottom, a.top, *gens}
-    return frozenset(close_set(a, start, list(start)))
+    start = 1 << a.bottom | 1 << a.top
+    for x in gens:
+        start |= 1 << x
+    return frozenset(_bits(close_set(_signature_reach(a), start, start)))
 
 
 def generated_subalgebra(a, gens):
@@ -868,7 +925,16 @@ def in_sh(a, b):
     (verdict, the first (congruence, least embedding) pair or None).  A
     quotient with fewer elements than a holds no embedding of a, so it is
     neither built nor searched, and spends no budget.
+
+    When a's rank exceeds b's, the answer is no before any search.  The
+    rank, the length of a longest chain, is the number of join-irreducibles
+    of a Heyting algebra and of atoms of an interior one.  An embedding
+    keeps strict chains, and a quotient of b, isomorphic to an interval of
+    b (below the filter's least element, or the atoms inside an open), has
+    at most b's rank.
     """
+    if len(a.join_irreducibles()) > len(b.join_irreducibles()):
+        return False, None
     work = [SEARCH_BUDGET]
     for congruence, q in b.quotients(a.size):
         _spend(work, q.size * b.size)

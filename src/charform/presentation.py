@@ -33,7 +33,7 @@ import re
 from .algebra import (Poset, canonical_key, close_set, concat,
                       concat_embedding, induced_subalgebra, is_si,
                       principal_filter, quotient, subalgebra_closure, _bits,
-                      _sub_order)
+                      _pair_reach, _sub_order)
 from .formula import (Formula, _has_box, and_, compile_formula, conj,
                       evaluate, enumerate_top_valuations, iff, is_valid, neg,
                       or_, parse, pretty, refuting_rows, var, variables)
@@ -138,8 +138,10 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
                         keys[up] = canonical_key(Poset._trusted(up))
                     key = keys[up]
                     if key not in found:
-                        _, sub = induced_subalgebra(q, carrier)
-                        found[key] = (sub, ("sh", gi, filt.least, carrier))
+                        elems = _bits(carrier)
+                        _, sub = induced_subalgebra(q, elems)
+                        found[key] = (sub, ("sh", gi, filt.least,
+                                            frozenset(elems)))
     else:
         from .catalog import all_algebras
         for a in all_algebras(bound):
@@ -153,11 +155,11 @@ def build_corpus(handle, size_bound=None, with_evidence=False):
     return [a for _, (a, ev) in ordered]
 
 
-def _si_order(a, carrier):
-    """The order of the subalgebra of a on carrier, as the tuple of up masks
-    that `induced_subalgebra` would give it, or None when that subalgebra is
-    not s.i.: it is when some element below top lies above all the others."""
-    mask = sum(1 << x for x in carrier)
+def _si_order(a, mask):
+    """The order of the subalgebra of a on the carrier `mask`, as the tuple
+    of up masks that `induced_subalgebra` would give it, or None when that
+    subalgebra is not s.i.: it is when some element below top lies above
+    all the others."""
     below_top = mask & ~(1 << a.top)
     above_all = mask
     for x in _bits(below_top):
@@ -168,33 +170,46 @@ def _si_order(a, carrier):
 
 
 def _bounded_subalgebras(a, bound):
-    """All op-closed carriers of size <= bound, each as a frozenset, sorted
-    by (size, elements).
+    """All op-closed carriers of size <= bound, each as a mask, sorted by
+    (size, elements).
 
-    A Close-by-One search (Kuznetsov 1993) over `close_set`.  It starts
-    from the closure of the empty set, which tries every element z outside
-    it; a carrier c reached by adding element y tries each z > y outside c.
-    The closure d of c and z is a child of c unless d adds an element of
-    index below z.  That canonicity test gives each carrier one parent, so
-    each is yielded once and none is stored to be looked up.  A closure
-    above the bound is dropped, and with it all that contain it.
+    A Close-by-One search (Kuznetsov 1993) on masks, the bit-vector form of
+    Kuznetsov & Obiedkov (2002).  It starts from the closure of bottom and
+    top, which tries every element y outside it; a carrier c reached by
+    adding element y tries each z > y outside c.  The closure d of c and z
+    is a child of c unless d adds an element of index below z, which is
+    d & ~c & ((1 << z) - 1).  That canonicity test gives each carrier one
+    parent, so each is yielded once and none is stored to be looked up.  A
+    closure above the bound is dropped, and with it all that contain it; a
+    carrier at the bound tries no element.  Each closure runs `close_set`
+    over the pair rows of a, built once for the call and dropped with it: c
+    is closed already, so only z is new, and closing it ORs, for each new
+    element, its row entries at the elements closed so far.  It stops as
+    soon as it passes the bound or adds an element below z.  The closure of
+    a set is unique, so combining the elements in this order gives the
+    carriers exactly.
     """
-    base = subalgebra_closure(a, ())
-    if len(base) > bound:
+    reach = _pair_reach(a)
+    base = 1 << a.bottom | 1 << a.top
+    base = close_set(reach, base, base, limit=bound)
+    if base.bit_count() > bound:
         return []
     out, todo = [], [(base, 0)]
     while todo:
         carrier, lo = todo.pop()
         out.append(carrier)
+        if carrier.bit_count() >= bound:
+            continue
         for y in range(lo, a.size):
-            if y in carrier:
+            new = 1 << y
+            if carrier & new:
                 continue
-            # the carrier is closed already: only y is new
-            bigger = close_set(a, {y, *carrier}, [y], limit=bound)
-            if len(bigger) > bound or min(bigger - carrier) < y:
+            below = ~carrier & (new - 1)
+            bigger = close_set(reach, carrier | new, new, bound, below)
+            if bigger.bit_count() > bound or bigger & below:
                 continue
-            todo.append((frozenset(bigger), y + 1))
-    return sorted(out, key=lambda c: (len(c), sorted(c)))
+            todo.append((bigger, y + 1))
+    return sorted(out, key=lambda c: (c.bit_count(), _bits(c)))
 
 
 # -- the extension criterion -------------------------------------------------

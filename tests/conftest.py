@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from charform.algebra import (HeytingAlgebra, Homomorphism, _bits,
-                              _from_tables, _image, _transpose, close_set,
+                              _from_tables, _image, _transpose,
                               enumerate_filters, homomorphism_search,
-                              quotient, subalgebra_closure)
+                              quotient)
 from charform.catalog import all_algebras, si_algebras, standard_corpus
 from charform.formula import (BOT, TOP, Formula, NotAssertoric,
                               UnboundVariable, _conjuncts, and_, box, conj,
@@ -377,11 +377,43 @@ def check_defines_oracle():
 # -- slow oracle: the breadth-first subalgebra search Close-by-One replaced ---
 
 
+def _close_set(algebra, closed, frontier, limit=None):
+    """The set-based closure the mask closure replaced: `closed` is a set,
+    extended in place, and `frontier` lists its members not yet combined
+    with the others; each element's values are computed from the
+    signature's row functions.  With a limit, a set that outgrows it is
+    returned at once, unclosed."""
+    binary, unary = algebra.signature
+    while frontier:
+        items = list(closed)
+        new = []
+        for x in frontier:
+            reached = {op(algebra, x) for _, op in unary}
+            for _, row, col in binary:
+                reached.update(row(algebra, x, items))
+                if col is not None:
+                    reached.update(col(algebra, x, items))
+            reached -= closed
+            closed |= reached
+            new += reached
+            if limit is not None and len(closed) > limit:
+                return closed
+        frontier = new
+    return closed
+
+
+@pytest.fixture(scope="session")
+def close_set_oracle():
+    return _close_set
+
+
 def _bounded_subalgebras(a, bound):
-    """All op-closed carriers of size <= bound, by breadth-first search:
-    every (carrier, new element) pair is closed, and closures already found
-    are dropped afterwards."""
-    base = subalgebra_closure(a, ())
+    """All op-closed carriers of size <= bound, each a frozenset, by
+    breadth-first search over the set-based closure: every (carrier, new
+    element) pair is closed, and closures already found are dropped
+    afterwards."""
+    start = {a.bottom, a.top}
+    base = frozenset(_close_set(a, start, list(start)))
     if len(base) > bound:
         return []
     done = set()
@@ -395,8 +427,8 @@ def _bounded_subalgebras(a, bound):
             for x in range(a.size):
                 if x in carrier:
                     continue
-                bigger = frozenset(close_set(a, {x, *carrier}, [x],
-                                             limit=bound))
+                bigger = frozenset(_close_set(a, {x, *carrier}, [x],
+                                              limit=bound))
                 if len(bigger) <= bound and bigger not in done:
                     nxt.append(bigger)
         frontier = nxt

@@ -18,7 +18,8 @@ from charform.algebra import (Filter, HeytingAlgebra, Homomorphism,
                               regular_elements, relabel_algebra,
                               subalgebra_closure, upset_algebra,
                               _automorphisms, _bits, _from_tables,
-                              _refine_profile)
+                              _pair_reach, _refine_profile,
+                              _signature_reach, close_set)
 from charform import algebra as algebra_module
 from charform import rn as rn_module
 from charform.catalog import _posets_with_few_upsets, all_algebras
@@ -133,7 +134,7 @@ def test_derived_algebras_pass_the_full_check(recheck):
         for x in range(a.size):
             recheck(quotient(a, principal_filter(a, x))[0])
         for carrier in _bounded_subalgebras(a, 6):
-            elems, sub = induced_subalgebra(a, carrier)
+            elems, sub = induced_subalgebra(a, _bits(carrier))
             recheck(sub)
             order = _si_order(a, carrier)
             if order is not None:
@@ -331,6 +332,46 @@ def test_subalgebra_closure_matches_naive_fixpoint(all6):
         for k in range(3):
             for gens in itertools.combinations(range(a.size), k):
                 assert subalgebra_closure(a, gens) == _naive_closure(a, gens)
+
+
+def test_mask_closure_matches_set_oracle(all6, close_set_oracle):
+    # close_set on both its reaches, the pair rows of the subalgebra search
+    # and the signature's of subalgebra_closure, against the set-based
+    # closure it replaced, on Heyting and interior algebras: every start
+    # set of at most 2 elements, and every closed set of one generator
+    # with one new element, the only one in the frontier, as the
+    # subalgebra search closes them; below the closure's size a limit must
+    # stop both, above it neither, and a mask to avoid stops both exactly
+    # when the closure meets it
+    algebras = list(all6) + [span(a)[0] for a in all6]
+    for a in algebras:
+        cases = [(set(start), list(start)) for k in range(3)
+                 for start in itertools.combinations(range(a.size), k)]
+        for g in range(a.size):
+            carrier = close_set_oracle(a, {g}, [g])
+            cases += [({y, *carrier}, [y]) for y in range(a.size)
+                      if y not in carrier]
+        reaches = (_pair_reach(a), _signature_reach(a))
+        for closed, frontier in cases:
+            mask = sum(1 << x for x in closed)
+            new = sum(1 << x for x in frontier)
+            want = close_set_oracle(a, set(closed), list(frontier))
+            for reach in reaches:
+                assert set(_bits(close_set(reach, mask, new))) == want
+                for limit in range(len(closed), len(want) + 1):
+                    got = close_set(reach, mask, new, limit)
+                    cut = close_set_oracle(a, set(closed), list(frontier),
+                                           limit)
+                    assert (got.bit_count() > limit) == (len(cut) > limit)
+                    if len(cut) <= limit:
+                        assert set(_bits(got)) == cut
+                for y in range(a.size):
+                    avoid = (1 << y) - 1 & ~mask
+                    got = close_set(reach, mask, new, avoid=avoid)
+                    if any(avoid >> x & 1 for x in want):
+                        assert got & avoid
+                    else:
+                        assert set(_bits(got)) == want
 
 
 def test_homomorphism_search_examples():

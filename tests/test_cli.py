@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,15 @@ def test_embeds_past_the_search_budget(capsys):
     code = main(["embeds", "C(6) x C(6)", "C(4) x C(4) x C(8)"])
     assert code == 3
     assert capsys.readouterr().err.startswith("size limit:")
+
+
+def test_embeds_answers_a_longer_chain_at_once(capsys):
+    # rank 63 against rank 10: no quotient of B(10) holds a chain that
+    # long, so the answer comes before any search and its budget
+    start = time.perf_counter()
+    code, out = run(capsys, "embeds", "C(64)", "B(10)")
+    assert code == 1 and out.strip() == "NO"
+    assert time.perf_counter() - start < 2
 
 
 def test_present_verify_builtin(capsys):
